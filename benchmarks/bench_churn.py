@@ -8,7 +8,7 @@ Two sections:
    and fallback counts are deterministic given the seed, so they are
    pinned by ``benchmarks/baselines/churn.json`` with zero tolerance: any
    schema silently escalating more (or failing) than before fails the
-   ``bench-regression`` CI diff.
+   ``churn`` CI job's diff.
 2. **Throughput** — sustained mutations/sec of the incremental
    :class:`repro.dynamic.ChurnRunner` on the 64x64 grid 2-coloring
    workload versus the naive serve-by-re-encoding baseline (every

@@ -30,6 +30,7 @@ from .schema import (
     InvalidAdvice,
     LocalityContract,
     OracleSchema,
+    repair_region,
 )
 from .sparsity import max_holders_in_ball
 
@@ -101,41 +102,7 @@ class ComposedSchema(AdviceSchema):
             },
         )
 
-    def _packed_ok(self, packed: str) -> bool:
-        """Is ``packed`` parseable all the way down the composition?"""
-        try:
-            part1, _ = unpack_parts(packed, 2)
-        except CodecError:
-            return False
-        inner = getattr(self.first, "_packed_ok", None)
-        if inner is not None and part1:
-            return bool(inner(part1))
-        return True
-
     def repair_advice(
-        self,
-        graph: LocalGraph,
-        advice: Mapping[Node, str],
-        node: Node,
-        radius: int,
-    ) -> Optional[AdviceMap]:
-        """Blank unparseable packed strings near the failure.
-
-        An empty string reads as "no parts at either level", which every
-        layer of the composition accepts, so dropping a corrupt packing is
-        always a safe (if lossy) local rewrite; missing anchors that
-        result are caught by the verifier and healed downstream.
-        """
-        patched = dict(advice)
-        changed = False
-        for u in graph.ball(node, radius):
-            packed = patched.get(u, "")
-            if packed and not self._packed_ok(packed):
-                patched[u] = ""
-                changed = True
-        return patched if changed else None
-
-    def repair_advice_for_mutation(
         self,
         graph: LocalGraph,
         advice: Mapping[Node, str],
@@ -143,42 +110,39 @@ class ComposedSchema(AdviceSchema):
         radius: int,
         labeling: Optional[Mapping[Node, object]] = None,
     ) -> Optional[AdviceMap]:
-        """Structure-preserving churn repair for packed composed advice.
+        """Structure-preserving repair of packed composed advice.
 
-        Unpacks the two payload layers, blanks packings that no longer
-        parse, delegates the ``Pi_1`` layer to ``first``'s own mutation
-        hook (the maintained labeling solves ``Pi_2``, so it is *not*
-        forwarded — the first stage repairs blind), then re-packs with the
-        original :func:`pack_parts` framing.
+        Within :func:`repair_region` only: blank packings that no longer
+        parse, let ``first`` repair its ``Pi_1`` slice through its own
+        hook, then re-pack with the original :func:`pack_parts` framing.
+        ``first`` always repairs blind — a maintained ``labeling`` solves
+        ``Pi_2``, so it is not forwarded.  An empty string reads as "no
+        parts at either level", which every layer of the composition
+        accepts, so blanking is always a safe (if lossy) local rewrite;
+        missing anchors that result are caught by the verifier and healed
+        downstream.  Nodes outside the balls keep their bytes verbatim.
         """
-        advice1: AdviceMap = {}
-        advice2: AdviceMap = {}
-        blanked = False
-        for v in graph.nodes():
+        region = repair_region(graph, sites, radius)
+        patched = dict(advice)
+        changed = False
+        parts = {}
+        for v in region:
             packed = advice.get(v, "")
-            if not packed:
-                advice1[v] = ""
-                advice2[v] = ""
-                continue
             try:
-                part1, part2 = unpack_parts(packed, 2)
+                parts[v] = unpack_parts(packed, 2) if packed else ["", ""]
             except CodecError:
-                part1, part2 = "", ""
-                blanked = True
-            advice1[v] = part1
-            advice2[v] = part2
-        patched1 = self.first.repair_advice_for_mutation(
-            graph, advice1, sites, radius, None
-        )
-        if patched1 is None and not blanked:
-            return None
+                parts[v] = ["", ""]
+                patched[v] = ""
+                changed = True
+        advice1 = {v: part1 for v, (part1, _) in parts.items()}
+        patched1 = self.first.repair_advice(graph, advice1, sites, radius)
         if patched1 is not None:
-            advice1 = dict(patched1)
-        merged: AdviceMap = {}
-        for v in graph.nodes():
-            parts = [advice1.get(v, ""), advice2.get(v, "")]
-            merged[v] = pack_parts(parts) if any(parts) else ""
-        return merged
+            for v in region:
+                part1, part2 = patched1.get(v, ""), parts[v][1]
+                if part1 != advice1[v]:
+                    patched[v] = pack_parts([part1, part2]) if part1 or part2 else ""
+                    changed = True
+        return patched if changed else None
 
 
 def compose(first: AdviceSchema, second: OracleSchema) -> ComposedSchema:

@@ -144,6 +144,17 @@ def validate_advice_map(
             )
 
 
+def repair_region(
+    graph: LocalGraph, sites: Sequence[Node], radius: int
+) -> List[Node]:
+    """The nodes an advice-repair hook may rewrite, in id order: the union
+    of ``graph.ball(site, radius)`` over ``sites``."""
+    region = set()
+    for site in sites:
+        region.update(graph.ball(site, radius))
+    return sorted(region, key=graph.id_of)
+
+
 def classify_schema_type(graph: LocalGraph, advice: Mapping[Node, str]) -> str:
     """One of ``"uniform-fixed"``, ``"subset-fixed"``, ``"variable"``."""
     lengths = {len(advice.get(v, "")) for v in graph.nodes()}
@@ -321,39 +332,29 @@ class AdviceSchema(abc.ABC):
         self,
         graph: LocalGraph,
         advice: Mapping[Node, str],
-        node: Node,
-        radius: int,
-    ) -> Optional[AdviceMap]:
-        """Schema-specific advice patch near ``node`` (decode-error repair).
-
-        Called by the robust runner when :meth:`decode` raised an
-        :class:`AdviceError` attributed to ``node``.  Implementations may
-        only rewrite bits within ``graph.ball(node, radius)`` — the patch
-        must stay radius-bounded so repair remains a local operation.
-        Return the patched map, or ``None`` when the schema has no
-        patch to offer (the runner then escalates).
-        """
-        return None
-
-    def repair_advice_for_mutation(
-        self,
-        graph: LocalGraph,
-        advice: Mapping[Node, str],
         sites: Sequence[Node],
         radius: int,
         labeling: Optional[Mapping[Node, Label]] = None,
     ) -> Optional[AdviceMap]:
-        """Schema-specific advice patch after a topology mutation (churn).
+        """Schema-specific advice patch around ``sites``.
 
-        ``graph`` is the *post-mutation* graph, ``sites`` the surviving
-        nodes anchoring the event (edge endpoints, an inserted node and
-        its attachments, or a deleted node's former neighbors), and
-        ``labeling`` the maintained valid solution — the Section 6
-        ball/shift argument lets implementations re-derive fresh bits for
-        ``graph.ball(site, radius)`` from it, leaving all other advice
-        verbatim.  Bits may only be rewritten inside those balls.  Return
-        the patched map, or ``None`` when no patch is needed/offered (the
-        churn runner then keeps the old bits or escalates to re-encode).
+        Both repair runtimes call this one hook.  The robust runner calls
+        it blind (``labeling=None``) when :meth:`decode` raised an
+        :class:`AdviceError` attributed to a node, with ``sites=[node]``:
+        scrub or synthesize bits so the next decode gets further.  The
+        churn runner calls it after a topology mutation with the
+        *post-mutation* graph, the surviving sites anchoring the event
+        (edge endpoints, an inserted node and its attachments, or a
+        deleted node's former neighbors) and the maintained valid
+        ``labeling`` — the Section 6 ball/shift argument lets
+        implementations re-derive fresh bits for the balls from it,
+        leaving all other advice verbatim.
+
+        Either way, bits may only be rewritten inside
+        :func:`repair_region` — the union of ``graph.ball(site, radius)``
+        — so repair stays a local operation.  Return the patched map, or
+        ``None`` when no patch is needed or offered (the runner then keeps
+        the old bits or escalates).
         """
         return None
 

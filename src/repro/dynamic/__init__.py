@@ -10,8 +10,9 @@ that argument into a runtime:
   plus seeded family-preserving plan generators.
 - :mod:`repro.dynamic.runner` — :class:`ChurnRunner`, which maintains a
   valid ``(graph, advice, labeling)`` triple across a mutation stream via
-  classify → local label repair → schema advice patch, escalating to a
-  bounded-retry full re-encode only when locality fails.
+  the repair stages it shares with :class:`repro.faults.RobustRunner`:
+  local label repair → schema advice patch, escalating to a bounded-retry
+  full re-encode only when locality fails.
 - :mod:`repro.dynamic.campaign` — the seeded churn campaign driven by
   ``python -m repro churn``.
 """

@@ -3,25 +3,22 @@
 :class:`ChurnRunner` owns a ``(graph, advice, labeling)`` triple that it
 keeps *jointly valid* while the graph mutates in place.  Each applied
 :class:`~repro.dynamic.plan.Mutation` is treated as a localized fault, in
-the Section 6 ball/shift sense:
+the Section 6 ball/shift sense, and healed by the repair stages of
+:mod:`repro.faults.runner` — the same ones the robust runner uses:
 
-1. **Classify** — a connectivity-sensitivity precheck in the
-   double-edge-cut style: bounded BFS decides whether the event is
-   confined (the deleted edge lies on a short cycle, the inserted edge
-   joins nearby nodes) or far-reaching (``split`` / ``join``).
-2. **Local label repair** — verify only the balls around the mutation
-   sites; violations are healed by the annulus-fixed escalating ball
-   re-solve of PR 4's :class:`~repro.faults.RobustRunner` (the same
-   :func:`~repro.lcl.solve.solve_exact` primitive, the same soundness
-   argument: the pre-mutation labeling was valid and the LCL predicate
-   has bounded radius, so any residual violation lives near a site).
-3. **Advice patch** — the schema's
-   :meth:`~repro.advice.schema.AdviceSchema.repair_advice_for_mutation`
-   hook re-derives fresh bits for the affected balls from the maintained
-   labeling, leaving every other node's advice verbatim.
-4. **Escalate** — only when locality fails: a full re-encode bounded by
-   a retry budget with deterministic logical backoff; an exhausted
-   budget is a clean recorded failure, never a loop.
+1. **Local label repair** — verify only the balls around the mutation
+   sites; violations are healed by :func:`~repro.faults.runner
+   .resolve_balls` (the pre-mutation labeling was valid and the LCL
+   predicate has bounded radius, so any residual violation lives near a
+   site).
+2. **Advice patch** — the schema's
+   :meth:`~repro.advice.schema.AdviceSchema.repair_advice` hook, handed
+   the maintained labeling, re-derives fresh bits for the affected balls
+   from it, leaving every other node's advice verbatim.
+3. **Escalate** — only when locality fails: a full re-encode through
+   :func:`~repro.faults.runner.escalate`, bounded by a retry budget with
+   deterministic logical backoff; an exhausted budget is a clean recorded
+   failure, never a loop.
 
 Every step emits :class:`~repro.obs.robustness.RepairAction` /
 :class:`~repro.obs.churn.MutationRecord` records and the churn metrics
@@ -31,17 +28,11 @@ Every step emits :class:`~repro.obs.robustness.RepairAction` /
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..advice.schema import (
-    AdviceError,
-    AdviceMap,
-    AdviceSchema,
-    validate_advice_map,
-)
-from ..faults.runner import _annulus, _clusters
+from ..advice.schema import AdviceMap, AdviceSchema, validate_advice_map
+from ..faults.runner import escalate, resolve_balls, valid_at
 from ..lcl.problem import Label, LCLProblem
-from ..lcl.solve import SearchBudgetExceeded, solve_exact
 from ..local.graph import LocalGraph, Node
 from ..obs.churn import (
     RESOLVED_FAILED,
@@ -51,7 +42,7 @@ from ..obs.churn import (
     MutationRecord,
 )
 from ..obs.metrics import MetricsRegistry
-from ..obs.robustness import ADVICE_PATCH, BALL_RESOLVE, GLOBAL_RESOLVE, RepairAction
+from ..obs.robustness import ADVICE_PATCH, BALL_RESOLVE, RepairAction
 from ..obs.trace import NULL_TRACER, Tracer
 from .plan import Mutation
 
@@ -75,14 +66,11 @@ class ChurnRunner:
         Largest label-repair ball radius before escalating to re-encode.
     max_solver_steps:
         Backtracking budget per ball re-solve.
-    reencode_budget / backoff_base:
-        The re-encode fallback retries at most ``reencode_budget`` times
+    escalate_budget / backoff_base:
+        The re-encode fallback retries at most ``escalate_budget`` times
         per mutation; failed attempt ``k`` records a deterministic
         logical backoff of ``backoff_base ** (k - 1)`` ticks (recorded,
         never slept).  Exhaustion marks the mutation ``failed``.
-    classify_bound:
-        BFS bound of the connectivity precheck (defaults to
-        ``4 * max_ball_radius``).
     """
 
     def __init__(
@@ -91,37 +79,35 @@ class ChurnRunner:
         graph: LocalGraph,
         max_ball_radius: int = 8,
         max_solver_steps: int = 200_000,
-        reencode_budget: int = 3,
+        escalate_budget: int = 3,
         backoff_base: int = 2,
-        classify_bound: Optional[int] = None,
         tracer: Optional[Tracer] = None,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
-        if reencode_budget < 1:
-            raise ValueError("reencode_budget must be >= 1")
+        if escalate_budget < 1:
+            raise ValueError("escalate_budget must be >= 1")
         self.schema = schema
         self.graph = graph
         self.max_ball_radius = max_ball_radius
         self.max_solver_steps = max_solver_steps
-        self.reencode_budget = reencode_budget
+        self.escalate_budget = escalate_budget
         self.backoff_base = backoff_base
-        self.classify_bound = (
-            classify_bound if classify_bound is not None else 4 * max_ball_radius
-        )
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.registry = registry if registry is not None else MetricsRegistry()
         self.applied = 0
         self._bootstrap()
 
+    def _encode(self) -> AdviceMap:
+        advice = dict(self.schema.encode(self.graph))
+        for v in self.graph.nodes():
+            advice.setdefault(v, "")
+        return advice
+
     def _bootstrap(self) -> None:
         """Initial encode + decode + verify; the serving state starts valid."""
         schema, graph = self.schema, self.graph
         with self.tracer.span("churn_bootstrap", schema=schema.name, n=graph.n):
-            self.advice: AdviceMap = {
-                v: bits for v, bits in schema.encode(graph).items()
-            }
-            for v in graph.nodes():
-                self.advice.setdefault(v, "")
+            self.advice: AdviceMap = self._encode()
             validate_advice_map(graph, self.advice, complete=True)
             result = schema.decode(graph, self.advice)
             self.labeling: Dict[Node, Label] = dict(result.labeling)
@@ -129,235 +115,47 @@ class ChurnRunner:
             raise ChurnError(f"bootstrap decode of {schema.name} is invalid")
         self.problem: Optional[LCLProblem] = schema.repair_problem(graph)
 
-    # -- connectivity-sensitivity precheck ------------------------------------
-
-    def _within(self, u: Node, v: Node, bound: int) -> bool:
-        """Bounded-BFS reachability (the double-edge-cut style query)."""
-        if u == v:
-            return True
-        for layer in self.graph.bfs_layers(u, bound):
-            if v in layer:
-                return True
-        return False
-
-    def _classify(self, mutation: Mutation, sites: Sequence[Node]) -> str:
-        """``absorbable`` when the event is provably confined to a ball.
-
-        An inserted edge between nearby endpoints, or a deleted edge on a
-        short cycle, perturbs only a bounded region; endpoints further
-        apart than ``classify_bound`` mean regions merged (``join``) or
-        separated (``split``) — recorded, and used to widen repair.
-        """
-        bound = self.classify_bound
-        kind = mutation.kind
-        if kind == "edge-insert":
-            # Called after the insert: the old distance is the shortest
-            # alternative path, i.e. the shortest cycle through the edge.
-            return "absorbable" if self._short_cycle(mutation.u, mutation.v, bound) else "join"
-        if kind == "edge-delete":
-            return "absorbable" if self._within(mutation.u, mutation.v, bound) else "split"
-        if kind == "node-insert":
-            anchor = sites[0]
-            if all(self._within(anchor, s, bound) for s in sites[1:]):
-                return "absorbable"
-            return "join"
-        # node-delete: do the former neighbors reconnect without v?
-        if len(sites) <= 1:
-            return "absorbable"
-        anchor = sites[0]
-        if all(self._within(anchor, s, bound) for s in sites[1:]):
-            return "absorbable"
-        return "split"
-
-    def _short_cycle(self, u: Node, v: Node, bound: int) -> bool:
-        """Does the edge ``{u, v}`` lie on a cycle of length <= bound + 1?
-
-        BFS from ``u`` that refuses to traverse the edge itself; reaching
-        ``v`` within ``bound`` hops exhibits the alternative path.
-        """
-        seen = {u}
-        frontier = [u]
-        for _ in range(bound):
-            nxt: List[Node] = []
-            for x in frontier:
-                for y in self.graph.neighbors(x):
-                    if x == u and y == v:
-                        continue
-                    if y == v:
-                        return True
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            if not nxt:
-                return False
-            frontier = nxt
-        return False
-
-    # -- topology application --------------------------------------------------
-
-    def _apply_topology(self, mutation: Mutation) -> Tuple[List[Node], str]:
-        """Mutate the graph; return surviving anchor sites + classification."""
+    def _apply_topology(self, mutation: Mutation) -> List[Node]:
+        """Mutate the graph; return the surviving anchor sites."""
         graph = self.graph
         kind = mutation.kind
         if kind == "edge-insert":
             graph.add_edge(mutation.u, mutation.v)
-            sites = [mutation.u, mutation.v]
-            return sites, self._classify(mutation, sites)
+            return [mutation.u, mutation.v]
         if kind == "edge-delete":
             graph.remove_edge(mutation.u, mutation.v)
-            sites = [mutation.u, mutation.v]
-            return sites, self._classify(mutation, sites)
+            return [mutation.u, mutation.v]
         if kind == "node-insert":
             graph.add_node(mutation.node, neighbors=mutation.neighbors)
             self.advice[mutation.node] = ""
-            sites = [mutation.node] + list(mutation.neighbors)
-            return sites, self._classify(mutation, sites)
+            return [mutation.node] + list(mutation.neighbors)
         # node-delete
         dropped = graph.remove_node(mutation.node)
         self.advice.pop(mutation.node, None)
         self.labeling.pop(mutation.node, None)
-        sites = sorted(dropped, key=graph.id_of)
-        return sites, self._classify(mutation, sites)
-
-    # -- local label repair -----------------------------------------------------
-
-    def _is_valid_at(self, problem: LCLProblem, v: Node) -> bool:
-        if v not in self.labeling:
-            return False
-        try:
-            return problem.is_valid_at(self.graph, self.labeling, v)
-        except KeyError:
-            # An unlabeled node (fresh insert) inside the checked ball.
-            return False
+        return sorted(dropped, key=graph.id_of)
 
     def _region_violations(
         self, problem: LCLProblem, sites: Sequence[Node], radius: int
     ) -> List[Node]:
         """Violating/unlabeled nodes within ``radius + r`` of any site."""
         graph = self.graph
-        region: Set[Node] = set()
+        region = set()
         for s in sites:
             region.update(graph.ball(s, radius + problem.radius))
         return sorted(
-            (v for v in region if not self._is_valid_at(problem, v)),
+            (v for v in region if not valid_at(problem, graph, self.labeling, v)),
             key=graph.id_of,
         )
 
-    def _ball_radii(self, r0: int) -> List[int]:
-        cap = max(self.max_ball_radius, r0)
-        return sorted({min(cap, r0 + step) for step in (0, 1, 2, 4)} | {cap})
-
-    def _repair_labels(
-        self,
-        problem: LCLProblem,
-        bad: List[Node],
-        record: MutationRecord,
-    ) -> Tuple[List[Node], int]:
-        """Annulus-fixed escalating ball re-solve around the bad nodes.
-
-        Returns the residual violations and the largest radius used by a
-        successful repair (PR 4's primitive, applied to churn events).
-        """
-        graph, registry = self.graph, self.registry
-        r0 = problem.radius
-        used = 0
-        for radius in self._ball_radii(r0):
-            if not bad:
-                break
-            threshold = 2 * (radius + 2 * r0) + 1
-            for cluster in _clusters(graph, bad, threshold):
-                interior: Set[Node] = set()
-                for v in cluster:
-                    interior.update(graph.ball(v, radius))
-                annulus = _annulus(graph, interior, 2 * r0)
-                fixed = {u: self.labeling[u] for u in annulus if u in self.labeling}
-                try:
-                    with self.tracer.span(
-                        "churn_repair", kind=BALL_RESOLVE, radius=radius
-                    ):
-                        solution = solve_exact(
-                            problem,
-                            graph,
-                            fixed=fixed,
-                            restrict_to=sorted(interior, key=graph.id_of),
-                            max_steps=self.max_solver_steps,
-                        )
-                except SearchBudgetExceeded:
-                    solution = None
-                seed_node = min(cluster, key=graph.id_of)
-                if solution is None:
-                    record.actions.append(
-                        RepairAction(BALL_RESOLVE, seed_node, radius, False)
-                    )
-                    continue
-                for w in interior:
-                    self.labeling[w] = solution[w]
-                used = max(used, radius)
-                record.actions.append(
-                    RepairAction(BALL_RESOLVE, seed_node, radius, True)
-                )
-                registry.counter("repairs_local_total").inc()
-                registry.histogram("repair_radius").observe(radius)
-            bad = [v for v in bad if not self._is_valid_at(problem, v)]
-        return bad, used
-
-    # -- escalation --------------------------------------------------------------
-
-    def _reencode(self, record: MutationRecord) -> bool:
-        """Full re-encode + decode, bounded by the retry budget."""
-        schema, graph = self.schema, self.graph
-        self.registry.counter("reencode_fallbacks_total").inc()
-        for attempt in range(1, self.reencode_budget + 1):
-            backoff = self.backoff_base ** (attempt - 1)
-            try:
-                with self.tracer.span(
-                    "churn_repair", kind=GLOBAL_RESOLVE, attempt=attempt
-                ):
-                    advice = {
-                        v: bits for v, bits in schema.encode(graph).items()
-                    }
-                    for v in graph.nodes():
-                        advice.setdefault(v, "")
-                    result = schema.decode(graph, advice)
-            except AdviceError as exc:
-                record.actions.append(
-                    RepairAction(
-                        GLOBAL_RESOLVE,
-                        None,
-                        -1,
-                        success=False,
-                        detail=(
-                            f"reencode attempt {attempt}/{self.reencode_budget}"
-                            f" raised {type(exc).__name__}; backoff {backoff}"
-                        ),
-                    )
-                )
-                continue
-            labeling = dict(result.labeling)
-            if schema.check_solution(graph, labeling):
-                self.advice = advice
-                self.labeling = labeling
-                record.actions.append(
-                    RepairAction(
-                        GLOBAL_RESOLVE, None, -1, success=True, detail="reencode"
-                    )
-                )
-                return True
-            record.actions.append(
-                RepairAction(
-                    GLOBAL_RESOLVE,
-                    None,
-                    -1,
-                    success=False,
-                    detail=(
-                        f"reencode attempt {attempt}/{self.reencode_budget}"
-                        f" decoded invalid; backoff {backoff}"
-                    ),
-                )
-            )
-        return False
-
-    # -- entry point --------------------------------------------------------------
+    def _fresh_state(self) -> Tuple[Tuple[AdviceMap, Dict[Node, Label]], bool]:
+        """One re-encode attempt for :func:`escalate`: a full encode and
+        decode, and whether the decoded labeling verifies."""
+        advice = self._encode()
+        labeling = dict(self.schema.decode(self.graph, advice).labeling)
+        return (advice, labeling), bool(
+            self.schema.check_solution(self.graph, labeling)
+        )
 
     def apply(self, mutation: Mutation, full_check: bool = False) -> MutationRecord:
         """Apply one mutation and restore the serving invariant.
@@ -377,10 +175,8 @@ class ChurnRunner:
             "churn_apply", schema=schema.name, kind=mutation.kind
         ) as span:
             old_problem = self.problem
-            sites, classification = self._apply_topology(mutation)
-            record.classification = classification
-            self.problem = schema.repair_problem(graph)
-            problem = self.problem
+            sites = self._apply_topology(mutation)
+            self.problem = problem = schema.repair_problem(graph)
 
             residual: List[Node] = []
             label_radius = 0
@@ -389,17 +185,27 @@ class ChurnRunner:
                     # A global parameter shifted (e.g. Delta dropped and the
                     # palette shrank): region checks are no longer sound,
                     # fall back to a whole-graph sweep.
-                    bad = [
-                        v
-                        for v in graph.nodes()
-                        if not self._is_valid_at(problem, v)
-                    ]
-                    bad.sort(key=graph.id_of)
+                    bad = sorted(
+                        (
+                            v
+                            for v in graph.nodes()
+                            if not valid_at(problem, graph, self.labeling, v)
+                        ),
+                        key=graph.id_of,
+                    )
                 else:
                     bad = self._region_violations(problem, sites, problem.radius)
                 if bad:
-                    residual, label_radius = self._repair_labels(
-                        problem, bad, record
+                    self.labeling, residual, label_radius = resolve_balls(
+                        graph,
+                        problem,
+                        self.labeling,
+                        bad,
+                        max_radius=self.max_ball_radius,
+                        max_steps=self.max_solver_steps,
+                        actions=record.actions,
+                        tracer=self.tracer,
+                        registry=registry,
                     )
             elif any(v not in self.labeling for v in sites):
                 # No label-level repair possible; force escalation below.
@@ -412,7 +218,7 @@ class ChurnRunner:
                 # further out.
                 r0 = problem.radius if problem is not None else 1
                 hook_radius = max(2 * r0, label_radius + 2 * r0)
-                patched = schema.repair_advice_for_mutation(
+                patched = schema.repair_advice(
                     graph, self.advice, sites, hook_radius, self.labeling
                 )
                 if patched is not None:
@@ -430,7 +236,17 @@ class ChurnRunner:
                     self.advice.setdefault(v, "")
 
             if residual:
-                ok = self._reencode(record)
+                registry.counter("reencode_fallbacks_total").inc()
+                state, ok = escalate(
+                    self._fresh_state,
+                    budget=self.escalate_budget,
+                    backoff_base=self.backoff_base,
+                    label="reencode",
+                    actions=record.actions,
+                    tracer=self.tracer,
+                )
+                if ok:
+                    self.advice, self.labeling = state
                 record.resolved_by = RESOLVED_REENCODE if ok else RESOLVED_FAILED
             elif patched_advice or any(
                 a.kind == BALL_RESOLVE and a.success for a in record.actions
@@ -450,9 +266,5 @@ class ChurnRunner:
             else:
                 record.valid = True
             if self.tracer.enabled:
-                span.set(
-                    classification=classification,
-                    resolved_by=record.resolved_by,
-                    valid=record.valid,
-                )
+                span.set(resolved_by=record.resolved_by, valid=record.valid)
         return record

@@ -1,37 +1,50 @@
-"""The self-healing robust runner.
+"""The repair stages, and the self-healing robust runner built on them.
 
-Layered over :meth:`repro.advice.schema.AdviceSchema.run`, the
-:class:`RobustRunner` executes encode → (inject) → decode → verify like the
-plain driver, but treats failures as things to *heal* instead of report:
+Both repair runtimes — :class:`RobustRunner` here, which heals one
+fault-injected run, and :class:`repro.dynamic.ChurnRunner`, which keeps a
+``(graph, advice, labeling)`` triple valid under live mutations — are
+short drivers over the same stages:
 
-1. **Decode errors** (``AdviceError`` with node attribution, produced by
-   the corruption-aware decoders) trigger advice-level repair at the
-   failing node: first the schema's own :meth:`repair_advice` patch
-   (e.g. synthesizing a fresh anchor), then a radius-bounded
-   *advice re-request* — re-fetching the prover's bits for one escalating
-   ball — before re-decoding.
-2. **Verifier violations** (:func:`repro.lcl.verify.violations`) are
-   localized via :mod:`repro.obs.failure` attribution, clustered, and
-   healed by **escalating-radius ball re-solve**: the labels inside the
-   ball are brute-forced against the LCL with the surrounding annulus
-   pinned (:func:`repro.lcl.solve.solve_exact` — the same primitive the
-   Section 4 encoder uses, and the generic form of the Section 6
-   Delta-repair ball recoloring).
-3. Only when every radius-bounded strategy is exhausted does the runner
-   fall back to a **global re-solve** (fresh re-encode + re-decode), which
-   the :class:`~repro.obs.robustness.RobustnessReport` counts as an
-   escalation.
+1. **Advice patch** — the schema's one
+   :meth:`~repro.advice.schema.AdviceSchema.repair_advice` hook rewrites
+   bits inside bounded balls around the damage: blind scrubbing around a
+   decode error's node, or a resync to the maintained labeling around a
+   mutation's sites.  The robust runner follows a patch that does not
+   converge with a radius-bounded *advice re-request* — re-fetching the
+   prover's bits for one escalating ball — before re-decoding.
+2. **Ball re-solve** (:func:`resolve_balls`) — verifier violations are
+   clustered, and each cluster's ball is brute-forced against the LCL with
+   the surrounding annulus pinned (:func:`repro.lcl.solve.solve_exact` —
+   the same primitive the Section 4 encoder uses, and the generic form of
+   the Section 6 Delta-repair ball recoloring), at escalating radii.
+3. **Escalate** (:func:`escalate`) — only when every radius-bounded
+   strategy is exhausted: a global re-solve (a fresh decode of the clean
+   advice, or a full re-encode under churn), retried within a budget with
+   deterministic logical backoff.  An exhausted budget is a clean
+   recorded failure, never a loop.
 
 Soundness of the ball re-solve: clusters are merged aggressively enough
 that each repair ball's annulus contains no *other* cluster's violations,
 and the catalog predicates are monotone under refinement, so a patch that
 satisfies the solver is exact — it can only remove violations, never leak
-new ones past the annulus.
+new ones past the annulus.  That is why :func:`resolve_balls` re-checks
+only its residual bad list between radii, never the whole graph.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    TypeVar,
+)
 
 from ..advice.schema import (
     AdviceError,
@@ -61,6 +74,8 @@ from ..obs.robustness import (
 from ..obs.trace import NULL_TRACER, Tracer
 from .inject import FaultInjector
 from .plan import FaultPlan
+
+T = TypeVar("T")
 
 
 def _clusters(
@@ -121,6 +136,138 @@ def _annulus(graph: LocalGraph, interior: Set[Node], width: int) -> List[Node]:
                     ring.append(y)
         frontier = nxt
     return ring
+
+
+def valid_at(
+    problem: LCLProblem,
+    graph: LocalGraph,
+    labeling: Mapping[Node, Label],
+    v: Node,
+) -> bool:
+    """Is ``v`` labeled and its LCL check satisfied?  An unlabeled node
+    (a fresh insert) inside the checked ball counts as a violation."""
+    if v not in labeling:
+        return False
+    try:
+        return problem.is_valid_at(graph, labeling, v)
+    except KeyError:
+        return False
+
+
+def resolve_balls(
+    graph: LocalGraph,
+    problem: LCLProblem,
+    labeling: Mapping[Node, Label],
+    bad: Sequence[Node],
+    *,
+    max_radius: int,
+    max_steps: int,
+    actions: List[RepairAction],
+    tracer: Tracer = NULL_TRACER,
+    registry: Optional[MetricsRegistry] = None,
+) -> Tuple[Dict[Node, Label], List[Node], int]:
+    """Heal the violations ``bad`` by brute-forcing escalating balls.
+
+    Radii run ``r0 + (0, 1, 2, 4, 8)`` for the LCL radius ``r0``, capped
+    at ``max(max_radius, r0)``.  At each radius the bad nodes are
+    clustered and every cluster's ball is re-solved with a width-``2 r0``
+    annulus held fixed (``max_steps`` bounds each backtracking search;
+    exhausting it counts as a failed attempt at that radius).  Each
+    attempt appends a :data:`BALL_RESOLVE` action to ``actions``.
+
+    Returns the patched copy of ``labeling``, the residual violations
+    (a subset of ``bad``; see the module docstring for why no other node
+    can break) and the largest radius of a successful re-solve (0 if
+    none).
+    """
+    labeling = dict(labeling)
+    bad = list(bad)
+    r0 = problem.radius
+    cap = max(max_radius, r0)
+    radii = sorted({min(cap, r0 + step) for step in (0, 1, 2, 4, 8)} | {cap})
+    used = 0
+    for radius in radii:
+        if not bad:
+            break
+        threshold = 2 * (radius + 2 * r0) + 1
+        for cluster in _clusters(graph, bad, threshold):
+            interior: Set[Node] = set()
+            for v in cluster:
+                interior.update(graph.ball(v, radius))
+            annulus = _annulus(graph, interior, 2 * r0)
+            fixed = {u: labeling[u] for u in annulus if u in labeling}
+            try:
+                with tracer.span(
+                    "repair", kind=BALL_RESOLVE, radius=radius, cluster=len(cluster)
+                ):
+                    solution = solve_exact(
+                        problem,
+                        graph,
+                        fixed=fixed,
+                        restrict_to=sorted(interior, key=graph.id_of),
+                        max_steps=max_steps,
+                    )
+            except SearchBudgetExceeded:
+                solution = None
+            seed_node = min(cluster, key=graph.id_of)
+            if solution is None:
+                actions.append(RepairAction(BALL_RESOLVE, seed_node, radius, False))
+                continue
+            for w in interior:
+                labeling[w] = solution[w]
+            used = max(used, radius)
+            actions.append(RepairAction(BALL_RESOLVE, seed_node, radius, True))
+            if registry is not None:
+                registry.counter("repairs_local_total").inc()
+                registry.histogram("repair_radius").observe(radius)
+        bad = [v for v in bad if not valid_at(problem, graph, labeling, v)]
+    return labeling, bad, used
+
+
+def escalate(
+    attempt: Callable[[], Tuple[T, bool]],
+    *,
+    budget: int,
+    backoff_base: int,
+    label: str,
+    actions: List[RepairAction],
+    tracer: Tracer = NULL_TRACER,
+) -> Tuple[Optional[T], bool]:
+    """The global fallback: call ``attempt`` at most ``budget`` times.
+
+    ``attempt()`` returns ``(result, valid)`` or raises
+    :class:`AdviceError`.  Each failed try ``k`` (raised, or invalid)
+    records a :data:`GLOBAL_RESOLVE` action with a deterministic logical
+    backoff of ``backoff_base ** (k - 1)`` ticks (recorded, never slept —
+    runs stay bit-reproducible); the first valid try records a successful
+    action whose detail is ``label``.  Returns ``(result, True)`` on
+    success, else ``(last returned result or None, False)``.
+    """
+    result: Optional[T] = None
+    for k in range(1, budget + 1):
+        backoff = backoff_base ** (k - 1)
+        try:
+            with tracer.span("repair", kind=GLOBAL_RESOLVE, attempt=k):
+                result, ok = attempt()
+        except AdviceError as exc:
+            outcome = f"raised {type(exc).__name__}"
+        else:
+            if ok:
+                actions.append(
+                    RepairAction(GLOBAL_RESOLVE, None, -1, success=True, detail=label)
+                )
+                return result, True
+            outcome = "decoded invalid"
+        actions.append(
+            RepairAction(
+                GLOBAL_RESOLVE,
+                None,
+                -1,
+                success=False,
+                detail=f"{label} attempt {k}/{budget} {outcome}; backoff {backoff}",
+            )
+        )
+    return result, False
 
 
 class RobustRunner:
@@ -249,13 +396,21 @@ class RobustRunner:
                             ring=tracer.ring(),
                         )
                         if problem is not None and bad:
-                            labeling = self._repair_labels(
-                                graph, problem, labeling, report
+                            labeling, bad, _ = resolve_balls(
+                                graph,
+                                problem,
+                                labeling,
+                                bad,
+                                max_radius=self.max_ball_radius,
+                                max_steps=self.max_solver_steps,
+                                actions=report.actions,
+                                tracer=tracer,
+                                registry=registry,
                             )
                             valid = self._valid(graph, labeling)
                         if not valid:
                             labeling, working, valid = self._refetch_and_redecode(
-                                graph, clean, working, labeling, problem, report
+                                graph, clean, working, labeling, bad, report
                             )
                         if not valid:
                             labeling, valid = self._global_fallback(
@@ -318,7 +473,7 @@ class RobustRunner:
             return []
         return sorted(violations(problem, graph, labeling), key=graph.id_of)
 
-    # -- stage 0: decode with advice-level healing ---------------------------
+    # -- decode with advice-level healing ------------------------------------
 
     def _decode_strategies(self) -> Iterator[Tuple[str, int]]:
         for radius in self.patch_radii:
@@ -402,7 +557,7 @@ class RobustRunner:
         schedule = strategies.setdefault(node, self._decode_strategies())
         for kind, radius in schedule:
             if kind == ADVICE_PATCH:
-                patched = self.schema.repair_advice(graph, working, node, radius)
+                patched = self.schema.repair_advice(graph, working, [node], radius)
             else:
                 patched = self._refetch_ball(graph, clean, working, node, radius)
             if patched is None or patched == working:
@@ -441,69 +596,7 @@ class RobustRunner:
         report.actions.append(action)
         return {v: clean.get(v, "") for v in graph.nodes()}
 
-    # -- stage 1: escalating-radius ball re-solve ----------------------------
-
-    def _ball_radii(self, r0: int) -> List[int]:
-        cap = max(self.max_ball_radius, r0)
-        radii = sorted(
-            {min(cap, r0 + step) for step in (0, 1, 2, 4, 8)} | {cap}
-        )
-        return radii
-
-    def _repair_labels(
-        self,
-        graph: LocalGraph,
-        problem: LCLProblem,
-        labeling: Dict[Node, Label],
-        report: RobustnessReport,
-    ) -> Dict[Node, Label]:
-        """Heal verifier violations by brute-forcing escalating balls."""
-        tracer, registry = self.tracer, self.registry
-        labeling = dict(labeling)
-        r0 = problem.radius
-        for radius in self._ball_radii(r0):
-            bad = self._violations(graph, problem, labeling)
-            if not bad:
-                break
-            threshold = 2 * (radius + 2 * r0) + 1
-            for cluster in _clusters(graph, bad, threshold):
-                interior: Set[Node] = set()
-                for v in cluster:
-                    interior.update(graph.ball(v, radius))
-                annulus = _annulus(graph, interior, 2 * r0)
-                fixed = {u: labeling[u] for u in annulus if u in labeling}
-                try:
-                    with tracer.span(
-                        "repair",
-                        kind=BALL_RESOLVE,
-                        radius=radius,
-                        cluster=len(cluster),
-                    ):
-                        solution = solve_exact(
-                            problem,
-                            graph,
-                            fixed=fixed,
-                            restrict_to=sorted(interior, key=graph.id_of),
-                            max_steps=self.max_solver_steps,
-                        )
-                except SearchBudgetExceeded:
-                    solution = None
-                seed_node = min(cluster, key=graph.id_of)
-                if solution is None:
-                    report.actions.append(
-                        RepairAction(BALL_RESOLVE, seed_node, radius, False)
-                    )
-                    continue
-                for w in interior:
-                    labeling[w] = solution[w]
-                report.actions.append(
-                    RepairAction(BALL_RESOLVE, seed_node, radius, True)
-                )
-                registry.counter("repairs_local_total").inc()
-                registry.histogram("repair_radius").observe(radius)
-        return labeling
-
-    # -- stage 2: advice re-request + re-decode ------------------------------
+    # -- advice re-request + re-decode ---------------------------------------
 
     def _refetch_and_redecode(
         self,
@@ -511,13 +604,12 @@ class RobustRunner:
         clean: Mapping[Node, str],
         working: AdviceMap,
         labeling: Dict[Node, Label],
-        problem: Optional[LCLProblem],
+        bad: List[Node],
         report: RobustnessReport,
     ) -> Tuple[Dict[Node, Label], AdviceMap, bool]:
         """Residual violations: re-request advice around them and re-decode."""
         schema = self.schema
         registry = self.registry
-        bad = self._violations(graph, problem, labeling)
         anchors = bad if bad else sorted(graph.nodes(), key=graph.id_of)[:1]
         for radius in self.refetch_radii:
             patched = dict(working)
@@ -555,7 +647,7 @@ class RobustRunner:
             )
         return labeling, working, False
 
-    # -- stage 3: global fallback --------------------------------------------
+    # -- global fallback -----------------------------------------------------
 
     def _global_fallback(
         self,
@@ -563,56 +655,22 @@ class RobustRunner:
         clean: Mapping[Node, str],
         report: RobustnessReport,
     ) -> Tuple[Dict[Node, Label], bool]:
-        """Fresh decode of the clean advice, bounded by the retry budget.
-
-        Escalation no longer assumes eventual success: each attempt that
-        errors or yields an invalid labeling burns one unit of the budget
-        and records its deterministic logical backoff; exhausting the
-        budget gives up cleanly (``report.gave_up``).
-        """
+        """Fresh decode of the clean advice, bounded by the retry budget;
+        an exhausted budget gives up cleanly (``report.gave_up``)."""
         report.escalated = True
         fresh = {v: clean.get(v, "") for v in graph.nodes()}
-        labeling: Dict[Node, Label] = {}
-        for attempt in range(1, self.escalate_budget + 1):
-            backoff = self.backoff_base ** (attempt - 1)
-            try:
-                with self.tracer.span(
-                    "repair", kind=GLOBAL_RESOLVE, attempt=attempt
-                ):
-                    result = self.schema.decode(graph, fresh)
-            except AdviceError as exc:
-                report.actions.append(
-                    RepairAction(
-                        GLOBAL_RESOLVE,
-                        None,
-                        -1,
-                        success=False,
-                        detail=(
-                            f"verify attempt {attempt}/{self.escalate_budget}"
-                            f" raised {type(exc).__name__}; backoff {backoff}"
-                        ),
-                    )
-                )
-                continue
-            labeling = dict(result.labeling)
-            if self._valid(graph, labeling):
-                report.actions.append(
-                    RepairAction(
-                        GLOBAL_RESOLVE, None, -1, success=True, detail="verify"
-                    )
-                )
-                return labeling, True
-            report.actions.append(
-                RepairAction(
-                    GLOBAL_RESOLVE,
-                    None,
-                    -1,
-                    success=False,
-                    detail=(
-                        f"verify attempt {attempt}/{self.escalate_budget}"
-                        f" decoded invalid; backoff {backoff}"
-                    ),
-                )
-            )
-        report.gave_up = True
-        return labeling, False
+
+        def attempt() -> Tuple[Dict[Node, Label], bool]:
+            labeling = dict(self.schema.decode(graph, fresh).labeling)
+            return labeling, self._valid(graph, labeling)
+
+        labeling, valid = escalate(
+            attempt,
+            budget=self.escalate_budget,
+            backoff_base=self.backoff_base,
+            label="verify",
+            actions=report.actions,
+            tracer=self.tracer,
+        )
+        report.gave_up = not valid
+        return labeling if labeling is not None else {}, valid

@@ -1,10 +1,9 @@
 """Churn reporting: what the dynamic runtime did to absorb each mutation.
 
 Each applied :class:`repro.dynamic.Mutation` yields a
-:class:`MutationRecord` — the connectivity classification of the event,
-the :class:`RepairAction` sequence that restored the ``(graph, advice)``
-pair, what ultimately resolved it, and whether the post-mutation labeling
-verified.  A :class:`ChurnReport` aggregates one stream per schema.  Both
+:class:`MutationRecord` — the :class:`RepairAction` sequence that restored
+the ``(graph, advice)`` pair, what ultimately resolved it, and whether the
+post-mutation labeling verified.  A :class:`ChurnReport` aggregates one stream per schema.  Both
 are deterministic given the plan seed: two runs of the same plan emit
 byte-identical ``as_dict()`` payloads, which the churn baseline pins at
 zero tolerance.
@@ -35,10 +34,6 @@ class MutationRecord:
 
     index: int
     mutation: Dict[str, object]
-    #: connectivity-sensitivity precheck outcome: "absorbable" (the event is
-    #: provably confined to a bounded ball), "split" (a far-reaching
-    #: disconnection) or "join" (merging of far-apart regions).
-    classification: str = "absorbable"
     actions: List[RepairAction] = field(default_factory=list)
     resolved_by: str = RESOLVED_NOOP
     #: post-mutation labeling verified valid (checked every step).
@@ -61,7 +56,6 @@ class MutationRecord:
         return {
             "index": self.index,
             "mutation": dict(self.mutation),
-            "classification": self.classification,
             "actions": [a.as_dict() for a in self.actions],
             "resolved_by": self.resolved_by,
             "local": self.local,

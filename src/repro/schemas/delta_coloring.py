@@ -166,6 +166,16 @@ class ClusterColoringSchema(AdviceSchema):
                 node=min(missing, key=graph.id_of),
             )
 
+        # Corrupted cluster colors can clash across a cluster boundary;
+        # reject them as advice errors before Linial, which needs a proper
+        # input coloring.
+        for u, v in graph.edges():
+            if labeling[u] == labeling[v]:
+                raise InvalidAdvice(
+                    f"cluster colors clash on edge {(u, v)!r}",
+                    node=min(u, v, key=graph.id_of),
+                )
+
         # Linial reduction: one round per step, until no further shrinking.
         linial_rounds = 0
         coloring = labeling
@@ -490,24 +500,12 @@ class DeltaColoringSchema(AdviceSchema):
         self,
         graph: LocalGraph,
         advice: Mapping[Node, str],
-        node: Node,
-        radius: int,
-    ) -> Optional[AdviceMap]:
-        # The pipeline is a ComposedSchema chain; its generic packed-string
-        # scrub is the right advice-level repair here too.
-        return self._pipeline.repair_advice(graph, advice, node, radius)
-
-    def repair_advice_for_mutation(
-        self,
-        graph: LocalGraph,
-        advice: Mapping[Node, str],
         sites: Sequence[Node],
         radius: int,
         labeling: Optional[Mapping[Node, object]] = None,
     ) -> Optional[AdviceMap]:
-        # Delegate to the composed pipeline's structural hook; the
-        # maintained labeling solves Delta-coloring, not the inner stage
-        # problems, so it is intentionally not forwarded.
-        return self._pipeline.repair_advice_for_mutation(
-            graph, advice, sites, radius, None
-        )
+        # The pipeline is a ComposedSchema chain; its packed-string repair
+        # is the right advice-level repair here too.  A maintained labeling
+        # solves Delta-coloring, not the inner stage problems, so it is
+        # intentionally not forwarded.
+        return self._pipeline.repair_advice(graph, advice, sites, radius)

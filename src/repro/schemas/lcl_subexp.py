@@ -68,6 +68,7 @@ from ..advice.schema import (
     InvalidAdvice,
     LocalityContract,
     locality_hints,
+    repair_region,
 )
 from ..algorithms.bfs import bfs_distances
 from ..analysis.waivers import lint_waiver
@@ -355,15 +356,16 @@ class LCLSubexpSchema(AdviceSchema):
         self,
         graph: LocalGraph,
         advice: Mapping[Node, str],
-        node: Node,
+        sites: Sequence[Node],
         radius: int,
+        labeling: Optional[Mapping[Node, object]] = None,
     ) -> Optional[AdviceMap]:
-        """Blank unparseable packed strings near the failure; the decoder
+        """Blank unparseable packed strings in the balls; the decoder
         treats a blank as "no center / no pinned label here" and the
         region completion re-derives the lost labels by brute force."""
         patched = dict(advice)
         changed = False
-        for u in graph.ball(node, radius):
+        for u in repair_region(graph, sites, radius):
             packed = patched.get(u, "")
             if not packed:
                 continue

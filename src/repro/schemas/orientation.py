@@ -46,6 +46,7 @@ from ..advice.schema import (
     DecodeResult,
     InvalidAdvice,
     LocalityContract,
+    repair_region,
 )
 from ..algorithms.lll import BadEvent, LLLInstance, moser_tardos
 from ..algorithms.orientation import (
@@ -445,58 +446,37 @@ class BalancedOrientationSchema(AdviceSchema):
         self,
         graph: LocalGraph,
         advice: Mapping[Node, str],
-        node: Node,
-        radius: int,
-    ) -> Optional[AdviceMap]:
-        """Scrub over-long anchor strings near the failure and plant a
-        fresh anchor on the failing node's first edge.
-
-        Anchor bits are ``tail = "1" + direction``, ``head = "1"``; any
-        longer string is corruption.  The planted anchor's direction is an
-        arbitrary-but-deterministic guess — a wrong guess yields a
-        verifier violation that the ball re-solve fixes in place.
-        """
-        patched = dict(advice)
-        changed = False
-        for u in graph.ball(node, radius):
-            bits = patched.get(u, "")
-            if len(bits) > 2 or any(b not in "01" for b in bits):
-                patched[u] = ""
-                changed = True
-        neighbors = graph.neighbors(node)
-        if neighbors and len(patched.get(node, "")) != 2:
-            head = min(neighbors, key=graph.id_of)
-            patched[node] = "11"
-            if patched.get(head, "") != "1":
-                patched[head] = "1"
-            changed = True
-        return patched if changed else None
-
-    def repair_advice_for_mutation(
-        self,
-        graph: LocalGraph,
-        advice: Mapping[Node, str],
         sites: Sequence[Node],
         radius: int,
         labeling: Optional[Mapping[Node, object]] = None,
     ) -> Optional[AdviceMap]:
-        """Chain the single-site anchor scrub across every mutation site.
+        """Scrub over-long anchor strings in the balls and plant a fresh
+        anchor on the first edge of every site that holds none.
 
-        Trail decomposition changes under churn are surfaced by the
-        verifier and healed by the ball re-solve; the advice-level job
-        here is only to keep anchor bit-strings well-formed and ensure
-        each surviving site still touches an anchor.
+        Anchor bits are ``tail = "1" + direction``, ``head = "1"``; any
+        longer string is corruption.  The planted anchor's direction is an
+        arbitrary-but-deterministic guess — a wrong guess yields a
+        verifier violation that the ball re-solve fixes in place.  Trail
+        decomposition changes under churn are likewise surfaced by the
+        verifier and healed by the ball re-solve, so ``labeling`` is not
+        needed.
         """
-        current: AdviceMap = dict(advice)
+        patched = dict(advice)
         changed = False
-        for site in sites:
-            if not graph.graph.has_node(site):
-                continue
-            patched = self.repair_advice(graph, current, site, radius)
-            if patched is not None:
-                current = dict(patched)
+        for u in repair_region(graph, sites, radius):
+            bits = patched.get(u, "")
+            if len(bits) > 2 or any(b not in "01" for b in bits):
+                patched[u] = ""
                 changed = True
-        return current if changed else None
+        for site in sites:
+            neighbors = graph.neighbors(site)
+            if neighbors and len(patched.get(site, "")) != 2:
+                head = min(neighbors, key=graph.id_of)
+                patched[site] = "11"
+                if patched.get(head, "") != "1":
+                    patched[head] = "1"
+                changed = True
+        return patched if changed else None
 
     def _orient_edge(
         self,

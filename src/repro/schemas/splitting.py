@@ -31,6 +31,7 @@ from ..advice.schema import (
     LocalityContract,
     OracleSchema,
     locality_hints,
+    repair_region,
 )
 from ..lcl.catalog import BLUE, RED, edge_coloring, splitting
 from ..lcl.problem import Labeling
@@ -211,18 +212,25 @@ class DeltaEdgeColoringSchema(AdviceSchema):
         self,
         graph: LocalGraph,
         advice: Mapping[Node, str],
-        node: Node,
+        sites: Sequence[Node],
         radius: int,
+        labeling: Optional[Mapping[Node, object]] = None,
     ) -> Optional[AdviceMap]:
-        """Blank packed strings near the failure that no longer parse into
-        the expected number of parts (missing anchors degrade to verifier
-        violations, healed by ball re-solve)."""
+        """Blank packed strings in the balls that no longer parse into the
+        expected number of parts (missing anchors degrade to verifier
+        violations, healed by ball re-solve).
+
+        Note that ``total_parts`` depends on the *current* ``max_degree``;
+        after a degree-changing mutation this blanks every stale packing
+        in the affected balls, and the churn runner's re-encode fallback
+        rebuilds the advice at the new arity.
+        """
         delta = graph.max_degree
         levels = self._levels(delta)
         total_parts = 1 + (2**levels - 1)
         patched = dict(advice)
         changed = False
-        for u in graph.ball(node, radius):
+        for u in repair_region(graph, sites, radius):
             packed = patched.get(u, "")
             if not packed:
                 continue
@@ -232,32 +240,6 @@ class DeltaEdgeColoringSchema(AdviceSchema):
                 patched[u] = ""
                 changed = True
         return patched if changed else None
-
-    def repair_advice_for_mutation(
-        self,
-        graph: LocalGraph,
-        advice: Mapping[Node, str],
-        sites: Sequence[Node],
-        radius: int,
-        labeling: Optional[Mapping[Node, object]] = None,
-    ) -> Optional[AdviceMap]:
-        """Chain the packed-string scrub across every mutation site.
-
-        Note that ``total_parts`` depends on the *current* ``max_degree``;
-        after a degree-changing mutation this blanks every stale packing
-        in the affected balls, and the runner's re-encode fallback rebuilds
-        the advice at the new arity.
-        """
-        current: AdviceMap = dict(advice)
-        changed = False
-        for site in sites:
-            if not graph.graph.has_node(site):
-                continue
-            patched = self.repair_advice(graph, current, site, radius)
-            if patched is not None:
-                current = dict(patched)
-                changed = True
-        return current if changed else None
 
     def decode(self, graph: LocalGraph, advice: Mapping[Node, str]) -> DecodeResult:
         delta = graph.max_degree

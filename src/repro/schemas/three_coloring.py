@@ -49,6 +49,7 @@ from ..advice.schema import (
     DecodeResult,
     InvalidAdvice,
     LocalityContract,
+    repair_region,
 )
 from ..algorithms.bfs import bfs_distances, diameter_at_most
 from ..graphs.planted import greedy_recolor, is_greedy_coloring
@@ -134,6 +135,11 @@ class ThreeColoringSchema(AdviceSchema):
 
     def _greedy_coloring(self, graph: LocalGraph) -> Dict[Node, int]:
         if self._coloring is not None:
+            for v in graph.nodes():
+                if v not in self._coloring:
+                    raise AdviceError(
+                        f"supplied coloring does not cover node {v!r}", node=v
+                    )
             phi = dict(self._coloring)
         else:
             solved = solve_exact(vertex_coloring(3), graph)
@@ -401,59 +407,42 @@ class ThreeColoringSchema(AdviceSchema):
         self,
         graph: LocalGraph,
         advice: Mapping[Node, str],
-        node: Node,
+        sites: Sequence[Node],
         radius: int,
-    ):
-        """Normalize every bit near the failure to a legal single bit.
+        labeling: Optional[Mapping[Node, int]] = None,
+    ) -> Optional[AdviceMap]:
+        """Blind (``labeling=None``): normalize every bit in the balls to a
+        legal single bit.
 
         The schema's advice is exactly one bit per node, so any erased or
         lengthened string can be coerced to ``"0"`` (the non-member bit).
         A zeroed type-23 group degrades gracefully: the group is simply
         not offered, and the verifier-driven ball re-solve recolors the
         affected component locally.
-        """
-        patched = dict(advice)
-        changed = False
-        for u in graph.ball(node, radius):
-            bits = patched.get(u)
-            if bits not in ("0", "1"):
-                patched[u] = bits[0] if bits and bits[0] in "01" else "0"
-                changed = True
-        return patched if changed else None
 
-    def repair_advice_for_mutation(
-        self,
-        graph: LocalGraph,
-        advice: Mapping[Node, str],
-        sites: Sequence[Node],
-        radius: int,
-        labeling: Optional[Mapping[Node, int]] = None,
-    ) -> Optional[AdviceMap]:
-        """Re-sync the advice bits near a mutation to the maintained coloring.
-
-        In the type-1 regime (every ``G_{2,3}`` component below the
-        diameter threshold — all demo/churn instances), the bit of a node
-        is exactly "am I color 1": the color-1 class of a proper coloring
-        is independent, so synced bits classify as type-1 precisely there,
+        Given the maintained coloring, re-sync the bits to it instead.  In
+        the type-1 regime (every ``G_{2,3}`` component below the diameter
+        threshold — all demo/churn instances), the bit of a node is
+        exactly "am I color 1": the color-1 class of a proper coloring is
+        independent, so synced bits classify as type-1 precisely there,
         and the remaining components stay bipartite and 2-color
         canonically.  A ball re-solve that shifted colors around the site
         therefore only requires rewriting bits inside the repaired balls;
         everything else decodes verbatim (the Section 6 shift argument).
         """
-        if labeling is None:
-            return None
         patched = dict(advice)
         changed = False
-        seen: Set[Node] = set()
-        for s in sites:
-            for w in graph.ball(s, radius):
-                if w in seen:
-                    continue
-                seen.add(w)
-                want = "1" if labeling.get(w) == 1 else "0"
-                if patched.get(w) != want:
-                    patched[w] = want
-                    changed = True
+        for u in repair_region(graph, sites, radius):
+            bits = patched.get(u)
+            if labeling is not None:
+                want = "1" if labeling.get(u) == 1 else "0"
+            elif bits in ("0", "1"):
+                continue
+            else:
+                want = bits[0] if bits and bits[0] in "01" else "0"
+            if bits != want:
+                patched[u] = want
+                changed = True
         return patched if changed else None
 
     def decode(self, graph: LocalGraph, advice: Mapping[Node, str]) -> DecodeResult:

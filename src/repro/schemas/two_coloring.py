@@ -15,7 +15,7 @@ path — which is what makes even this baby schema interesting.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import networkx as nx
 
@@ -27,6 +27,7 @@ from ..advice.schema import (
     DecodeResult,
     InvalidAdvice,
     LocalityContract,
+    repair_region,
 )
 from ..algorithms.ruling_set import greedy_ruling_set
 from ..local.model import MessagePassingAlgorithm, run_view_algorithm
@@ -120,40 +121,20 @@ class TwoColoringSchema(AdviceSchema):
         self,
         graph: LocalGraph,
         advice: Mapping[Node, str],
-        node: Node,
+        sites: Sequence[Node],
         radius: int,
+        labeling: Optional[Mapping[Node, int]] = None,
     ) -> Optional[AdviceMap]:
-        """Scrub malformed anchor bits near the failure; if the failing
-        node then has no anchor at all, synthesize one on the node itself.
+        """Blind (``labeling=None``): scrub malformed anchor bits in the
+        balls, and synthesize an anchor on every site left with none.
 
         The synthesized color may have the wrong parity — that surfaces as
         a verifier violation and is healed by a ball re-solve, which keeps
         the whole repair radius-bounded.
-        """
-        patched = dict(advice)
-        changed = False
-        for u in graph.ball(node, radius):
-            bits = patched.get(u, "")
-            if bits not in ("", "0", "1"):
-                patched[u] = bits[0] if bits[0] in "01" else ""
-                changed = True
-        if not patched.get(node, ""):
-            patched[node] = "0"
-            changed = True
-        return patched if changed else None
 
-    def repair_advice_for_mutation(
-        self,
-        graph: LocalGraph,
-        advice: Mapping[Node, str],
-        sites,
-        radius: int,
-        labeling: Optional[Mapping[Node, int]] = None,
-    ) -> Optional[AdviceMap]:
-        """Re-derive the anchors near a mutation from the maintained coloring.
-
-        Two bounded passes over ``ball(site, R)`` with
-        ``R = max(radius, spacing - 1)``:
+        Given the maintained coloring, re-derive the anchors near a
+        mutation from it instead, in two bounded passes over
+        ``ball(site, R)`` with ``R = max(radius, spacing - 1)``:
 
         1. *Resync*: every anchor whose bit disagrees with the maintained
            labeling is rewritten (a ball re-solve may have flipped colors
@@ -166,20 +147,21 @@ class TwoColoringSchema(AdviceSchema):
            node affected lies within ``spacing - 1`` of a site and both
            passes stay radius-bounded.
         """
-        if labeling is None:
-            return self.repair_advice(graph, advice, sites[0], radius) if sites else None
-        reach = self.spacing - 1
-        span = max(radius, reach)
         patched = dict(advice)
         changed = False
-        region: list = []
-        seen = set()
-        for s in sites:
-            for w in graph.ball(s, span):
-                if w not in seen:
-                    seen.add(w)
-                    region.append(w)
-        region.sort(key=graph.id_of)
+        if labeling is None:
+            for u in repair_region(graph, sites, radius):
+                bits = patched.get(u, "")
+                if bits not in ("", "0", "1"):
+                    patched[u] = bits[0] if bits[0] in "01" else ""
+                    changed = True
+            for site in sites:
+                if not patched.get(site, ""):
+                    patched[site] = "0"
+                    changed = True
+            return patched if changed else None
+        reach = self.spacing - 1
+        region = repair_region(graph, sites, max(radius, reach))
         for w in region:
             bits = patched.get(w, "")
             if not bits:

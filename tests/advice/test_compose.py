@@ -125,7 +125,7 @@ class TestMutationRepair:
             before_part2[v] = part2
             advice[v] = pack_parts(["", part2]) if part2 else ""
 
-        patched = composed.repair_advice_for_mutation(g, advice, sites, 6, None)
+        patched = composed.repair_advice(g, advice, sites, 6)
         assert patched is not None
         replanted = False
         for v in g.nodes():
@@ -144,9 +144,25 @@ class TestMutationRepair:
         advice = dict(composed.encode(g))
         holder = next(v for v in g.nodes() if advice[v])
         advice[holder] = advice[holder][:-1]  # truncate the packing
-        patched = composed.repair_advice_for_mutation(g, advice, [holder], 2, None)
+        patched = composed.repair_advice(g, advice, [holder], 2)
         assert patched is not None
         assert patched[holder] == ""
+
+    def test_corrupt_packing_outside_every_ball_stays_verbatim(self):
+        # Bits may only change inside ball(site, radius): a corrupt
+        # packing far from the site is not the hook's to touch.
+        g = LocalGraph(cycle(40), seed=1)
+        composed = compose(_anchor_two_coloring(), _ShiftColoring())
+        advice = dict(composed.encode(g))
+        inside, outside = 1, 23
+        assert inside in g.ball(0, 2) and outside not in g.ball(0, 2)
+        advice[inside] = "1"  # truncated length prefix
+        advice[outside] = "1"
+        patched = composed.repair_advice(g, advice, [0], 2)
+        assert patched is not None
+        assert patched[inside] == ""
+        assert patched[outside] == advice[outside]
+        assert {v for v in g.nodes() if patched[v] != advice[v]} <= set(g.ball(0, 2))
 
 
 class TestComposabilityCheck:

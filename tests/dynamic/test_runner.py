@@ -1,11 +1,11 @@
-"""ChurnRunner: bootstrap, local repair, classification, escalation."""
+"""ChurnRunner: bootstrap, local repair, escalation."""
 
 import pytest
 
 from repro.advice.schema import InvalidAdvice
 from repro.dynamic import ChurnRunner, Mutation, generate_mutation_plan
 from repro.dynamic.runner import ChurnError
-from repro.graphs import grid, path
+from repro.graphs import grid, planted_three_colorable
 from repro.local import LocalGraph
 from repro.obs import MetricsRegistry
 from repro.obs.churn import (
@@ -15,6 +15,7 @@ from repro.obs.churn import (
     RESOLVED_REENCODE,
 )
 from repro.obs.robustness import BALL_RESOLVE, GLOBAL_RESOLVE
+from repro.schemas.three_coloring import ThreeColoringSchema
 from repro.schemas.two_coloring import TwoColoringSchema
 
 
@@ -87,30 +88,6 @@ class TestStream:
         assert per_kind == 20
 
 
-class TestClassification:
-    def test_bridge_deletion_classifies_as_split(self):
-        graph = LocalGraph(path(8), seed=0)
-        runner = ChurnRunner(TwoColoringSchema(), graph, classify_bound=8)
-        record = runner.apply(Mutation("edge-delete", u=3, v=4), full_check=True)
-        assert record.classification == "split"
-        assert record.valid
-
-    def test_reconnecting_insert_classifies_as_join(self):
-        graph = LocalGraph(path(8), seed=0)
-        runner = ChurnRunner(TwoColoringSchema(), graph, classify_bound=8)
-        runner.apply(Mutation("edge-delete", u=3, v=4), full_check=True)
-        record = runner.apply(Mutation("edge-insert", u=3, v=4), full_check=True)
-        assert record.classification == "join"
-        assert record.valid
-
-    def test_grid_edge_flip_is_absorbable(self):
-        runner = _grid_runner(5)
-        # Deleting a grid edge leaves a short alternative path around the face.
-        record = runner.apply(Mutation("edge-delete", u=0, v=1), full_check=True)
-        assert record.classification == "absorbable"
-        assert record.valid
-
-
 class TestEscalation:
     def test_crippled_solver_falls_back_to_reencode(self):
         runner = _grid_runner(5, max_ball_radius=0, max_solver_steps=1)
@@ -126,7 +103,7 @@ class TestEscalation:
             a.kind == GLOBAL_RESOLVE and a.success for a in record.actions
         )
 
-    def test_exhausted_reencode_budget_is_a_clean_failure(self):
+    def test_exhausted_escalate_budget_is_a_clean_failure(self):
         class _EncoderOffline(TwoColoringSchema):
             def __init__(self):
                 super().__init__()
@@ -145,7 +122,7 @@ class TestEscalation:
             graph,
             max_ball_radius=0,
             max_solver_steps=1,
-            reencode_budget=2,
+            escalate_budget=2,
             backoff_base=3,
             registry=registry,
         )
@@ -162,10 +139,31 @@ class TestEscalation:
         assert "backoff 3" in failures[1].detail
         assert registry.snapshot()["reencode_fallbacks_total"] == 1
 
+    def test_stale_certificate_fallback_is_a_clean_failure(self):
+        # The planted certificate covers only the bootstrap nodes; a
+        # re-encode after a node insert must fail as an advice error the
+        # fallback records, not leak a KeyError.
+        raw, cert = planted_three_colorable(40, seed=0)
+        graph = LocalGraph(raw, seed=0)
+        runner = ChurnRunner(
+            ThreeColoringSchema(coloring=dict(cert)),
+            graph,
+            max_ball_radius=0,
+            max_solver_steps=1,
+        )
+        record = runner.apply(
+            Mutation("node-insert", node=10_000, neighbors=(0,)), full_check=True
+        )
+        assert record.resolved_by == RESOLVED_FAILED
+        assert not record.valid
+        failures = [a for a in record.actions if a.kind == GLOBAL_RESOLVE]
+        assert len(failures) == 3
+        assert all("raised AdviceError" in a.detail for a in failures)
+
     def test_budget_must_be_positive(self):
         graph = LocalGraph(grid(4, 4), seed=0)
         with pytest.raises(ValueError):
-            ChurnRunner(TwoColoringSchema(), graph, reencode_budget=0)
+            ChurnRunner(TwoColoringSchema(), graph, escalate_budget=0)
 
 
 class TestRecords:
@@ -176,7 +174,6 @@ class TestRecords:
         assert set(d) == {
             "index",
             "mutation",
-            "classification",
             "actions",
             "resolved_by",
             "local",

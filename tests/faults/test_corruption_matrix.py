@@ -15,8 +15,13 @@ labeling.
 
 import pytest
 
-from repro.core.api import available_schemas, default_instance, make_schema
-from repro.faults import FaultInjector, RobustRunner
+from repro.core.api import (
+    available_schemas,
+    default_instance,
+    make_schema,
+    solve_with_advice,
+)
+from repro.faults import FaultInjector, FaultPlan, RobustRunner
 from repro.faults.campaign import KINDS, _ground_truth, _plan_for
 
 N = 48
@@ -54,3 +59,15 @@ def test_corruption_never_leaks_and_always_heals(instances, name, kind):
                 f"{name} failed to detect a harmful {kind} (seed {seed})"
             )
     assert outcomes  # at least one seed actually injected something
+
+
+def test_delta_coloring_cluster_color_clash_heals():
+    # Flipped cluster colors can make two adjacent clusters share a color;
+    # the decoder must reject that as an attributed advice error (which the
+    # runner heals) rather than leak Linial's ColoringError.
+    graph, kwargs = default_instance("delta-coloring", 200, seed=0)
+    run = solve_with_advice(
+        "delta-coloring", graph, fault_plan=FaultPlan(seed=7, advice_flips=4), **kwargs
+    )
+    assert run.valid
+    assert run.robustness.detected

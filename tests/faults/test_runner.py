@@ -1,9 +1,14 @@
 """RobustRunner: detection, local repair, escalation, and reporting."""
 
+import random
+
 import pytest
 
+from repro.advice.schema import InvalidAdvice
 from repro.core.api import default_instance, make_schema, solve_with_advice
 from repro.faults import FaultPlan, RobustRunner
+from repro.faults.runner import escalate, resolve_balls
+from repro.lcl.verify import violations
 from repro.obs import MetricsRegistry
 from repro.obs.robustness import GLOBAL_RESOLVE, LOCAL_KINDS
 
@@ -188,3 +193,62 @@ class TestApiIntegration:
             solve_with_advice(
                 "2-coloring", graph, robust_options={"max_ball_radius": 4}
             )
+
+
+class TestResolveBalls:
+    """The invariant both runners rely on to re-check only the residual
+    bad list: a ball re-solve can only remove violations."""
+
+    @pytest.mark.parametrize("name", ["2-coloring", "3-coloring"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_no_violation_outside_the_input_bad_set(self, name, seed):
+        graph, schema = _setup(name, n=64, seed=0)
+        problem = schema.repair_problem(graph)
+        clean = schema.decode(graph, schema.encode(graph)).labeling
+        rng = random.Random(seed)
+        corrupted = dict(clean)
+        for v in rng.sample(sorted(graph.nodes(), key=graph.id_of), 3):
+            choices = [c for c in problem.candidate_labels(graph, v) if c != clean[v]]
+            corrupted[v] = rng.choice(choices)
+        bad = sorted(violations(problem, graph, corrupted), key=graph.id_of)
+        assert bad
+
+        actions = []
+        repaired, residual, used = resolve_balls(
+            graph,
+            problem,
+            corrupted,
+            bad,
+            max_radius=10,
+            max_steps=200_000,
+            actions=actions,
+        )
+        after = sorted(violations(problem, graph, repaired), key=graph.id_of)
+        assert set(after) <= set(bad)
+        assert residual == after
+        assert not residual  # the pass succeeded
+        assert corrupted != repaired  # the input map is left untouched
+        assert any(a.success for a in actions) and used >= problem.radius
+
+
+class TestEscalate:
+    def test_detail_strings_name_the_attempt_outcome_and_backoff(self):
+        outcomes = iter([InvalidAdvice("boom"), ({"a": 1}, False), ({"a": 2}, True)])
+
+        def attempt():
+            outcome = next(outcomes)
+            if isinstance(outcome, Exception):
+                raise outcome
+            return outcome
+
+        actions = []
+        result, ok = escalate(
+            attempt, budget=3, backoff_base=2, label="verify", actions=actions
+        )
+        assert ok and result == {"a": 2}
+        assert [a.detail for a in actions] == [
+            "verify attempt 1/3 raised InvalidAdvice; backoff 1",
+            "verify attempt 2/3 decoded invalid; backoff 2",
+            "verify",
+        ]
+        assert all(a.kind == GLOBAL_RESOLVE for a in actions)
