@@ -8,7 +8,7 @@ report carries exact p50/p95/p99 wall latency plus the deterministic
 per-query work counters.
 
 The counters — queries issued, views gathered, BFS node visits, decide
-calls, memo hits, ball-size quantiles — are pure functions of
+calls, ball-size quantiles — are pure functions of
 ``(params, seed)``, so ``benchmarks/baselines/serving.json`` pins them
 with **zero tolerance**: any change to the serving path that alters how
 much work a query does (or how the stream is accounted) fails the
@@ -86,7 +86,7 @@ def main(argv: Optional[List[str]] = None) -> Dict[str, object]:
             f"{case['case']:>14}: n {case['n']:6d}, "
             f"p50 {lat['p50']:8.1f}µs, p95 {lat['p95']:8.1f}µs, "
             f"bfs/q {case['bfs_visits_per_query']:6.1f}, "
-            f"memo {case['memo_hits']:3d}, "
+            f"decides {case['decide_calls']:3d}, "
             f"reconciled {'yes' if case['reconciled'] else 'NO'}, "
             f"verified {'yes' if case['verified_against_cold_decode'] else 'NO'}"
         )
@@ -141,7 +141,7 @@ def test_serving_smoke(benchmark):
                 "n": c["n"],
                 "p50_us": c["latency_us"]["p50"],
                 "bfs_per_q": c["bfs_visits_per_query"],
-                "memo": c["memo_hits"],
+                "decides": c["decide_calls"],
             }
             for c in report["cases"]
         ],

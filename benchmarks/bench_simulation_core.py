@@ -120,7 +120,9 @@ def bench_case(name: str, graph: LocalGraph, radius: int) -> Dict[str, object]:
     engine_seconds = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    memoized = run_view_algorithm(graph, radius, canonicalize(_decide))
+    memoized = run_view_algorithm(
+        graph, radius, canonicalize(_decide), memoize=True
+    )
     memoized_seconds = time.perf_counter() - t0
 
     if engine.outputs != seed_outputs:

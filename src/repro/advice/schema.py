@@ -269,9 +269,7 @@ class AdviceSchema(abc.ABC):
         by gathering only the node's ball — O(Δ^T) work, independent of
         ``n`` — instead of re-running :meth:`decode` over the whole graph.
         The function must produce the same label :meth:`decode` would for
-        every node; functions marked via
-        :func:`~repro.local.views.mark_order_invariant` additionally let
-        the service memoize answers across order-isomorphic balls.
+        every node.
         ``None`` (the default) means the schema has no per-view decoder
         and cannot be served query-at-a-time.
         """

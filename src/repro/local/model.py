@@ -42,7 +42,7 @@ from ..obs.bandwidth import (
 from ..obs.trace import NULL_TRACER
 from ..perf import SimStats
 from .graph import LocalGraph, Node
-from .views import View, gather_all_views, is_marked_order_invariant
+from .views import View, gather_all_views
 
 
 class SimulationError(RuntimeError):
@@ -56,9 +56,11 @@ class SimulationError(RuntimeError):
 #: the engines run_view_algorithm dispatches between (see docs/performance.md)
 ENGINES = ("auto", "scalar", "vectorized", "parallel")
 
-#: below this node count ``auto`` stays scalar: the numpy sweep's fixed
-#: per-call overhead (array setup, mask allocation) beats the win on tiny
-#: graphs, and tiny graphs dominate the unit-test and repair workloads.
+#: ``auto`` gathers with ``vectorized`` once one gather call has at least
+#: this many roots — every node in a whole-graph run, the batch in an
+#: ``AdviceService`` query — and stays ``scalar`` below it, where the numpy
+#: sweep's fixed per-call cost (array setup, mask allocation) outweighs its
+#: per-root win.
 AUTO_VECTORIZE_MIN_NODES = 64
 
 #: ambient engine for runs that don't pass ``engine=`` explicitly; set
@@ -93,15 +95,16 @@ def current_engine() -> str:
     return _ENGINE_VAR.get()
 
 
-def _resolve_engine(engine: Optional[str], graph: LocalGraph) -> str:
-    """Resolve ``engine`` (or the ambient default) to a concrete engine.
+def resolve_engine(engine: Optional[str], roots: int) -> str:
+    """Resolve ``engine`` (or the ambient default) for a gather of ``roots``.
 
-    ``auto`` picks ``vectorized`` when numpy is importable and the graph
-    has at least :data:`AUTO_VECTORIZE_MIN_NODES` nodes, else ``scalar``;
-    it never picks ``parallel`` (process pools only pay off on multi-core
-    hosts with big graphs — an explicit opt-in).  A ``vectorized`` request
-    without numpy degrades to ``scalar`` with a warning rather than
-    failing: engine choice must never change whether a run succeeds.
+    ``auto`` picks ``vectorized`` when numpy is importable and the call
+    gathers at least :data:`AUTO_VECTORIZE_MIN_NODES` roots, else
+    ``scalar``; it never picks ``parallel`` (process pools only pay off on
+    multi-core hosts with big graphs — an explicit opt-in).  A
+    ``vectorized`` request without numpy degrades to ``scalar`` with a
+    warning rather than failing: engine choice must never change whether a
+    run succeeds.
     """
     if engine is None:
         engine = _ENGINE_VAR.get()
@@ -112,7 +115,7 @@ def _resolve_engine(engine: Optional[str], graph: LocalGraph) -> str:
     if engine == "auto":
         from .vectorized import numpy_available
 
-        if numpy_available() and graph.n >= AUTO_VECTORIZE_MIN_NODES:
+        if numpy_available() and roots >= AUTO_VECTORIZE_MIN_NODES:
             return "vectorized"
         return "scalar"
     if engine == "vectorized":
@@ -183,7 +186,7 @@ def run_view_algorithm(
     radius: int,
     decide: ViewFunction,
     advice: Optional[Mapping[Node, str]] = None,
-    memoize: Optional[bool] = None,
+    memoize: bool = False,
     tracer=None,
     engine: Optional[str] = None,
     pool_size: Optional[int] = None,
@@ -206,22 +209,22 @@ def run_view_algorithm(
     * ``None`` — the ambient engine from :func:`use_engine` (``"auto"``
       unless a caller such as ``solve_with_advice`` chose otherwise).
 
-    When ``memoize`` is true — or ``decide`` was declared order-invariant
-    via :func:`repro.local.views.mark_order_invariant` — order-isomorphic
-    views are decided once and answered from a cache keyed on
-    :meth:`View.order_signature`, which is sound exactly for
+    By default every view is decided directly.  With ``memoize=True``
+    order-isomorphic views are decided once and answered from a cache keyed
+    on :meth:`View.order_signature`, which is sound exactly for
     order-invariant algorithms (Section 8: their output may depend only on
-    the relative identifier order in the view).  ``RunResult.stats``
-    reports views gathered, cache hits/misses, BFS node-visits, per-phase
-    wall time, and which engine ran.
+    the relative identifier order in the view).  The signature costs more
+    than most decisions, so only callers that re-decide the same few
+    neighbourhoods opt in; :func:`repro.local.views.mark_order_invariant`
+    declares the property but does not switch the cache on.
+    ``RunResult.stats`` reports views gathered, cache hits/misses, BFS
+    node-visits, per-phase wall time, and which engine ran.
     """
     if radius < 0:
         raise SimulationError("radius must be non-negative")
-    if memoize is None:
-        memoize = is_marked_order_invariant(decide)
     if tracer is None:
         tracer = NULL_TRACER
-    resolved = _resolve_engine(engine, graph)
+    resolved = resolve_engine(engine, graph.n)
     if resolved == "parallel":
         from .parallel import run_view_algorithm_parallel
 
@@ -230,7 +233,7 @@ def run_view_algorithm(
             radius,
             decide,
             advice=advice,
-            memoize=bool(memoize),
+            memoize=memoize,
             tracer=tracer,
             pool_size=pool_size,
         )
@@ -238,7 +241,7 @@ def run_view_algorithm(
             return result
         # Gate refused (impure or unpicklable decider): the warning has
         # fired; decode serially with the best remaining engine.
-        resolved = _resolve_engine("auto", graph)
+        resolved = resolve_engine("auto", graph.n)
     tracing = tracer.enabled
     stats = SimStats()
     stats.engine = resolved
@@ -246,7 +249,7 @@ def run_view_algorithm(
         "run_view_algorithm",
         radius=radius,
         n=graph.n,
-        memoize=bool(memoize),
+        memoize=memoize,
         engine=resolved,
     ) as run_span:
         with stats.phase("gather"):

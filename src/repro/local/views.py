@@ -600,10 +600,10 @@ def mark_order_invariant(decide):
 
     Order-invariant functions depend only on the *relative* order of the
     identifiers in the view, so order-isomorphic views (equal
-    :meth:`View.order_signature`) must get identical outputs — which lets
-    :func:`repro.local.run_view_algorithm` memoize decisions per signature.
-    Marking a function that is **not** order-invariant is unsound: the
-    memoized run may silently diverge from the plain one.
+    :meth:`View.order_signature`) must get identical outputs — which is
+    what makes ``run_view_algorithm(..., memoize=True)`` sound.  The mark
+    is a declaration that ``repro lint`` (ORD001/ORD002) and ``repro lint
+    --fuzz`` check; it does not switch memoization on.
     """
     decide.order_invariant = True
     return decide

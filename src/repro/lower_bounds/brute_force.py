@@ -138,7 +138,7 @@ def parity_cycle_decoder(window: int) -> ViewFunction:
 
     decide.__name__ = f"parity_cycle_decoder[{window}]"
     # The decoder compares identifiers only by order (min-id anchor), so it
-    # is order-invariant and the engine may memoize it per view signature —
-    # a large win for the 2^{beta n} search, which re-decodes the same few
-    # cycle neighborhoods under every advice assignment.
+    # is order-invariant.  The search still decides every view directly:
+    # each run_view_algorithm call sees each cycle neighbourhood once, so a
+    # signature memo would never hit.
     return mark_order_invariant(decide)

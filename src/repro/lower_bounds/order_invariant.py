@@ -34,8 +34,9 @@ def canonicalize(decide: ViewFunction) -> ViewFunction:
 
     The wrapped algorithm is order-invariant: two order-isomorphic views
     produce identical inputs to ``decide``.  It is marked as such
-    (:func:`repro.local.mark_order_invariant`), so the simulation engine
-    memoizes it per order signature automatically.
+    (:func:`repro.local.mark_order_invariant`), so a run may pass
+    ``memoize=True`` to :func:`repro.local.run_view_algorithm` and decide
+    each order class once.
     """
 
     def wrapped(view: View) -> object:

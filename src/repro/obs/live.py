@@ -9,7 +9,7 @@ and kept deterministic so the test suite can pin them bit-for-bit:
   the :class:`~repro.obs.trace.Tracer` protocol.  Each query key is hashed
   (seeded BLAKE2b — *not* Python's salted ``hash()``) against the
   configured rate; sampled queries get the real tracer and emit the full
-  ``query → gather → memo-lookup → decode`` span tree, unsampled queries
+  ``query → gather → decode`` span tree, unsampled queries
   get :data:`~repro.obs.trace.NULL_TRACER` at the cost of one short hash.
 * :class:`SlidingWindowHistogram` — a ring of mergeable fixed-bucket
   :class:`~repro.obs.metrics.Histogram` windows giving rolling

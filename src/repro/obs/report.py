@@ -62,7 +62,6 @@ SERVING_HISTORY_METRICS: Sequence[str] = (
     "views_gathered",
     "bfs_node_visits",
     "decide_calls",
-    "memo_hits",
     "ball_p50",
     "ball_max",
 )
@@ -516,7 +515,7 @@ def render_markdown(report: Mapping[str, object]) -> str:
         lines.append("")
         serving_headers = (
             "case", "n", "queries", "bfs visits/query", "ball p50",
-            "memo hits", "p50 µs", "p95 µs", "reconciled",
+            "decides", "p50 µs", "p95 µs", "reconciled",
         )
         lines.append("| " + " | ".join(serving_headers) + " |")
         lines.append("|" + "---|" * len(serving_headers))
@@ -527,7 +526,7 @@ def render_markdown(report: Mapping[str, object]) -> str:
                     case.get("case"), case.get("n"),
                     case.get("queries_total"),
                     case.get("bfs_visits_per_query"),
-                    case.get("ball_p50"), case.get("memo_hits"),
+                    case.get("ball_p50"), case.get("decide_calls"),
                     lat.get("p50"), lat.get("p95"),
                     "yes" if case.get("reconciled") else "NO",
                 )) + " |"

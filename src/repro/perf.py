@@ -30,8 +30,8 @@ class SimStats:
     views_gathered:
         Number of radius-``T`` views materialized.
     view_cache_hits / view_cache_misses:
-        Order-invariant memoization outcomes (both stay 0 when the run is
-        not memoized).
+        Order-invariant memoization outcomes (both stay 0 unless the run
+        passed ``memoize=True``).
     bfs_node_visits:
         Total nodes popped across all BFS sweeps — the work the LOCAL
         model actually charges for, ``O(sum_v |B(v, T)|)``.

@@ -94,13 +94,14 @@ class TwoColoringSchema(AdviceSchema):
         return advice
 
     def decode(self, graph: LocalGraph, advice: Mapping[Node, str]) -> DecodeResult:
-        """Decode as a memoized order-invariant view algorithm.
+        """Decode as a radius-``spacing - 1`` view algorithm.
 
         The per-node rule (nearest anchor, ties to the smaller identifier,
-        color by distance parity) compares identifiers only by order, so
-        order-isomorphic neighborhoods decode identically and the engine's
-        view-signature cache applies — on long paths and cycles almost
-        every interior node shares one of a handful of signatures.
+        color by distance parity) compares identifiers only by order, so it
+        is order-invariant (Section 8).  Every view is still decided
+        directly: a view's order signature records every node's rank, so
+        on random identifiers almost no two views share one (no hits over
+        8116 views on a 46×46 grid plus a 6000-node cycle).
         """
         radius = self.spacing - 1
         result = run_view_algorithm(

@@ -9,7 +9,7 @@ and reports:
 
 * exact p50/p95/p99/mean per-query wall latency (microseconds) per size;
 * the deterministic per-query work counters (BFS node-visits per query,
-  ball-size quantiles, memo hits) that CI pins with zero tolerance in
+  ball-size quantiles, decide calls) that CI pins with zero tolerance in
   ``benchmarks/baselines/serving.json`` — wall times are machine-dependent
   and deliberately excluded from the baseline;
 * the flatness ratio: max/min mean BFS visits per query across sizes.
@@ -36,6 +36,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..graphs.generators import grid
 from ..local.graph import LocalGraph
+from ..local.model import resolve_engine
 from ..obs.live import SloPolicy
 from ..schemas.two_coloring import TwoColoringSchema
 from .service import AdviceService
@@ -50,7 +51,6 @@ SERVING_TOLERANCES: Dict[str, float] = {
     "views_gathered": 0.0,
     "bfs_node_visits": 0.0,
     "decide_calls": 0.0,
-    "memo_hits": 0.0,
     "ball_p50": 0.0,
     "ball_max": 0.0,
 }
@@ -135,8 +135,6 @@ def _bench_case(
         "views_gathered": stats.views_gathered,
         "bfs_node_visits": stats.bfs_node_visits,
         "decide_calls": stats.decide_calls,
-        "memo_hits": stats.view_cache_hits,
-        "memo_size": service.memo_size,
         "ball_p50": service.ball_size_window.quantile(0.50),
         "ball_p99": service.ball_size_window.quantile(0.99),
         "ball_max": service.ball_size_window.merged().max,
@@ -151,7 +149,7 @@ def _bench_case(
         "unsampled_total": int(unsampled),
         "tenant_shards": service.shards.labels(),
         "reconciled": reconciled,
-        "engine": "vectorized" if service._vectorized else "scalar",
+        "engine": resolve_engine(engine, batch),
     }
     if verify:
         case["verified_against_cold_decode"] = mismatches == 0
@@ -303,7 +301,7 @@ def serve_bench_main(argv: Optional[List[str]] = None) -> int:
     else:
         header = (
             f"{'case':>14} {'n':>6} {'p50 µs':>8} {'p95 µs':>8} "
-            f"{'p99 µs':>8} {'mean µs':>8} {'bfs/q':>8} {'memo':>5} "
+            f"{'p99 µs':>8} {'mean µs':>8} {'bfs/q':>8} "
             f"{'ball p50':>8} {'ok':>3}"
         )
         print(header)
@@ -317,7 +315,7 @@ def serve_bench_main(argv: Optional[List[str]] = None) -> int:
                 f"{case['case']:>14} {case['n']:>6} {lat['p50']:>8.1f} "
                 f"{lat['p95']:>8.1f} {lat['p99']:>8.1f} {lat['mean']:>8.1f} "
                 f"{case['bfs_visits_per_query']:>8.1f} "
-                f"{case['memo_hits']:>5} {case['ball_p50']:>8g} "
+                f"{case['ball_p50']:>8g} "
                 f"{'yes' if ok else 'NO':>3}"
             )
         flatness = report["flatness"]

@@ -11,22 +11,19 @@ This module is the minimal query engine that makes the claim operational:
   as an integrity check — the served bits are the bits that survived the
   wire format.
 * **Query via ball gathers.**  ``query(node)`` / ``query_batch(nodes)``
-  gather only the queried nodes' radius-``T`` balls through
-  :func:`repro.local.vectorized.gather_views_batched` with a ``roots=``
-  subset (scalar :func:`repro.local.views.gather_view` when numpy is
-  unavailable) and decode each ball with the schema's
-  :meth:`~repro.advice.schema.AdviceSchema.view_decoder` — the full graph
-  is never re-decoded.
-* **Shared cross-request memo.**  When the decide function is marked
-  order-invariant (:func:`repro.local.views.mark_order_invariant`), balls
-  with equal :meth:`~repro.local.views.View.order_signature` share one
-  cached answer across requests and tenants — sound by the Section 8
-  contract, and the dominant effect behind sub-ball-cost hot queries.
+  gather only the queried nodes' radius-``T`` balls — per root with
+  :func:`repro.local.views.gather_view`, or in one
+  :func:`repro.local.vectorized.gather_views_batched` sweep with a
+  ``roots=`` subset; ``engine="auto"`` picks per batch from its size — and
+  decide each ball directly with the schema's
+  :meth:`~repro.advice.schema.AdviceSchema.view_decoder`.  The full graph
+  is never re-decoded, and no answer is cached: an order-signature memo
+  costs more per query than the decision it would save.
 * **Streaming telemetry.**  Every query is counted overall, per tenant
   (bounded-cardinality shards), and as sampled/unsampled; latency and
   ball-size quantiles roll over sliding windows; a declared
   :class:`~repro.obs.live.SloPolicy` is monitored with error-budget burn;
-  sampled queries emit ``query → gather → memo-lookup → decode`` spans.
+  sampled queries emit ``query → gather → decode`` spans.
 """
 
 from __future__ import annotations
@@ -42,8 +39,9 @@ from ..advice.schema import (
     validate_advice_map,
 )
 from ..local.graph import LocalGraph, Node
+from ..local.model import resolve_engine
 from ..local.vectorized import gather_views_batched, numpy_available
-from ..local.views import View, gather_view, is_marked_order_invariant
+from ..local.views import View, gather_view
 from ..obs.live import (
     SamplingTracer,
     SlidingWindowHistogram,
@@ -84,6 +82,7 @@ class QueryResult:
     tenant: str
     query_id: int
     sampled: bool
+    #: always ``False``: every ball is decided, none is answered from a cache
     cache_hit: bool
     ball_size: int
     latency: float
@@ -141,9 +140,7 @@ class AdviceService:
         self.graph = graph
         self.radius = contract.radius
         self._decide = decide
-        self._memoize = is_marked_order_invariant(decide)
-        self._memo: Dict[Tuple, object] = {}
-        self._vectorized = engine != "scalar" and numpy_available()
+        self._engine = engine
         self._clock = clock
 
         # -- encode once, through the bitstream wire format ------------------
@@ -211,7 +208,7 @@ class AdviceService:
 
     def _gather(self, nodes: Sequence[Node], tracer: Tracer) -> Dict[Node, View]:
         """Radius-``T`` balls of ``nodes`` only — never the whole graph."""
-        if self._vectorized:
+        if resolve_engine(self._engine, len(nodes)) == "vectorized":
             index_of = self.graph.compiled.index_of
             roots = [index_of[v] for v in nodes]
             return gather_views_batched(
@@ -232,24 +229,6 @@ class AdviceService:
                 self.stats.bfs_node_visits += len(views[v].nodes)
         return views
 
-    def _answer(self, view: View, tracer: Tracer) -> Tuple[object, bool]:
-        """Decode one ball, through the shared order-invariant memo."""
-        key = None
-        if self._memoize:
-            key = view.order_signature()
-            with tracer.span("memo-lookup", node=view.center):
-                hit = key in self._memo
-            if hit:
-                self.stats.view_cache_hits += 1
-                return self._memo[key], True
-            self.stats.view_cache_misses += 1
-        with tracer.span("decode", node=view.center):
-            label = self._decide(view)
-        self.stats.decide_calls += 1
-        if key is not None:
-            self._memo[key] = label
-        return label, False
-
     def _account(
         self,
         tenant: str,
@@ -265,10 +244,6 @@ class AdviceService:
         if errors:
             self.registry.counter("query_errors_total").inc(errors)
             self.shards.counter("query_errors_total", tenant).inc(errors)
-        hits = sum(1 for r in results if r.cache_hit)
-        if hits:
-            self.registry.counter("memo_hits_total").inc(hits)
-            self.shards.counter("memo_hits_total", tenant).inc(hits)
         tenant_latency = self.shards.histogram(
             "query_latency", tenant, buckets=self._latency_buckets
         )
@@ -317,17 +292,19 @@ class AdviceService:
         ) as query_span:
             try:
                 views = self._gather(nodes, tracer)
-                answered: List[Tuple[Node, object, bool, int]] = []
+                answered: List[Tuple[Node, object, int]] = []
                 for v in nodes:
                     view = views[v]
-                    label, cache_hit = self._answer(view, tracer)
-                    answered.append((v, label, cache_hit, len(view.nodes)))
+                    with tracer.span("decode", node=v):
+                        label = self._decide(view)
+                    self.stats.decide_calls += 1
+                    answered.append((v, label, len(view.nodes)))
             except AdviceError:
                 self._account(tenant, sampled, [], len(nodes))
                 raise
             latency = self._now() - start
             per_query = latency / len(nodes)
-            for v, label, cache_hit, ball_size in answered:
+            for v, label, ball_size in answered:
                 results.append(
                     QueryResult(
                         node=v,
@@ -335,24 +312,17 @@ class AdviceService:
                         tenant=tenant,
                         query_id=query_id,
                         sampled=sampled,
-                        cache_hit=cache_hit,
+                        cache_hit=False,
                         ball_size=ball_size,
                         latency=per_query,
                     )
                 )
             if tracer.enabled:
-                query_span.set(
-                    cache_hits=sum(1 for r in results if r.cache_hit),
-                    ball_sizes=[r.ball_size for r in results],
-                )
+                query_span.set(ball_sizes=[r.ball_size for r in results])
         self._account(tenant, sampled, results, 0)
         return results
 
     # -- introspection --------------------------------------------------------
-
-    @property
-    def memo_size(self) -> int:
-        return len(self._memo)
 
     def snapshot(self) -> Dict[str, object]:
         """JSON-ready state of the serving telemetry."""
@@ -362,8 +332,8 @@ class AdviceService:
             "max_degree": self.graph.max_degree,
             "radius": self.radius,
             "packed_advice_bits": len(self.packed_advice),
-            "engine": "vectorized" if self._vectorized else "scalar",
-            "memo_size": self.memo_size,
+            # the gather engine a single-node query uses
+            "engine": resolve_engine(self._engine, 1),
             "metrics": self.registry.snapshot(),
             "latency": self.latency_window.snapshot_value(),
             "ball_size": self.ball_size_window.snapshot_value(),

@@ -68,7 +68,7 @@ def test_memoized_outputs_equal_unmemoized(name, raw):
     assert stats.decide_calls == stats.view_cache_misses
 
 
-def test_memoization_is_automatic_for_marked_functions():
+def test_marked_decider_decides_every_view_unless_memoized():
     g = LocalGraph(cycle(20), seed=7)
     calls = []
 
@@ -79,11 +79,18 @@ def test_memoization_is_automatic_for_marked_functions():
 
     result = run_view_algorithm(g, 1, decide)
     assert result.outputs == {v: 3 for v in g.nodes()}
+    # The mark declares order-invariance; it does not switch the memo on.
+    assert sorted(calls) == sorted(g.nodes())
+    assert result.stats.decide_calls == g.n
+    assert result.stats.view_cache_hits == result.stats.view_cache_misses == 0
+
+    calls.clear()
+    memoized = run_view_algorithm(g, 1, decide, memoize=True)
+    assert memoized.outputs == result.outputs
     # All radius-1 cycle views share one of a few order classes, so the
-    # engine must have decided far fewer than n views.
+    # opted-in run decides far fewer than n views.
     assert len(calls) < g.n
-    assert result.stats.view_cache_hits > 0
-    assert result.stats.cache_hit_rate > 0
+    assert memoized.stats.view_cache_hits > 0
 
 
 def test_unmarked_functions_never_memoize():
