@@ -105,8 +105,8 @@ class CompiledGraph:
         # downcast cache is owned by repro.local.vectorized._csr_arrays.
         self._np_csr = None
         self._np_csr32 = None
-        # Lazily built flooding-BFS frontier cache owned by
-        # repro.obs.bandwidth._flood_state (structure-only, advice-free).
+        # Lazily built flooding ball-sweep cache owned by
+        # repro.obs.bandwidth._flood_cache (structure-only, advice-free).
         self._np_flood = None
 
     @classmethod

@@ -84,29 +84,30 @@ def numpy_available() -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _expand(indptr, indices, owner, node):
-    """One frontier expansion: all ``(owner, src, neighbor)`` triples, flat.
+def _expand(indptr, indices, node):
+    """One frontier expansion: per-entry degrees and all neighbors, flat.
 
-    ``owner``/``src`` repeat each frontier entry once per incident edge;
-    ``nbr`` holds the neighbor indices gathered straight from the CSR
-    ``indices`` array.
+    Callers repeat any per-entry column (owner, source) by the returned
+    ``degs``; ``nbr`` holds the neighbor indices gathered straight from
+    the CSR ``indices`` array.
     """
     starts = indptr[node]
     degs = indptr[node + 1] - starts
     total = int(degs.sum(dtype=_np.int64))
     if total == 0:
-        empty = _np.empty(0, dtype=indices.dtype)
-        return empty, empty, empty
+        return degs, _np.empty(0, dtype=indices.dtype)
     if total > _EXPANSION_LIMIT:  # pragma: no cover - needs a >2^31 frontier
         raise ValueError(
             "frontier expansion exceeds 2^31 entries; "
             "lower block_budget to shrink the root blocks"
         )
-    cum = _np.cumsum(degs, dtype=indices.dtype)
+    # Entry k's ports start at position cum[k] - degs[k] of the flat
+    # output, so position p reads indices[p + starts[k] - cum[k] + degs[k]].
+    shift = starts + degs
+    shift -= degs.cumsum(dtype=indices.dtype)
     offsets = _np.arange(total, dtype=indices.dtype)
-    offsets -= _np.repeat(cum - degs, degs)
-    nbr = indices[_np.repeat(starts, degs) + offsets]
-    return _np.repeat(owner, degs), _np.repeat(node, degs), nbr
+    offsets += shift.repeat(degs)
+    return degs, indices[offsets]
 
 
 def _dedupe_sorted(key):
@@ -139,10 +140,11 @@ def _sweep_block(indptr, indices, n, roots_block, radius, visited):
     layer_keys = [key0]
     f_owner, f_node = owner0, roots_block
     for _depth in range(radius):
-        own, _, nbr = _expand(indptr, indices, f_owner, f_node)
-        if own.size == 0:
+        degs, nbr = _expand(indptr, indices, f_node)
+        if nbr.size == 0:
             break
-        key = own * n + nbr
+        key = (f_owner * n).repeat(degs)
+        key += nbr
         fresh = visited[key]
         _np.logical_not(fresh, out=fresh)
         key = key[fresh]
@@ -214,8 +216,10 @@ def _extract_edges(compiled, roots, ball_indptr, ball_nodes, ball_dists, radius,
             i_owner, i_node = g_owner[interior], g_node[interior]
             ikey = i_owner * n + i_node
             interior_flat[ikey] = True
-            own, src, nbr = _expand(indptr, indices, i_owner, i_node)
-            if own.size:
+            degs, nbr = _expand(indptr, indices, i_node)
+            if nbr.size:
+                own = i_owner.repeat(degs)
+                src = i_node.repeat(degs)
                 keep = interior_flat[own * n + nbr]
                 _np.logical_not(keep, out=keep)
                 _np.logical_or(keep, src < nbr, out=keep)

@@ -40,11 +40,14 @@ advice bit-string verbatim, and its input through :func:`measure_bits`.
 
 from __future__ import annotations
 
+import heapq
 import math
 from bisect import bisect_left
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, fields, is_dataclass
+from itertools import accumulate, repeat
+from operator import neg
 from typing import (
     Callable,
     Dict,
@@ -358,12 +361,19 @@ def _geometric_buckets(peak: int) -> Tuple[float, ...]:
 #: the searchsorted operand are pure functions of the peak bucket bound.
 _BUCKET_TABLES: Dict[int, Tuple[Tuple[float, ...], Tuple[str, ...], object]] = {}
 
+#: Above this many values the bucket counts come from one numpy
+#: ``searchsorted``; below it a ``bisect`` loop is cheaper than the
+#: list-to-array conversion (measured crossover ~30 values).
+_NP_HISTOGRAM_MIN = 32
 
-def _bucket_tables(np, peak: int):
+
+def _bucket_tables(peak: int):
     entry = _BUCKET_TABLES.get(peak)
     if entry is None:
         if len(_BUCKET_TABLES) > 1024:  # unbounded peaks: drop, don't grow
             _BUCKET_TABLES.clear()
+        import numpy as np
+
         bounds = _geometric_buckets(peak)
         labels = tuple(f"le_{b:g}" for b in bounds)
         entry = (bounds, labels, np.asarray(bounds))
@@ -372,34 +382,31 @@ def _bucket_tables(np, peak: int):
 
 
 def _histogram_of(values: Sequence[int]) -> Dict[str, object]:
-    try:
-        import numpy as np
-    except ImportError:  # pragma: no cover - numpy ships with the repo
-        np = None
-    if np is not None and len(values) > 8:
-        return _snapshot_np(np, values)
-    hist = Histogram(buckets=_geometric_buckets(max(values, default=0)))
-    for value in values:
-        hist.observe(value)
-    return hist.snapshot_value()
+    """Bulk-build the exact ``Histogram.snapshot_value()`` dict of ``values``.
 
-
-def _snapshot_np(np, values: Sequence[int]) -> Dict[str, object]:
-    """Bulk-build the exact ``Histogram.snapshot_value()`` dict.
-
-    ``searchsorted(side="left")`` lands each value in the first bucket
-    with ``value <= bound``, exactly like ``Histogram.observe``; the
-    quantile scan over cumulative counts mirrors ``Histogram.quantile``
-    (bucket upper bound at rank ``ceil(q·count)``, clamped to min/max).
+    ``bisect_left`` (or ``searchsorted(side="left")``) lands each value in
+    the first bucket with ``value <= bound``, exactly like
+    ``Histogram.observe``; the quantile scan over cumulative counts
+    mirrors ``Histogram.quantile`` (bucket upper bound at rank
+    ``ceil(q·count)``, clamped to min/max).
     """
-    arr = np.asarray(values, dtype=np.float64)
-    count = int(arr.size)
-    total = float(arr.sum())
-    mn = float(arr.min())
-    mx = float(arr.max())
-    bounds, labels, bounds_np = _bucket_tables(np, int(mx))
-    idx = np.searchsorted(bounds_np, arr, side="left")
-    cum = np.cumsum(np.bincount(idx, minlength=len(bounds) + 1)).tolist()
+    count = len(values)
+    if not count:
+        return Histogram(buckets=_geometric_buckets(0)).snapshot_value()
+    total = float(sum(values))
+    mn = float(min(values))
+    mx = float(max(values))
+    bounds, labels, bounds_np = _bucket_tables(int(mx))
+    if count > _NP_HISTOGRAM_MIN:
+        import numpy as np
+
+        idx = bounds_np.searchsorted(values, side="left")
+        counts = np.bincount(idx, minlength=len(bounds) + 1).tolist()
+    else:
+        counts = [0] * (len(bounds) + 1)
+        for value in values:
+            counts[bisect_left(bounds, value)] += 1
+    cum = list(accumulate(counts))
     buckets = dict(zip(labels, cum))
     buckets["le_inf"] = cum[-1]
     scan = cum[: len(bounds)]
@@ -458,8 +465,10 @@ class BandwidthProfile:
         edge_totals: Mapping[Tuple[int, int], int],
         peak_edge_round_bits: int,
     ) -> "BandwidthProfile":
+        round_totals = list(round_totals)
+        edge_bits = list(edge_totals.values())
         total = sum(round_totals)
-        edge_sum = sum(edge_totals.values())
+        edge_sum = sum(edge_bits)
         if total != edge_sum:  # pragma: no cover - construction invariant
             raise AssertionError(
                 f"bandwidth books don't balance: per-round sum {total} != "
@@ -468,29 +477,29 @@ class BandwidthProfile:
         bits = id_bits(n)
         peak_round = (0, 0)
         if round_totals:
-            worst = max(range(len(round_totals)), key=round_totals.__getitem__)
-            peak_round = (worst + 1, round_totals[worst])
-        ranked = sorted(
-            edge_totals.items(), key=lambda item: (-item[1], item[0])
-        )
+            top = max(round_totals)
+            peak_round = (round_totals.index(top) + 1, top)
+        # Heaviest first, lowest edge on ties: the five smallest
+        # (-bits, edge) pairs, compared as plain tuples (no key calls).
+        ranked = heapq.nsmallest(5, zip(map(neg, edge_bits), edge_totals))
         return cls(
             policy=policy.name,
             budget=policy.budget,
             capacity_bits=policy.capacity(n),
             total_bits=total,
             rounds=len(round_totals),
-            edges_used=sum(1 for v in edge_totals.values() if v),
+            edges_used=len(edge_bits) - edge_bits.count(0),
             id_bits=bits,
-            per_round=_histogram_of(list(round_totals)),
-            per_edge=_histogram_of(list(edge_totals.values())),
+            per_round=_histogram_of(round_totals),
+            per_edge=_histogram_of(edge_bits),
             peak_round=peak_round,
             peak_edge_round_bits=peak_edge_round_bits,
             min_congest_budget=max(
                 1, math.ceil(peak_edge_round_bits / bits)
             ) if peak_edge_round_bits else 1,
             hotspots=[
-                {"edge": list(edge), "bits": total_bits}
-                for edge, total_bits in ranked[:5]
+                {"edge": list(edge), "bits": -neg_bits}
+                for neg_bits, edge in ranked
             ],
         )
 
@@ -602,226 +611,87 @@ class BandwidthMeter:
 # Flooding-equivalent accounting for view-semantics runs
 # ---------------------------------------------------------------------------
 
-#: Above this node count the dense (n × n) frontier matrices of the numpy
-#: fast path stop paying for themselves; fall back to the per-root BFS.
-_NP_DENSE_LIMIT = 2048
 
-#: Cap on the cached frontier-mask bytes (worst case ``n² · depth``);
-#: deeper/larger instances fall back to the per-root scalar BFS.
-_NP_DENSE_BYTES = 1 << 28
+def _flood_cache(graph, compiled):
+    """The compiled graph's structure-only flooding arrays.
 
-
-def _flood_state(compiled):
-    """The compiled graph's lazily built flooding-BFS frontier cache.
-
-    Everything here is a pure function of the graph *structure* (no
-    advice, no inputs, no policy), so it is computed once per compiled
-    graph and reused across runs: the dense float32 adjacency, the CSR
-    edge list in deterministic ``i < j`` order, and the per-depth
-    frontier masks ``masks[d][i, w] = (dist(i, w) == d)``, grown on
-    demand by :func:`_frontier_masks`.
+    Nothing here depends on advice or policy, so it is built once per
+    compiled graph (and dies with it on a CSR mutation): the edge tails,
+    heads and identifier keys in CSR ``i < j`` order, the degrees, the
+    base record bits (``id_bits·(1 + deg)`` plus the input payload), and
+    the ball arrays of the largest radius swept so far (see
+    :func:`_layer_bits`).
     """
     state = compiled._np_flood
     if state is None:
         import numpy as np
 
         n = compiled.n
-        indptr, indices, _ = compiled.np_csr()
+        indptr, indices, ids = compiled.np_csr()
         rows = np.repeat(np.arange(n), np.diff(indptr))
-        adj = np.zeros((n, n), dtype=np.float32)
-        adj[rows, indices] = 1.0
-        eye = np.eye(n, dtype=bool)
         upper = rows < indices
+        tails, heads = rows[upper], indices[upper]
+        lo = np.minimum(ids[tails], ids[heads]).tolist()
+        hi = np.maximum(ids[tails], ids[heads]).tolist()
+        bits = id_bits(n)
         state = {
-            "adj": adj,
-            "tails": rows[upper],
-            "heads": indices[upper],
-            "masks": [eye],
-            "visited": eye.copy(),
-            "frontier": eye,
-            "exhausted": n <= 1,
+            "tails": tails,
+            "heads": heads,
+            "edge_keys": list(zip(lo, hi)),
+            "deg": np.diff(indptr).astype(np.float64),
+            "base": np.asarray(
+                [
+                    bits * (1 + compiled.degrees[i])
+                    + (
+                        0
+                        if (payload := graph.input_of(node)) is None
+                        else measure_bits(payload)
+                    )
+                    for i, node in enumerate(compiled.nodes)
+                ],
+                dtype=np.float64,
+            ),
+            "radius": -1,
+            "exhausted": False,
         }
         compiled._np_flood = state
     return state
 
 
-def _frontier_masks(compiled, max_depth: int):
-    """Frontier masks for depths ``0..max_depth`` (level-synchronous BFS).
+def _layer_bits(graph, state, radius: int, rec):
+    """``M[i, d]``: record bits of the nodes at distance exactly ``d`` from ``i``.
 
-    Each extension step expands every root's frontier at once with one
-    dense boolean matmul; sweeps stop for good when all frontiers empty,
-    so ``T ≫ diameter`` still costs diameter work (once, ever — the
-    masks are cached on the compiled graph).
+    The balls come from the vectorized engine's masked multi-source sweep
+    (:func:`repro.local.vectorized.gather_ball_batch`) and are kept as
+    flat ``(root·depth + dist, node)`` arrays, so one weighted
+    ``bincount`` folds any record-bit vector into ``M`` in
+    ``O(Σ|ball|)``.  A call at a radius the cache already covers reads
+    the first ``radius + 1`` columns (layers do not depend on the radius
+    they were swept at); a larger radius re-sweeps, unless the last sweep
+    ran out of nodes before its radius — then every ball is already its
+    whole component.  ``M`` is never wider than the deepest layer.
     """
     import numpy as np
 
-    state = _flood_state(compiled)
-    masks = state["masks"]
-    while len(masks) <= max_depth and not state["exhausted"]:
-        nxt = (state["frontier"].astype(np.float32) @ state["adj"]) > 0
-        nxt &= ~state["visited"]
-        if not nxt.any():
-            state["exhausted"] = True
-            break
-        state["visited"] |= nxt
-        masks.append(nxt)
-        state["frontier"] = nxt
-    return masks[: max_depth + 1]
+    if radius > state["radius"] and not state["exhausted"]:
+        from ..local.vectorized import gather_ball_batch
 
-
-def _flooding_np(graph, compiled, policy, rounds: int, advice):
-    """The numpy realization of :func:`flooding_bandwidth`, or ``None``.
-
-    Returns ``None`` when numpy is unavailable or the dense frontier
-    matrices would outgrow :data:`_NP_DENSE_BYTES` — the caller then
-    falls back to the per-root scalar BFS.  Per-call work is only the
-    advice-length vector and one matvec against the cached float64 mask
-    matrix: the masks, the structural record bits (``id_bits·(1+deg)``
-    plus input payloads), and the edge list are all advice-free and
-    cached on the compiled graph by :func:`_flood_state`.
-    """
-    try:
-        import numpy as np
-    except ImportError:  # pragma: no cover - numpy ships with the repo
-        return None
-    n = compiled.n
-    max_depth = min(rounds - 1, n)
-    if n > _NP_DENSE_LIMIT or n * n * (max_depth + 1) > _NP_DENSE_BYTES:
-        return None
-    state = _flood_state(compiled)
-    base = state.get("base_rec")
-    if base is None:
-        bits = id_bits(n)
-        base = np.asarray(
-            [
-                bits * (1 + compiled.degrees[i])
-                + (
-                    0
-                    if (payload := graph.input_of(node)) is None
-                    else measure_bits(payload)
-                )
-                for i, node in enumerate(compiled.nodes)
-            ],
-            dtype=np.float64,
+        batch = gather_ball_batch(graph, radius)
+        dists = batch.ball_dists.astype(np.int64)
+        depth = int(dists.max()) + 1
+        roots = np.repeat(
+            np.arange(len(batch), dtype=np.int64), np.diff(batch.ball_indptr)
         )
-        state["base_rec"] = base
-    if advice:
-        get = advice.get
-        rec = base + np.asarray(
-            [len(get(v, "")) for v in compiled.nodes], dtype=np.float64
-        )
-    else:
-        rec = base
-    masks = _frontier_masks(compiled, max_depth)
-    depth = len(masks)
-    stacked = state.get("stacked64")
-    if stacked is None or stacked.shape[0] < depth * n:
-        stacked = np.stack(masks).reshape(depth * n, n).astype(np.float64)
-        state["stacked64"] = stacked
-    matrix = np.ascontiguousarray(
-        (stacked[: depth * n] @ rec).reshape(depth, n).T
-    )
-    return _aggregate_np(compiled, policy, rounds, matrix)
-
-
-def _layer_record_bits(
-    compiled, rounds: int, record_bits: Sequence[int]
-) -> List[List[int]]:
-    """Per-root, per-depth record-bit sums: ``out[i][d] = Σ_{dist(i,w)=d} rec[w]``.
-
-    One BFS per root over the CSR arrays, depth-capped at ``rounds - 1``
-    (rounds beyond a root's eccentricity contribute nothing and stop the
-    sweep early, so a decoder with ``T ≫ diameter`` costs diameter work).
-    """
-    n = compiled.n
-    indptr, indices = compiled.indptr, compiled.indices
-    max_depth = min(rounds - 1, n)
-    out: List[List[int]] = []
-    seen = [-1] * n
-    for root in range(n):
-        layers = [record_bits[root]]
-        seen[root] = root
-        frontier = [root]
-        depth = 0
-        while frontier and depth < max_depth:
-            depth += 1
-            next_frontier: List[int] = []
-            layer_sum = 0
-            for i in frontier:
-                for j in indices[indptr[i]:indptr[i + 1]]:
-                    if seen[j] != root:
-                        seen[j] = root
-                        layer_sum += record_bits[j]
-                        next_frontier.append(j)
-            if not next_frontier:
-                break
-            layers.append(layer_sum)
-            frontier = next_frontier
-        out.append(layers)
-    return out
-
-
-def _aggregate_np(compiled, policy, rounds: int, matrix) -> "BandwidthProfile":
-    """Fold a numpy layer matrix into per-round/per-edge totals.
-
-    Mirrors the scalar aggregation in :func:`flooding_bandwidth` exactly,
-    including the overflow tie-break (earliest round, then lowest edge in
-    CSR ``i < j`` order) and the sender attribution (heavier endpoint,
-    lower dense index on ties).
-    """
-    import numpy as np
-
-    n = compiled.n
-    depth = matrix.shape[1]
-    state = _flood_state(compiled)
-    deg64 = state.get("deg64")
-    if deg64 is None:
-        deg64 = np.asarray(compiled.degrees, dtype=np.float64)
-        state["deg64"] = deg64
-    per_depth = deg64 @ matrix
-    round_totals = per_depth[: min(depth, rounds)].astype(np.int64).tolist()
-    if len(round_totals) < rounds:
-        round_totals.extend([0] * (rounds - len(round_totals)))
-
-    tails, heads = state["tails"], state["heads"]
-    loads = matrix[tails] + matrix[heads]
-    peak_edge_round = int(loads.max()) if loads.size else 0
-
-    capacity = policy.capacity(n)
-    if capacity is not None and peak_edge_round > capacity:
-        _, _, ids_np = compiled.np_csr()
-        over = loads > capacity
-        d = int(np.argmax(over.any(axis=0)))
-        e = int(np.argmax(over[:, d]))
-        i, j = int(tails[e]), int(heads[e])
-        sender = i if matrix[i, d] >= matrix[j, d] else j
-        a, b = int(ids_np[i]), int(ids_np[j])
-        edge = (a, b) if a <= b else (b, a)
-        raise BandwidthExceeded(
-            node=compiled.nodes[sender],
-            edge=edge,
-            round_index=d + 1,
-            bits=int(loads[e, d]),
-            capacity=capacity,
-            policy=policy,
-        )
-
-    edge_keys = state.get("edge_keys")
-    if edge_keys is None:
-        _, _, ids_np = compiled.np_csr()
-        edge_keys = [
-            (a, b) if a <= b else (b, a)
-            for a, b in zip(ids_np[tails].tolist(), ids_np[heads].tolist())
-        ]
-        state["edge_keys"] = edge_keys
-    # A row of `loads` already holds one edge's per-round bits, so its
-    # row sum IS the ball(u)+ball(v) per-edge total; tolist() up front
-    # keeps the dict on plain ints (no numpy scalar boxing per edge).
-    edge_bits = loads.sum(axis=1).astype(np.int64)
-    edge_totals = dict(zip(edge_keys, edge_bits.tolist()))
-    return BandwidthProfile.build(
-        policy, n, round_totals, edge_totals, peak_edge_round
-    )
+        state["key"] = roots * depth + dists
+        state["node"] = batch.ball_nodes
+        state["depth"] = depth
+        state["radius"] = radius
+        state["exhausted"] = depth <= radius
+    depth = state["depth"]
+    layers = np.bincount(
+        state["key"], weights=rec[state["node"]], minlength=len(rec) * depth
+    ).reshape(len(rec), depth)
+    return layers[:, : radius + 1]
 
 
 def flooding_bandwidth(
@@ -839,11 +709,15 @@ def flooding_bandwidth(
     records it learned in round ``t-1`` — the nodes at distance exactly
     ``t-1`` from ``u``.  The resulting accounting is a pure function of
     ``(graph, rounds, advice)``, so every execution engine reports the
-    same bits-on-wire for the same run.
+    same bits-on-wire for the same run.  It is computed from the layer
+    matrix ``M`` of :func:`_layer_bits`: round ``t`` carries
+    ``Σ_u deg(u)·M[u, t-1]``, and edge ``{u, v}`` carries
+    ``M[u, t-1] + M[v, t-1]`` in round ``t``.
 
     Under a ``congest`` policy the per-``(edge, round)`` loads are
     checked against ``B·⌈log n⌉`` and the earliest overflow (lowest
-    round, then lowest edge in CSR order) raises an attributed
+    round, then lowest edge in CSR ``i < j`` order, charged to the
+    heavier sender, lower dense index on ties) raises an attributed
     :class:`BandwidthExceeded` — deterministically, since nothing here
     depends on engine or iteration order.  Returns ``None`` under
     :data:`OFF`, and an all-zero profile for ``rounds == 0``.
@@ -853,84 +727,48 @@ def flooding_bandwidth(
         return None
     compiled = graph.compiled
     n = compiled.n
-    bits = id_bits(n)
     rounds = max(0, int(rounds))
     if n == 0 or rounds == 0:
         return BandwidthProfile.build(policy, n, [0] * rounds, {}, 0)
 
-    profile = _flooding_np(graph, compiled, policy, rounds, advice)
-    if profile is not None:
-        return profile
+    import numpy as np
 
-    record_bits = []
-    for i, node in enumerate(compiled.nodes):
-        adv = advice.get(node, "") if advice else ""
-        payload = graph.input_of(node)
-        record_bits.append(
-            bits * (1 + compiled.degrees[i])
-            + len(adv)
-            + (0 if payload is None else measure_bits(payload))
-        )
+    state = _flood_cache(graph, compiled)
+    rec = state["base"]
+    if advice:
+        lengths = map(len, map(advice.get, compiled.nodes, repeat("")))
+        rec = rec + np.fromiter(lengths, np.float64, n)
+    layers = _layer_bits(graph, state, min(rounds - 1, n), rec)
 
-    layers = _layer_record_bits(compiled, rounds, record_bits)
-    ball_bits = [sum(per_root) for per_root in layers]
-    depth = max(len(per_root) for per_root in layers)
+    round_totals = (state["deg"] @ layers).astype(np.int64).tolist()
+    round_totals.extend([0] * (rounds - len(round_totals)))
 
-    # Per-round totals: in round t every node pushes its (t-1)-layer on
-    # each incident edge, so round t carries Σ_u deg(u)·layer_u[t-1].
-    round_totals = [0] * rounds
-    degrees = compiled.degrees
-    for i, per_root in enumerate(layers):
-        deg = degrees[i]
-        for d, layer_sum in enumerate(per_root):
-            round_totals[d] += deg * layer_sum
+    tails, heads = state["tails"], state["heads"]
+    loads = layers.take(tails, axis=0) + layers.take(heads, axis=0)
+    peak_edge_round = int(loads.max()) if loads.size else 0
 
-    # Per-edge run totals and the worst (edge, round) load.  Iterating
-    # CSR rows with i < j enumerates each undirected edge once, in a
-    # deterministic order shared by the overflow attribution below.
-    indptr, indices = compiled.indptr, compiled.indices
-    ids = compiled.ids
-    nodes = compiled.nodes
     capacity = policy.capacity(n)
-    edge_totals: Dict[Tuple[int, int], int] = {}
-    peak_edge_round = 0
-    overflow: Optional[Tuple[int, int, int, int, int]] = None
-    for i in range(n):
-        layers_i = layers[i]
-        for j in indices[indptr[i]:indptr[i + 1]]:
-            if j <= i:
-                continue
-            layers_j = layers[j]
-            a, b = ids[i], ids[j]
-            edge = (a, b) if a <= b else (b, a)
-            edge_totals[edge] = ball_bits[i] + ball_bits[j]
-            for d in range(min(depth, rounds)):
-                load = (
-                    (layers_i[d] if d < len(layers_i) else 0)
-                    + (layers_j[d] if d < len(layers_j) else 0)
-                )
-                if load > peak_edge_round:
-                    peak_edge_round = load
-                if (
-                    capacity is not None
-                    and load > capacity
-                    and (overflow is None or d + 1 < overflow[0])
-                ):
-                    sender = i if (
-                        (layers_i[d] if d < len(layers_i) else 0)
-                        >= (layers_j[d] if d < len(layers_j) else 0)
-                    ) else j
-                    overflow = (d + 1, edge[0], edge[1], load, sender)
-    if overflow is not None:
-        round_index, a, b, load, sender = overflow
+    if capacity is not None and peak_edge_round > capacity:
+        over = loads > capacity
+        d = int(np.argmax(over.any(axis=0)))
+        e = int(np.argmax(over[:, d]))
+        i, j = int(tails[e]), int(heads[e])
         raise BandwidthExceeded(
-            node=nodes[sender],
-            edge=(a, b),
-            round_index=round_index,
-            bits=load,
+            node=compiled.nodes[i if layers[i, d] >= layers[j, d] else j],
+            edge=state["edge_keys"][e],
+            round_index=d + 1,
+            bits=int(loads[e, d]),
             capacity=capacity,
             policy=policy,
         )
+
+    # A row of `loads` holds one edge's per-round bits; its sum is the
+    # edge's run total.
+    edge_bits = loads.sum(axis=1).astype(np.int64).tolist()
     return BandwidthProfile.build(
-        policy, n, round_totals, edge_totals, peak_edge_round
+        policy,
+        n,
+        round_totals,
+        dict(zip(state["edge_keys"], edge_bits)),
+        peak_edge_round,
     )

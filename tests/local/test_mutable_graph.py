@@ -146,12 +146,18 @@ class TestEpochInvalidation:
 
     def test_flood_cache_dropped_on_mutation(self):
         numpy = pytest.importorskip("numpy")  # noqa: F841
-        from repro.obs.bandwidth import _flood_state
+        from repro.obs.bandwidth import flooding_bandwidth
 
         g = _fresh(8)
-        _flood_state(g.compiled)
-        assert g.compiled._np_flood is not None
+        before = flooding_bandwidth(g, 3).as_dict()
+        state = g.compiled._np_flood
+        assert state is not None and state["radius"] == 2
         g.add_edge(0, 4)
-        assert g.compiled._np_flood is None  # cache died with the stale CSR
-        state = _flood_state(g.compiled)
-        assert float(state["adj"][g.compiled.index_of[0], g.compiled.index_of[4]]) == 1.0
+        assert g.compiled._np_flood is None  # sweep cache died with the stale CSR
+        after = flooding_bandwidth(g, 3).as_dict()
+        rebuilt = LocalGraph(g.graph, ids=g.ids())
+        assert after == flooding_bandwidth(rebuilt, 3).as_dict()
+        assert after != before  # the chord shortened the balls' layers
+        assert int(g.compiled._np_flood["node"].size) == int(
+            rebuilt.compiled._np_flood["node"].size
+        )

@@ -1,8 +1,12 @@
 """Bits-on-wire accounting: measure_bits, policies, meter, flooding."""
 
 import dataclasses
+import math
 
+import networkx as nx
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.graphs import cycle, grid
 from repro.local import LocalGraph
@@ -21,6 +25,7 @@ from repro.obs.bandwidth import (
     parse_policy,
     use_bandwidth_policy,
 )
+from repro.obs.metrics import Histogram
 
 
 class TestMeasureBits:
@@ -282,3 +287,200 @@ class TestFloodingBandwidth:
         assert congest.total_bits == local.total_bits
         assert congest.per_round == local.per_round
         assert congest.per_edge == local.per_edge
+
+
+# ---------------------------------------------------------------------------
+# The sweep kernel against a per-root networkx reference
+# ---------------------------------------------------------------------------
+
+
+def _reference_histogram(values):
+    peak = int(max(values, default=0))
+    bounds, bound = [0.0], 1
+    while bound < max(1, peak):
+        bounds.append(float(bound))
+        bound *= 2
+    bounds.append(float(bound))
+    hist = Histogram(buckets=bounds)
+    for value in values:
+        hist.observe(value)
+    return hist.snapshot_value()
+
+
+def _reference_flooding(graph, rounds, advice=None, policy=LOCAL):
+    """``as_dict()`` of the flooding accounting, summed layer by layer.
+
+    Every root's layers come from ``nx.single_source_shortest_path_length``
+    with ``cutoff = rounds - 1``; edges are taken in CSR ``i < j`` order
+    (dense index of the lower endpoint, then neighbor identifier).  Returns
+    ``(profile_dict, overflow)`` where ``overflow`` is the attributed
+    ``(node, edge, round_index, bits)`` a CONGEST run must raise, or None.
+    """
+    advice = advice or {}
+    n = graph.n
+    bits = id_bits(n)
+    nodes = graph.nodes()
+    index = {v: i for i, v in enumerate(graph.compiled.nodes)}
+
+    def record(v):
+        payload = graph.input_of(v)
+        return (
+            bits * (1 + graph.degree(v))
+            + len(advice.get(v, ""))
+            + (0 if payload is None else measure_bits(payload))
+        )
+
+    layers = {}
+    for v in nodes:
+        per = [0] * rounds
+        lengths = nx.single_source_shortest_path_length(
+            graph.graph, v, cutoff=rounds - 1
+        )
+        for w, d in lengths.items():
+            per[d] += record(w)
+        layers[v] = per
+    round_totals = [
+        sum(graph.degree(v) * layers[v][t] for v in nodes) for t in range(rounds)
+    ]
+    edges = sorted(
+        (index[u], graph.id_of(v), u, v)
+        for a, b in graph.graph.edges()
+        for u, v in ((a, b), (b, a))
+        if index[u] < index[v]
+    )
+    capacity = policy.capacity(n)
+    edge_totals, peak, overflow = {}, 0, None
+    for t in range(rounds):
+        for _, _, u, v in edges:
+            load = layers[u][t] + layers[v][t]
+            peak = max(peak, load)
+            if overflow is None and capacity is not None and load > capacity:
+                sender = u if layers[u][t] >= layers[v][t] else v
+                key = tuple(sorted((graph.id_of(u), graph.id_of(v))))
+                overflow = (sender, key, t + 1, load)
+    for _, _, u, v in edges:
+        key = tuple(sorted((graph.id_of(u), graph.id_of(v))))
+        edge_totals[key] = sum(layers[u]) + sum(layers[v])
+    total = sum(round_totals)
+    worst = round_totals.index(max(round_totals))
+    ranked = sorted(edge_totals.items(), key=lambda item: (-item[1], item[0]))
+    profile = {
+        "policy": policy.name,
+        "budget": policy.budget,
+        "capacity_bits": capacity,
+        "total_bits": total,
+        "rounds": rounds,
+        "edges_used": sum(1 for b in edge_totals.values() if b),
+        "id_bits": bits,
+        "per_round": _reference_histogram(round_totals),
+        "per_edge": _reference_histogram(list(edge_totals.values())),
+        "peak_round": [worst + 1, round_totals[worst]],
+        "peak_edge_round_bits": peak,
+        "min_congest_budget": max(1, math.ceil(peak / bits)) if peak else 1,
+        "hotspots": [{"edge": list(e), "bits": b} for e, b in ranked[:5]],
+    }
+    return profile, overflow
+
+
+@pytest.mark.parametrize("size", [0, 1, 7, 32, 33, 60, 500])
+def test_histogram_snapshot_matches_histogram(size):
+    import random
+
+    from repro.obs.bandwidth import _histogram_of
+
+    rng = random.Random(size)
+    values = [rng.choice((0, 1, 3, 64, 65, rng.randint(0, 5000))) for _ in range(size)]
+    assert _histogram_of(values) == _reference_histogram(values)
+
+
+_BITSTRINGS = st.text(alphabet="01", max_size=6)
+_PAYLOADS = st.one_of(
+    st.none(),
+    st.integers(-300, 300),
+    _BITSTRINGS,
+    st.tuples(st.integers(0, 9), _BITSTRINGS),
+)
+
+
+@st.composite
+def _flooding_cases(draw):
+    """A random simple graph (possibly disconnected, with isolated nodes),
+    shuffled identifiers, advice and inputs on some nodes, and a round
+    count from 1 to past the diameter."""
+    n = draw(st.integers(1, 14))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    picks = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    raw = nx.Graph()
+    raw.add_nodes_from(range(n))
+    raw.add_edges_from(pair for pair, keep in zip(pairs, picks) if keep)
+    inputs = draw(st.dictionaries(st.sampled_from(range(n)), _PAYLOADS))
+    graph = LocalGraph(raw, inputs=inputs, seed=draw(st.integers(0, 99)))
+    advice = draw(st.dictionaries(st.sampled_from(range(n)), _BITSTRINGS))
+    rounds = draw(st.integers(1, n + 3))
+    return graph, rounds, advice
+
+
+def _fresh_copy(graph):
+    inputs = {v: graph.input_of(v) for v in graph.nodes()}
+    return LocalGraph(graph.graph, ids=graph.ids(), inputs=inputs)
+
+
+class TestFloodingMatchesReference:
+    @settings(max_examples=120, deadline=None)
+    @given(_flooding_cases())
+    def test_every_field_matches_per_root_layers(self, case):
+        graph, rounds, advice = case
+        expected, _ = _reference_flooding(graph, rounds, advice)
+        assert flooding_bandwidth(graph, rounds, advice).as_dict() == expected
+
+    @settings(max_examples=120, deadline=None)
+    @given(_flooding_cases())
+    def test_congest_overflow_attribution_matches(self, case):
+        graph, rounds, advice = case
+        local = flooding_bandwidth(graph, rounds, advice)
+        assume(local.min_congest_budget > 1)
+        policy = CONGEST(local.min_congest_budget - 1)
+        _, overflow = _reference_flooding(graph, rounds, advice, policy)
+        with pytest.raises(BandwidthExceeded) as info:
+            flooding_bandwidth(graph, rounds, advice, policy=policy)
+        exc = info.value
+        assert (exc.node, exc.edge, exc.round_index, exc.bits) == overflow
+        assert exc.capacity == policy.capacity(graph.n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_flooding_cases(), st.integers(1, 17))
+    def test_warm_and_smaller_radius_equal_cold(self, case, other):
+        graph, rounds, advice = case
+        cold = {
+            t: flooding_bandwidth(_fresh_copy(graph), t, advice).as_dict()
+            for t in (rounds, other)
+        }
+        # larger first, then smaller, then the larger again warm
+        for t in sorted((rounds, other), reverse=True) + [max(rounds, other)]:
+            assert flooding_bandwidth(graph, t, advice).as_dict() == cold[t]
+        assert flooding_bandwidth(graph, rounds).as_dict() == (
+            flooding_bandwidth(_fresh_copy(graph), rounds).as_dict()
+        )
+
+    def test_suite_scale_instance_matches_reference(self):
+        g = LocalGraph(grid(7, 9), seed=5)
+        advice = {v: "01" * (v % 3) for v in g.nodes()}
+        for rounds in (1, 4, 30):
+            expected, _ = _reference_flooding(g, rounds, advice)
+            assert flooding_bandwidth(g, rounds, advice).as_dict() == expected
+
+    def test_memory_is_linear_in_the_balls(self):
+        # cycle(500) at T=174 is lcl-subexp's default instance: 500 balls of
+        # 347 nodes.  A dense per-depth n x n frontier stack would need
+        # hundreds of MB here; the sweep keeps O(sum |ball|).
+        import tracemalloc
+
+        g = LocalGraph(cycle(500), seed=0)
+        tracemalloc.start()
+        try:
+            profile = flooding_bandwidth(g, 174)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert profile.total_bits > 0
+        assert peak < 32 * 2**20, f"peak traced memory {peak / 2**20:.1f} MB"
