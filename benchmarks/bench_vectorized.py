@@ -1,15 +1,12 @@
-"""Engine benchmark: scalar vs vectorized batched-BFS vs parallel pool.
+"""Engine benchmark: scalar vs vectorized batched-BFS.
 
-Times ``run_view_algorithm`` under all three engines on the same graphs:
+Times ``run_view_algorithm`` under both engines on the same graphs:
 
 * **scalar** — per-root CSR BFS with dict-based view assembly (the PR-2
   engine, still the reference semantics);
 * **vectorized** — one masked multi-source BFS frontier sweep over the
   CSR arrays for *all* roots at once, views materialized lazily
-  (:func:`repro.local.gather_views_batched`);
-* **parallel** — the shared-nothing decode pool over contiguous node
-  chunks, admitted by the purity certificate
-  (:func:`repro.analysis.certify_pure_decider`).
+  (:func:`repro.local.gather_views_batched`).
 
 The decision rule is the center advice-decompression rule — O(1) per
 view after gathering — so the timings measure the gather/decode
@@ -24,11 +21,6 @@ The 64x64-grid radius-3 case is the acceptance workload: ``--min-speedup
 10`` fails the run unless the vectorized engine beats scalar by 10x.
 Also runnable under pytest-benchmark (a small smoke instance) like the
 other ``bench_*`` modules.
-
-On a single-core runner the pool cannot beat the vectorized sweep (its
-workers contend for the one CPU and pay fork + pickle overhead), so no
-timing floor is asserted for it — only exact output agreement and that
-the purity gate actually admitted the rule.
 """
 
 from __future__ import annotations
@@ -36,12 +28,12 @@ from __future__ import annotations
 import argparse
 import json
 import time
-import warnings
 from typing import Dict, List, Optional
+
+import numpy
 
 from repro.graphs import binary_tree, cycle, grid
 from repro.local import LocalGraph, run_view_algorithm
-from repro.local.vectorized import numpy_available
 
 
 def _decide(view) -> str:
@@ -71,10 +63,9 @@ def bench_case(
     name: str,
     graph: LocalGraph,
     radius: int,
-    pool_size: int,
     reps: int,
 ) -> Dict[str, object]:
-    """Time the three engines on one graph; verify bit-identical outputs."""
+    """Time both engines on one graph; verify bit-identical outputs."""
     advice = _advice(graph)
 
     def scalar_run():
@@ -87,35 +78,13 @@ def bench_case(
             graph, radius, _decide, advice=advice, engine="vectorized"
         )
 
-    def parallel_run():
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            return run_view_algorithm(
-                graph,
-                radius,
-                _decide,
-                advice=advice,
-                engine="parallel",
-                pool_size=pool_size,
-            )
-
     scalar_seconds = _best(scalar_run, reps)
     scalar = scalar_run()
 
-    have_numpy = numpy_available()
-    if have_numpy:
-        vectorized_seconds = _best(vectorized_run, reps)
-        vectorized = vectorized_run()
-        if vectorized.outputs != scalar.outputs:
-            raise AssertionError(f"{name}: vectorized outputs diverge")
-    else:  # pragma: no cover - numpy is a test dependency
-        vectorized_seconds = scalar_seconds
-        vectorized = scalar
-
-    parallel_seconds = _best(parallel_run, reps)
-    parallel = parallel_run()
-    if parallel.outputs != scalar.outputs:
-        raise AssertionError(f"{name}: parallel outputs diverge")
+    vectorized_seconds = _best(vectorized_run, reps)
+    vectorized = vectorized_run()
+    if vectorized.outputs != scalar.outputs:
+        raise AssertionError(f"{name}: vectorized outputs diverge")
 
     return {
         "case": name,
@@ -125,24 +94,17 @@ def bench_case(
         "radius": radius,
         "scalar_seconds": round(scalar_seconds, 6),
         "vectorized_seconds": round(vectorized_seconds, 6),
-        "parallel_seconds": round(parallel_seconds, 6),
         "speedup": round(scalar_seconds / max(vectorized_seconds, 1e-9), 3),
-        "parallel_speedup": round(
-            scalar_seconds / max(parallel_seconds, 1e-9), 3
-        ),
         "views_per_second": round(
             graph.n / max(vectorized_seconds, 1e-9), 1
         ),
-        "parallel_engine_used": parallel.stats.engine or "scalar",
-        "pool_size": parallel.stats.pool_size,
-        "numpy_available": have_numpy,
         "engine_stats": vectorized.stats.as_dict(),
         "scalar_stats": scalar.stats.as_dict(),
     }
 
 
 def run_suite(
-    rows: int, cols: int, radius: int, pool_size: int = 2, reps: int = 3
+    rows: int, cols: int, radius: int, reps: int = 3
 ) -> List[Dict[str, object]]:
     """The benchmark cases: the acceptance grid plus cycle and tree."""
     n = rows * cols
@@ -153,17 +115,13 @@ def run_suite(
             f"grid-{rows}x{cols}",
             LocalGraph(grid(rows, cols), seed=1),
             radius,
-            pool_size,
             reps,
         ),
-        bench_case(
-            f"cycle-{n}", LocalGraph(cycle(n), seed=2), radius, pool_size, reps
-        ),
+        bench_case(f"cycle-{n}", LocalGraph(cycle(n), seed=2), radius, reps),
         bench_case(
             f"tree-{tree.number_of_nodes()}",
             LocalGraph(tree, seed=3),
             radius,
-            pool_size,
             reps,
         ),
     ]
@@ -174,7 +132,6 @@ def main(argv: Optional[List[str]] = None) -> Dict[str, object]:
     parser.add_argument("--rows", type=int, default=64)
     parser.add_argument("--cols", type=int, default=64)
     parser.add_argument("--radius", type=int, default=3)
-    parser.add_argument("--pool-size", type=int, default=2)
     parser.add_argument(
         "--reps", type=int, default=3, help="timed repetitions (min is kept)"
     )
@@ -190,28 +147,18 @@ def main(argv: Optional[List[str]] = None) -> Dict[str, object]:
 
     from common import stamp_provenance
 
-    try:
-        import numpy
-
-        numpy_version = numpy.__version__
-    except ImportError:  # pragma: no cover
-        numpy_version = None
-
-    cases = run_suite(
-        args.rows, args.cols, args.radius, args.pool_size, args.reps
-    )
+    cases = run_suite(args.rows, args.cols, args.radius, args.reps)
     report = {
         "benchmark": "vectorized_engines",
         "params": {
             "rows": args.rows,
             "cols": args.cols,
             "radius": args.radius,
-            "pool_size": args.pool_size,
         },
         "cases": cases,
     }
     stamp_provenance(
-        report, seed=1, extra_seeds=[2, 3], numpy_version=numpy_version
+        report, seed=1, extra_seeds=[2, 3], numpy_version=numpy.__version__
     )
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=2)
@@ -219,9 +166,7 @@ def main(argv: Optional[List[str]] = None) -> Dict[str, object]:
         print(
             f"{case['case']:>14}: scalar {case['scalar_seconds']:.3f}s -> "
             f"vectorized {case['vectorized_seconds']:.3f}s "
-            f"({case['speedup']:.1f}x), parallel "
-            f"{case['parallel_seconds']:.3f}s "
-            f"({case['parallel_engine_used']}, pool {case['pool_size']})"
+            f"({case['speedup']:.1f}x)"
         )
     print(f"wrote {args.out}")
     grid_case = cases[0]
@@ -243,25 +188,20 @@ def test_vectorized_engines_smoke(benchmark):
 
     rows = run_once(benchmark, lambda: run_suite(16, 16, 2, reps=1))
     print_table(
-        "engines: scalar vs vectorized vs parallel",
+        "engines: scalar vs vectorized",
         [
             {
                 "case": r["case"],
                 "scalar_s": r["scalar_seconds"],
                 "vector_s": r["vectorized_seconds"],
                 "speedup": r["speedup"],
-                "parallel": r["parallel_engine_used"],
             }
             for r in rows
         ],
     )
     # Output equality is asserted inside bench_case.  The vectorized sweep
-    # must win already at this small size (the auto threshold is 64 nodes);
-    # the pool only has to be *admitted* — the purity certificate covers
-    # _decide — not to win a race on a shared CI core.
-    if rows[0]["numpy_available"]:
-        assert all(r["speedup"] > 1.0 for r in rows)
-    assert all(r["parallel_engine_used"] == "parallel" for r in rows)
+    # must win already at this small size (the auto threshold is 64 nodes).
+    assert all(r["speedup"] > 1.0 for r in rows)
 
 
 if __name__ == "__main__":

@@ -36,7 +36,6 @@ from .engine import (
     run_lint,
     scan_module,
 )
-from .purity import PurityCertificate, certify_pure_decider
 from .rules import RULES, Rule, Violation
 from .waivers import lint_waiver, uses_global_knowledge, waivers_of
 
@@ -81,14 +80,12 @@ __all__ = [
     "LintReport",
     "LocalityCertificate",
     "ORDER_INVARIANCE_CHECKED",
-    "PurityCertificate",
     "RULES",
     "Rule",
     "StaticBounds",
     "Violation",
     "apply_waiver_fixes",
     "certify_all",
-    "certify_pure_decider",
     "certify_schema",
     "dynamic_witness",
     "fuzz_all",

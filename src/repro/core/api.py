@@ -136,7 +136,7 @@ def solve_with_advice(
     callers no longer lose ``RunResult.stats`` at this boundary.
 
     ``engine`` selects the decode execution engine (``"auto"`` /
-    ``"scalar"`` / ``"vectorized"`` / ``"parallel"`` — see
+    ``"scalar"`` / ``"vectorized"`` — see
     ``docs/performance.md``).  It is applied ambiently via
     :func:`repro.local.use_engine` around the whole run, so every
     ``run_view_algorithm`` call the schema makes inherits it; outputs are

@@ -96,9 +96,7 @@ class CompiledGraph:
         # recompiles after churn, so holders never see a stale CSR.
         self.epoch: int = 0
         # BFS scratch: -1 means "unvisited"; reset_scratch restores it.
-        # This default scratch belongs to the serial sweep loop ONLY —
-        # concurrent sweeps (batched/parallel engines, threads) must bring
-        # their own allocation via new_scratch()/bfs_fill(dist=...).
+        # Shared by every scalar sweep, so sweeps must not interleave.
         self._dist: List[int] = [-1] * n
         # Lazily built numpy snapshots of (indptr, indices, ids) for the
         # vectorized engine; None until first np_csr() call.  The int32
@@ -139,26 +137,13 @@ class CompiledGraph:
             return k - lo
         return -1
 
-    def new_scratch(self) -> List[int]:
-        """A fresh distance scratch array (all ``-1``) for one sweep owner.
-
-        The shared :attr:`_dist` scratch is only safe for strictly serial
-        sweeps; any caller that may interleave sweeps (the batched and
-        parallel engines, threaded callers, generators held across calls)
-        must allocate its own scratch here and pass it to :meth:`bfs_fill`
-        / :meth:`reset_scratch` explicitly.
-        """
-        return [-1] * self.n
-
     def np_csr(self):
         """The CSR arrays as cached numpy ``int64`` vectors.
 
         Returns ``(indptr, indices, ids)`` — the flat adjacency plus the
         node identifiers by dense index — for the vectorized engine
         (:mod:`repro.local.vectorized`).  Built once on first use; the
-        snapshot is read-only by convention.  Raises ``ImportError`` when
-        numpy is unavailable (callers gate on this and fall back to the
-        scalar engine).
+        snapshot is read-only by convention.
         """
         if self._np_csr is None:
             import numpy as np
@@ -170,23 +155,15 @@ class CompiledGraph:
             )
         return self._np_csr
 
-    def bfs_fill(
-        self,
-        src: int,
-        radius: Optional[int] = None,
-        dist: Optional[List[int]] = None,
-    ) -> List[int]:
+    def bfs_fill(self, src: int, radius: Optional[int] = None) -> List[int]:
         """BFS from ``src``; returns the visit order (non-decreasing distance).
 
-        On return ``dist[i]`` (the shared :attr:`_dist` scratch when the
-        ``dist`` argument is omitted) holds the hop distance of every
-        visited index ``i``.  The caller **must** call :meth:`reset_scratch`
-        with the returned order (and the same scratch) before that scratch's
-        next sweep.  Pass a private scratch from :meth:`new_scratch` when
-        sweeps may interleave — the shared scratch is not reentrant.
+        On return the shared :attr:`_dist` scratch holds the hop distance of
+        every visited index ``i``.  The caller **must** call
+        :meth:`reset_scratch` with the returned order before the next sweep;
+        the scratch is not reentrant.
         """
-        if dist is None:
-            dist = self._dist
+        dist = self._dist
         indptr, indices = self.indptr, self.indices
         order = [src]
         dist[src] = 0
@@ -205,11 +182,8 @@ class CompiledGraph:
                     order.append(j)
         return order
 
-    def reset_scratch(
-        self, order: Iterable[int], dist: Optional[List[int]] = None
-    ) -> None:
-        if dist is None:
-            dist = self._dist
+    def reset_scratch(self, order: Iterable[int]) -> None:
+        dist = self._dist
         for i in order:
             dist[i] = -1
 

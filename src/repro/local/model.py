@@ -27,7 +27,6 @@ meter-free fast path.
 
 from __future__ import annotations
 
-import warnings
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
@@ -54,7 +53,7 @@ class SimulationError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 #: the engines run_view_algorithm dispatches between (see docs/performance.md)
-ENGINES = ("auto", "scalar", "vectorized", "parallel")
+ENGINES = ("auto", "scalar", "vectorized")
 
 #: ``auto`` gathers with ``vectorized`` once one gather call has at least
 #: this many roots — every node in a whole-graph run, the batch in an
@@ -98,13 +97,8 @@ def current_engine() -> str:
 def resolve_engine(engine: Optional[str], roots: int) -> str:
     """Resolve ``engine`` (or the ambient default) for a gather of ``roots``.
 
-    ``auto`` picks ``vectorized`` when numpy is importable and the call
-    gathers at least :data:`AUTO_VECTORIZE_MIN_NODES` roots, else
-    ``scalar``; it never picks ``parallel`` (process pools only pay off on
-    multi-core hosts with big graphs — an explicit opt-in).  A
-    ``vectorized`` request without numpy degrades to ``scalar`` with a
-    warning rather than failing: engine choice must never change whether a
-    run succeeds.
+    ``auto`` picks ``vectorized`` when the call gathers at least
+    :data:`AUTO_VECTORIZE_MIN_NODES` roots, else ``scalar``.
     """
     if engine is None:
         engine = _ENGINE_VAR.get()
@@ -113,22 +107,7 @@ def resolve_engine(engine: Optional[str], roots: int) -> str:
             f"unknown engine {engine!r}; expected one of {ENGINES}"
         )
     if engine == "auto":
-        from .vectorized import numpy_available
-
-        if numpy_available() and roots >= AUTO_VECTORIZE_MIN_NODES:
-            return "vectorized"
-        return "scalar"
-    if engine == "vectorized":
-        from .vectorized import numpy_available
-
-        if not numpy_available():  # pragma: no cover - numpy present in CI
-            warnings.warn(
-                "vectorized engine requested but numpy is unavailable; "
-                "falling back to the scalar engine",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            return "scalar"
+        return "vectorized" if roots >= AUTO_VECTORIZE_MIN_NODES else "scalar"
     return engine
 
 
@@ -189,7 +168,6 @@ def run_view_algorithm(
     memoize: bool = False,
     tracer=None,
     engine: Optional[str] = None,
-    pool_size: Optional[int] = None,
 ) -> RunResult:
     """Run the ``radius``-round view algorithm ``decide`` on every node.
 
@@ -200,12 +178,8 @@ def run_view_algorithm(
     * ``"vectorized"`` — one masked multi-source numpy sweep over the
       compiled CSR for all roots (:mod:`repro.local.vectorized`), with
       lazy views;
-    * ``"parallel"`` — a shared-nothing process pool over contiguous root
-      chunks (:mod:`repro.local.parallel`), gated on the static linter
-      certifying ``decide`` pure; falls back to a serial engine (with a
-      warning) when the gate refuses.  ``pool_size`` caps its workers.
-    * ``"auto"`` (default) — ``vectorized`` when numpy is available and
-      the graph is non-trivial, else ``scalar``; never ``parallel``.
+    * ``"auto"`` (default) — ``vectorized`` for graphs of at least
+      :data:`AUTO_VECTORIZE_MIN_NODES` nodes, else ``scalar``.
     * ``None`` — the ambient engine from :func:`use_engine` (``"auto"``
       unless a caller such as ``solve_with_advice`` chose otherwise).
 
@@ -225,23 +199,6 @@ def run_view_algorithm(
     if tracer is None:
         tracer = NULL_TRACER
     resolved = resolve_engine(engine, graph.n)
-    if resolved == "parallel":
-        from .parallel import run_view_algorithm_parallel
-
-        result = run_view_algorithm_parallel(
-            graph,
-            radius,
-            decide,
-            advice=advice,
-            memoize=memoize,
-            tracer=tracer,
-            pool_size=pool_size,
-        )
-        if result is not None:
-            return result
-        # Gate refused (impure or unpicklable decider): the warning has
-        # fired; decode serially with the best remaining engine.
-        resolved = resolve_engine("auto", graph.n)
     tracing = tracer.enabled
     stats = SimStats()
     stats.engine = resolved

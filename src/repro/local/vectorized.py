@@ -55,13 +55,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as _np
+
 from .graph import LocalGraph, Node
 from .views import View
-
-try:  # numpy is optional: every caller gates on numpy_available()
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via engine fallback tests
-    _np = None
 
 #: soft budget for the visited mask: roots are processed in blocks of
 #: ``max(1, _MASK_BUDGET // n)`` so the mask stays ~4 MB of bools — small
@@ -72,11 +69,6 @@ _MASK_BUDGET = 1 << 22
 #: one frontier expansion is materialized flat; its length must fit the
 #: 32-bit index arithmetic the sweep uses for speed.
 _EXPANSION_LIMIT = (1 << 31) - 1
-
-
-def numpy_available() -> bool:
-    """Whether the vectorized engine can run at all."""
-    return _np is not None
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +288,6 @@ def gather_ball_batch(
     perf-history entries stay engine-independent.  Edge extraction is
     deferred until a view's ``edges`` field is first touched.
     """
-    if _np is None:  # pragma: no cover - callers gate on numpy_available()
-        raise ImportError("numpy is required for the vectorized engine")
     if radius < 0:
         raise ValueError("radius must be non-negative")
     compiled = graph.compiled

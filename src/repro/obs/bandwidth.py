@@ -30,7 +30,7 @@ This module makes the model split explicit and observable:
   ``t``, the records it learned in round ``t-1``, i.e. its distance-
   ``(t-1)`` layer), so its bits-on-wire is a pure function of
   ``(graph, T, advice)`` — independent of which execution engine
-  (scalar/vectorized/parallel) produced the outputs.
+  (scalar or vectorized) produced the outputs.
 
 Canonical record encoding (what one node's flooded record costs): its
 identifier (``⌈log n⌉`` bits), its port-ordered adjacency list

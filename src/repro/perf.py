@@ -58,13 +58,11 @@ class SimStats:
     decide_calls: int = 0
     messages_delivered: int = 0
     bits_on_wire: int = 0
-    #: which execution engine produced the run (``"scalar"``,
-    #: ``"vectorized"``, ``"parallel"``; empty for message passing and
-    #: legacy call sites) and, for the parallel engine, its worker count.
-    #: Both surface in :meth:`as_dict` only when set, so runs that predate
+    #: which execution engine produced the run (``"scalar"`` or
+    #: ``"vectorized"``; empty for message passing and legacy call sites).
+    #: It surfaces in :meth:`as_dict` only when set, so runs that predate
     #: the engine dispatch keep their exact telemetry shape.
     engine: str = ""
-    pool_size: int = 0
     #: the run's :class:`repro.obs.bandwidth.BandwidthProfile` (None when
     #: nothing was metered); excluded from equality like the phase stack.
     bandwidth: object = field(default=None, repr=False, compare=False)
@@ -141,7 +139,6 @@ class SimStats:
             self.bandwidth = other.bandwidth
         if not self.engine:
             self.engine = other.engine
-        self.pool_size = max(self.pool_size, other.pool_size)
         for name, seconds in other.phase_seconds.items():
             self.phase_seconds[name] = self.phase_seconds.get(name, 0.0) + seconds
         for name, seconds in other.phase_self_seconds.items():
@@ -155,8 +152,6 @@ class SimStats:
         out: Dict[str, object] = {}
         if self.engine:
             out["engine"] = self.engine
-        if self.pool_size:
-            out["pool_size"] = self.pool_size
         return {
             **out,
             "views_gathered": self.views_gathered,

@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..graphs.generators import grid
 from ..local.graph import LocalGraph
-from ..local.model import resolve_engine
+from ..local.model import ENGINES, resolve_engine
 from ..obs.live import SloPolicy
 from ..schemas.two_coloring import TwoColoringSchema
 from .service import AdviceService
@@ -253,7 +253,7 @@ def serve_bench_main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--batch", type=int, default=1,
                         help="nodes per query_batch call (default 1)")
     parser.add_argument(
-        "--engine", choices=("auto", "scalar", "vectorized"), default="auto",
+        "--engine", choices=ENGINES, default="auto",
         help="serving gather engine (default auto)",
     )
     parser.add_argument(

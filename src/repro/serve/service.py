@@ -39,8 +39,8 @@ from ..advice.schema import (
     validate_advice_map,
 )
 from ..local.graph import LocalGraph, Node
-from ..local.model import resolve_engine
-from ..local.vectorized import gather_views_batched, numpy_available
+from ..local.model import ENGINES, resolve_engine
+from ..local.vectorized import gather_views_batched
 from ..local.views import View, gather_view
 from ..obs.live import (
     SamplingTracer,
@@ -118,7 +118,7 @@ class AdviceService:
         window_size: int = 256,
         windows: int = 4,
     ) -> None:
-        if engine not in ("auto", "scalar", "vectorized"):
+        if engine not in ENGINES:
             raise ServeError(f"unknown serving engine {engine!r}")
         contract = schema.locality_contract(graph)
         if contract is None:
@@ -133,8 +133,6 @@ class AdviceService:
                 "(view_decoder() returned None); it cannot be served "
                 "query-at-a-time"
             )
-        if engine == "vectorized" and not numpy_available():
-            raise ServeError("vectorized serving engine requires numpy")
 
         self.schema = schema
         self.graph = graph

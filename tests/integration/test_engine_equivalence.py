@@ -1,14 +1,12 @@
 """Engine-independence: every schema, every engine, identical labelings.
 
-The acceptance bar of the vectorized/parallel engines: all registered
-schemas produce **bit-identical** labelings under ``scalar``,
-``vectorized``, and ``parallel``, engine choice lands in
+The acceptance bar of the vectorized engine: all registered schemas
+produce **bit-identical** labelings under ``scalar`` and
+``vectorized``, engine choice lands in
 ``SchemaRun.telemetry``, and :meth:`WorkProfile.reconcile` balances
 exactly on every engine — per-span counter shares sum to the engine
 totals regardless of which engine declared them.
 """
-
-import warnings
 
 import pytest
 
@@ -20,19 +18,14 @@ from repro.core.api import (
 )
 from repro.local import use_engine
 from repro.local.model import current_engine
-from repro.local.vectorized import numpy_available
 from repro.obs.profile import profile_run
 
-ENGINES = ["scalar", "vectorized", "parallel"]
+ENGINES = ["scalar", "vectorized"]
 
 
 def _solve(name, engine, seed=11):
     graph, kwargs = default_instance(name, 64, seed=seed)
-    with warnings.catch_warnings():
-        # the parallel pool may decline (impure/unpicklable decider) and
-        # fall back with a RuntimeWarning — fallback is the contract here
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return solve_with_advice(name, graph, engine=engine, **kwargs)
+    return solve_with_advice(name, graph, engine=engine, **kwargs)
 
 
 @pytest.mark.parametrize("name", available_schemas())
@@ -47,13 +40,8 @@ def test_labelings_bit_identical_across_engines(name):
 def test_engine_recorded_in_telemetry():
     # two-coloring decodes through run_view_algorithm, so its telemetry
     # must name the engine that actually ran.
-    if not numpy_available():  # pragma: no cover
-        pytest.skip("vectorized engine requires numpy")
     run = _solve("2-coloring", "vectorized")
     assert run.telemetry["engine"] == "vectorized"
-    run = _solve("2-coloring", "parallel")
-    assert run.telemetry["engine"] == "parallel"
-    assert run.telemetry["pool_size"] >= 1
     run = _solve("2-coloring", "scalar")
     assert run.telemetry["engine"] == "scalar"
 
@@ -63,10 +51,8 @@ def test_engine_recorded_in_telemetry():
 def test_reconcile_balances_on_every_engine(engine, name):
     graph, kwargs = default_instance(name, 64, seed=5)
     schema = make_schema(name, **kwargs)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        with use_engine(engine):
-            run, profile = profile_run(schema, graph)
+    with use_engine(engine):
+        run, profile = profile_run(schema, graph)
     assert profile.reconcile(run.telemetry) == []
 
 
@@ -82,10 +68,17 @@ def test_use_engine_scopes_and_restores():
 
 def test_unknown_engine_rejected():
     from repro.local import SimulationError
+    from repro.serve import AdviceService, ServeError
 
-    with pytest.raises(SimulationError):
-        with use_engine("warp-drive"):
-            pass  # pragma: no cover
     graph, kwargs = default_instance("2-coloring", 16, seed=0)
-    with pytest.raises(SimulationError):
-        solve_with_advice("2-coloring", graph, engine="warp-drive", **kwargs)
+    # "parallel" named the process-pool engine, which no longer exists
+    for engine in ("warp-drive", "parallel"):
+        with pytest.raises(SimulationError):
+            with use_engine(engine):
+                pass  # pragma: no cover
+        with pytest.raises(SimulationError):
+            solve_with_advice("2-coloring", graph, engine=engine, **kwargs)
+        with pytest.raises(ServeError):
+            AdviceService(
+                make_schema("2-coloring", **kwargs), graph, engine=engine
+            )

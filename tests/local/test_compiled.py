@@ -138,65 +138,3 @@ class TestBallCacheEviction:
         assert (0, 1) in g._ball_cache
         assert (1, 1) not in g._ball_cache
 
-
-class TestScratchConcurrencySafety:
-    """Interleaved BFS sweeps must not corrupt each other's distances.
-
-    The shared ``_dist`` scratch is only safe for strictly serial sweeps;
-    callers that interleave (the batched/parallel engines, generators held
-    across calls) must bring their own allocation via ``new_scratch()``.
-    """
-
-    def test_two_interleaved_sweeps_with_private_scratch(self):
-        g = LocalGraph(grid(7, 7), seed=5)
-        compiled = g.compiled
-        a, b = 0, compiled.n - 1
-
-        # Reference distances from two clean serial sweeps.
-        ref_a = compiled.bfs_fill(a, radius=3)
-        dist_ref_a = {i: compiled._dist[i] for i in ref_a}
-        compiled.reset_scratch(ref_a)
-        ref_b = compiled.bfs_fill(b, radius=3)
-        dist_ref_b = {i: compiled._dist[i] for i in ref_b}
-        compiled.reset_scratch(ref_b)
-
-        # Interleave: start sweep A on its own scratch, run a full sweep B
-        # on another scratch before A is reset, then check both.
-        scratch_a = compiled.new_scratch()
-        scratch_b = compiled.new_scratch()
-        order_a = compiled.bfs_fill(a, radius=3, dist=scratch_a)
-        order_b = compiled.bfs_fill(b, radius=3, dist=scratch_b)
-        assert {i: scratch_a[i] for i in order_a} == dist_ref_a
-        assert {i: scratch_b[i] for i in order_b} == dist_ref_b
-        compiled.reset_scratch(order_a, dist=scratch_a)
-        compiled.reset_scratch(order_b, dist=scratch_b)
-        assert all(d == -1 for d in scratch_a)
-        assert all(d == -1 for d in scratch_b)
-
-    def test_shared_scratch_would_corrupt_interleaved_sweeps(self):
-        """Documents *why* new_scratch exists: the shared path really is
-        unsafe when a second sweep starts before the first is reset."""
-        g = LocalGraph(grid(7, 7), seed=5)
-        compiled = g.compiled
-        a, b = 0, compiled.indices[compiled.indptr[0]]  # adjacent nodes
-        order_a = compiled.bfs_fill(a, radius=3)  # not reset yet
-        order_b = compiled.bfs_fill(b, radius=3)  # same scratch: corrupted
-        # The second sweep saw the first sweep's marks as "visited".
-        ref_b = {}
-        scratch = compiled.new_scratch()
-        for i in compiled.bfs_fill(b, radius=3, dist=scratch):
-            ref_b[i] = scratch[i]
-        got_b = {i: compiled._dist[i] for i in order_b}
-        assert got_b != ref_b
-        compiled.reset_scratch(order_a)
-        compiled.reset_scratch(order_b)
-
-    def test_ball_queries_unaffected_by_held_private_scratch(self):
-        g = LocalGraph(grid(6, 6), seed=1)
-        compiled = g.compiled
-        scratch = compiled.new_scratch()
-        order = compiled.bfs_fill(0, radius=2, dist=scratch)  # held open
-        center = compiled.nodes[0]
-        expected = {center} | set(compiled.neighbors(center))
-        assert set(g.ball(center, 1)) == expected
-        compiled.reset_scratch(order, dist=scratch)

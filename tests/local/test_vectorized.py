@@ -15,16 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.graphs import binary_tree, cycle, grid
 from repro.local import LocalGraph, gather_all_views, gather_view
-from repro.local.vectorized import (
-    gather_ball_batch,
-    gather_views_batched,
-    numpy_available,
-)
+from repro.local.vectorized import gather_ball_batch, gather_views_batched
 from repro.perf import SimStats
-
-pytestmark = pytest.mark.skipif(
-    not numpy_available(), reason="vectorized engine requires numpy"
-)
 
 
 def _families():

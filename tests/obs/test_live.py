@@ -447,10 +447,6 @@ class TestAdviceService:
         assert "repro_queries_total 10" in text
 
     def test_engines_agree(self):
-        from repro.local.vectorized import numpy_available
-
-        if not numpy_available():
-            pytest.skip("numpy unavailable")
         graph = LocalGraph(grid(12, 12), seed=0)
         nodes = sorted(graph.nodes(), key=graph.id_of)[:25]
         vec = AdviceService(
@@ -471,10 +467,6 @@ class TestAdviceService:
     @pytest.mark.parametrize("engine", ["auto", "vectorized"])
     @pytest.mark.parametrize("batch", [1, 3, 4, 64])
     def test_batches_answer_like_scalar(self, engine, batch):
-        from repro.local.vectorized import numpy_available
-
-        if engine == "vectorized" and not numpy_available():
-            pytest.skip("numpy unavailable")
         graph = LocalGraph(grid(12, 12), seed=0)
         nodes = sorted(graph.nodes(), key=graph.id_of)
         batches = [
@@ -498,14 +490,11 @@ class TestAdviceService:
         assert served.stats.decide_calls == scal.stats.decide_calls
 
     def test_snapshot_names_the_single_query_engine(self):
-        from repro.local.vectorized import numpy_available
-
         # One root is below auto's vectorize cut-off.
         service, _ = make_grid_service(side=12)
         assert service.snapshot()["engine"] == "scalar"
-        if numpy_available():
-            vec, _ = make_grid_service(side=12, engine="vectorized")
-            assert vec.snapshot()["engine"] == "vectorized"
+        vec, _ = make_grid_service(side=12, engine="vectorized")
+        assert vec.snapshot()["engine"] == "vectorized"
 
     def test_make_service_facade(self):
         graph = LocalGraph(grid(12, 12), seed=0)
