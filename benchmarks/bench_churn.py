@@ -8,7 +8,7 @@ Two sections:
    and fallback counts are deterministic given the seed, so they are
    pinned by ``benchmarks/baselines/churn.json`` with zero tolerance: any
    schema silently escalating more (or failing) than before fails the
-   ``churn`` CI job's diff.
+   ``repair`` CI job's diff.
 2. **Throughput** — sustained mutations/sec of the incremental
    :class:`repro.dynamic.ChurnRunner` on the 64x64 grid 2-coloring
    workload versus the naive serve-by-re-encoding baseline (every
@@ -51,11 +51,10 @@ def campaign_cases(
 ) -> List[Dict[str, object]]:
     result = run_churn_campaign(mutations=mutations, seed=seed, n=n)
     cases: List[Dict[str, object]] = []
-    for report in result.reports:
-        d = report.as_dict()
+    for name, d in result.per_schema.items():
         cases.append(
             {
-                "case": report.schema_name,
+                "case": name,
                 "mutations": d["mutations"],
                 "repairs_local": d["repairs_local"],
                 "reencode_fallbacks": d["reencode_fallbacks"],

@@ -28,7 +28,7 @@ from .faults import FaultPlan, RobustRunner, run_campaign
 from .local.graph import LocalGraph
 from .obs import (
     NULL_TRACER,
-    ChurnReport,
+    CampaignResult,
     FailureReport,
     JsonlSink,
     MetricsRegistry,
@@ -42,7 +42,7 @@ __version__ = "1.0.0"
 
 __all__ = [
     "AdviceSchema",
-    "ChurnReport",
+    "CampaignResult",
     "ChurnRunner",
     "DecodeResult",
     "FailureReport",

@@ -181,13 +181,16 @@ def chaos_main(argv: list) -> int:
 
     from .faults import run_campaign
 
-    result = run_campaign(
-        runs=args.runs,
-        seed=args.seed,
-        schemas=args.schema,
-        n=args.n,
-        max_faults=args.max_faults,
-    )
+    try:
+        result = run_campaign(
+            runs=args.runs,
+            seed=args.seed,
+            schemas=args.schema,
+            n=args.n,
+            max_faults=args.max_faults,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
     payload = result.as_dict()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -224,6 +227,8 @@ def chaos_main(argv: list) -> int:
 
 def churn_main(argv: list) -> int:
     """``python -m repro churn``: the seeded live-mutation campaign."""
+    from .dynamic.campaign import FLAGSHIPS, run_churn_campaign
+
     parser = argparse.ArgumentParser(
         prog="python -m repro churn",
         description="Mutate flagship instances under a seeded churn plan and "
@@ -241,6 +246,7 @@ def churn_main(argv: list) -> int:
     parser.add_argument(
         "--schema",
         action="append",
+        choices=FLAGSHIPS,
         help="restrict to this flagship schema (repeatable; default: all)",
     )
     parser.add_argument(
@@ -265,16 +271,17 @@ def churn_main(argv: list) -> int:
     )
     args = parser.parse_args(argv)
 
-    from .dynamic import run_churn_campaign
-
-    result = run_churn_campaign(
-        mutations=args.mutations,
-        seed=args.seed,
-        schemas=args.schema,
-        n=args.n,
-        decode_every=args.decode_every,
-        min_local_rate=args.min_local_rate,
-    )
+    try:
+        result = run_churn_campaign(
+            mutations=args.mutations,
+            seed=args.seed,
+            schemas=args.schema,
+            n=args.n,
+            decode_every=args.decode_every,
+            min_local_rate=args.min_local_rate,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
     payload = result.as_dict()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -290,13 +297,19 @@ def churn_main(argv: list) -> int:
             f"{totals['reencode_fallbacks']} re-encodes, "
             f"{totals['failures']} failures"
         )
-        for report in result.reports:
-            print("  " + report.summary())
+        for name, agg in result.per_schema.items():
+            radii = ",".join(f"r{r}×{c}" for r, c in agg["repair_radius_hist"].items())
+            print(
+                f"  {name}: {'ok' if not agg['failures'] else 'INVALID'} "
+                f"(mutations={agg['mutations']}, local={agg['repairs_local']}, "
+                f"reencode={agg['reencode_fallbacks']}, rate={agg['local_rate']:.1%}, "
+                f"repairs=[{radii}])"
+            )
         print(
             f"local repair {totals['local_rate']:.1%}, "
             f"radius histogram {totals['repair_radius_hist']}, "
-            f"checkpoints {totals['checkpoints']} "
-            f"({totals['checkpoint_failures']} failed)"
+            f"checkpoints {totals.get('checkpoints', 0)} "
+            f"({totals.get('checkpoint_failures', 0)} failed)"
         )
         if not result.ok:
             print("CHURN FAILURE: see per-mutation records (--json) for details")

@@ -26,11 +26,10 @@ from .plan import (
     generate_mutation_plan,
 )
 from .runner import ChurnRunner
-from .campaign import ChurnCampaignResult, run_churn_campaign
+from .campaign import run_churn_campaign
 
 __all__ = [
     "MUTATION_KINDS",
-    "ChurnCampaignResult",
     "ChurnRunner",
     "ColoredChurnModel",
     "Mutation",

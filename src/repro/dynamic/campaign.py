@@ -6,23 +6,27 @@
 it through a :class:`~repro.dynamic.runner.ChurnRunner`, and asserts the
 serving invariant *after every mutation* with a whole-graph verify.
 Periodic decode checkpoints additionally re-decode the maintained advice
-from scratch — the labeling being valid is necessary but not sufficient;
-the *advice* is the serving artifact and must stay decodable too.
+from scratch (:func:`~repro.faults.runner.cold_verdict`) — the labeling
+being valid is necessary but not sufficient; the *advice* is the serving
+artifact and must stay decodable too.
 
-Everything derives from the campaign seed (the ``_mix`` idiom of
-:mod:`repro.faults.campaign`), so two runs emit byte-identical
-``as_dict()`` payloads — the churn baseline pins this at zero tolerance.
+Each mutation's record lands in one
+:class:`~repro.obs.robustness.CampaignResult` with this module's
+per-mutation aggregate.  Everything derives from the campaign seed (the
+``_mix`` idiom of :mod:`repro.faults.campaign`), so two runs emit
+byte-identical ``as_dict()`` payloads — the churn baseline pins this at
+zero tolerance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..advice.schema import AdviceError, AdviceSchema
+from ..advice.schema import AdviceSchema
+from ..faults.runner import cold_verdict
 from ..local.graph import LocalGraph
-from ..obs.churn import ChurnReport
 from ..obs.metrics import MetricsRegistry
+from ..obs.robustness import RESOLVED_REENCODE, CampaignResult, Record
 from .plan import ColoredChurnModel, generate_mutation_plan
 from .runner import ChurnRunner
 
@@ -70,70 +74,23 @@ def _refresh_certificate(schema: AdviceSchema, model: ColoredChurnModel) -> None
         schema._coloring = {v: c + 1 for v, c in model.coloring.items()}
 
 
-@dataclass
-class ChurnCampaignResult:
-    """Aggregated outcome of one seeded churn campaign."""
-
-    params: Dict[str, object]
-    reports: List[ChurnReport] = field(default_factory=list)
-    checkpoints: List[Dict[str, object]] = field(default_factory=list)
-    min_local_rate: float = 0.95
-
-    @property
-    def ok(self) -> bool:
-        """Every mutation left a valid pair, every checkpoint re-decoded,
-        and every stream met the local-repair-rate floor."""
-        return (
-            all(r.all_valid for r in self.reports)
-            and all(bool(c["ok"]) for c in self.checkpoints)
-            and all(r.local_rate >= self.min_local_rate for r in self.reports)
-        )
-
-    @property
-    def totals(self) -> Dict[str, object]:
-        mutations = sum(r.mutations for r in self.reports)
-        local = sum(r.repairs_local for r in self.reports)
-        hist: Dict[int, int] = {}
-        for r in self.reports:
-            for radius, count in r.repair_radius_hist.items():
-                hist[radius] = hist.get(radius, 0) + count
-        return {
-            "mutations": mutations,
-            "repairs_local": local,
-            "reencode_fallbacks": sum(r.reencode_fallbacks for r in self.reports),
-            "failures": sum(r.failures for r in self.reports),
-            "local_rate": round(local / mutations, 6) if mutations else 1.0,
-            "repair_radius_hist": {str(k): hist[k] for k in sorted(hist)},
-            "checkpoints": len(self.checkpoints),
-            "checkpoint_failures": sum(
-                1 for c in self.checkpoints if not c["ok"]
-            ),
-        }
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "params": dict(self.params),
-            "ok": self.ok,
-            "totals": self.totals,
-            "schemas": {r.schema_name: r.as_dict() for r in self.reports},
-            "checkpoints": list(self.checkpoints),
-        }
-
-
-def _decode_checkpoint(
-    runner: ChurnRunner, name: str, step: int
-) -> Dict[str, object]:
-    """Re-decode the maintained advice from scratch and verify it."""
-    try:
-        result = runner.schema.decode(runner.graph, dict(runner.advice))
-        ok = bool(runner.schema.check_solution(runner.graph, result.labeling))
-        detail = "" if ok else "decoded labeling invalid"
-    except AdviceError as exc:
-        ok, detail = False, f"{type(exc).__name__}: {exc}"
-    out: Dict[str, object] = {"schema": name, "step": step, "ok": ok}
-    if detail:
-        out["detail"] = detail
-    return out
+def _aggregate(records: Sequence[Record]) -> Dict[str, object]:
+    mutations = len(records)
+    local = sum(1 for r in records if r["local"])
+    counts: Dict[str, int] = {}
+    for r in records:
+        kind = str(r["mutation"]["kind"])  # type: ignore[index]
+        counts[kind] = counts.get(kind, 0) + 1
+    return {
+        "mutations": mutations,
+        "counts": dict(sorted(counts.items())),
+        "repairs_local": local,
+        "reencode_fallbacks": sum(
+            1 for r in records if r["resolved_by"] == RESOLVED_REENCODE
+        ),
+        "failures": sum(1 for r in records if not r["valid"]),
+        "local_rate": round(local / mutations, 6) if mutations else 1.0,
+    }
 
 
 def run_churn_campaign(
@@ -145,21 +102,30 @@ def run_churn_campaign(
     min_local_rate: float = 0.95,
     registry: Optional[MetricsRegistry] = None,
     progress: Optional[Callable[[Dict[str, object]], None]] = None,
-) -> ChurnCampaignResult:
+) -> CampaignResult:
     """Run a seeded churn campaign over the flagship instances.
 
     Per schema: generate a ``mutations``-step family-preserving plan,
     bootstrap a :class:`ChurnRunner`, apply the stream with
     ``full_check=True`` (whole-graph verify after *every* mutation), and
-    re-decode the advice from scratch every ``decode_every`` steps plus
-    once at the end.  ``progress`` (if given) receives each mutation
+    re-decode the advice from scratch every ``decode_every`` steps and
+    after the last one (``decode_every=0``: after the last one only).
+    Raises :class:`ValueError` for negative ``mutations`` or
+    ``decode_every``.  The campaign is ok when every mutation and
+    checkpoint ended valid and every schema's local-repair rate meets
+    ``min_local_rate``.  ``progress`` (if given) receives each mutation
     record as it lands — the churn CLI uses it for a live line per step.
     """
     if mutations < 0:
         raise ValueError("mutation count must be >= 0")
+    if decode_every < 0:
+        raise ValueError("decode_every must be >= 0")
     names = list(schemas) if schemas else list(FLAGSHIPS)
-    reports: List[ChurnReport] = []
-    checkpoints: List[Dict[str, object]] = []
+    steps = {mutations}  # checkpoint after these mutation counts
+    if decode_every:
+        steps.update(range(decode_every, mutations + 1, decode_every))
+    records: List[Record] = []
+    checkpoints: List[Record] = []
     for name in names:
         graph, schema, plan_model = flagship_instance(name, n, seed)
         plan = generate_mutation_plan(
@@ -170,21 +136,19 @@ def run_churn_campaign(
         # model already sits at the final state).
         _, _, replay = flagship_instance(name, n, seed)
         runner = ChurnRunner(schema, graph, registry=registry)
-        report = ChurnReport(schema_name=name, seed=seed)
-        for i, mutation in enumerate(plan.mutations):
+        for step, mutation in enumerate(plan.mutations, start=1):
             replay.apply(mutation)
             _refresh_certificate(schema, replay)
-            record = runner.apply(mutation, full_check=True)
-            report.records.append(record)
+            record = {"schema": name, **runner.apply(mutation, full_check=True).as_dict()}
+            records.append(record)
             if progress is not None:
-                payload = record.as_dict()
-                payload["schema"] = name
-                progress(payload)
-            if decode_every and (i + 1) % decode_every == 0:
-                checkpoints.append(_decode_checkpoint(runner, name, i + 1))
-        if mutations and (not decode_every or mutations % decode_every):
-            checkpoints.append(_decode_checkpoint(runner, name, mutations))
-        reports.append(report)
+                progress(record)
+            if step in steps:
+                verdict, detail = cold_verdict(schema, runner.graph, runner.advice)
+                checkpoint: Record = {"schema": name, "step": step, "ok": verdict == "valid"}
+                if verdict != "valid":
+                    checkpoint["detail"] = detail or verdict
+                checkpoints.append(checkpoint)
     params = {
         "mutations": mutations,
         "seed": seed,
@@ -193,9 +157,10 @@ def run_churn_campaign(
         "decode_every": decode_every,
         "min_local_rate": min_local_rate,
     }
-    return ChurnCampaignResult(
-        params=params,
-        reports=reports,
-        checkpoints=checkpoints,
-        min_local_rate=min_local_rate,
-    )
+
+    def accept(summary: Dict[str, object]) -> bool:
+        local, total = summary["repairs_local"], summary["mutations"]
+        rate = local / total if total else 1.0  # type: ignore[operator]
+        return summary["failures"] == 0 and rate >= min_local_rate
+
+    return CampaignResult(params, _aggregate, accept, records, checkpoints)

@@ -21,9 +21,9 @@ the Section 6 ball/shift sense, and healed by the repair stages of
    failure, never a loop.
 
 Every step emits :class:`~repro.obs.robustness.RepairAction` /
-:class:`~repro.obs.churn.MutationRecord` records and the churn metrics
-(``mutations_*``, ``repairs_local_total``, ``repair_radius``,
-``reencode_fallbacks_total``).
+:class:`~repro.obs.robustness.MutationRecord` records and the churn metrics
+(``mutations_*``, ``reencode_fallbacks_total``, and ``repairs_local_total``
+/ ``repair_radius`` counted from each finished record's actions).
 """
 
 from __future__ import annotations
@@ -34,15 +34,18 @@ from ..advice.schema import AdviceMap, AdviceSchema, validate_advice_map
 from ..faults.runner import escalate, resolve_balls, valid_at
 from ..lcl.problem import Label, LCLProblem
 from ..local.graph import LocalGraph, Node
-from ..obs.churn import (
+from ..obs.metrics import MetricsRegistry
+from ..obs.robustness import (
+    ADVICE_PATCH,
     RESOLVED_FAILED,
     RESOLVED_LOCAL,
     RESOLVED_NOOP,
     RESOLVED_REENCODE,
     MutationRecord,
+    RepairAction,
+    local_repairs,
+    record_repairs,
 )
-from ..obs.metrics import MetricsRegistry
-from ..obs.robustness import ADVICE_PATCH, BALL_RESOLVE, RepairAction
 from ..obs.trace import NULL_TRACER, Tracer
 from .plan import Mutation
 
@@ -171,100 +174,96 @@ class ChurnRunner:
         kind_key = mutation.kind.replace("-", "_")
         registry.counter("mutations_total").inc()
         registry.counter(f"mutations_{kind_key}_total").inc()
-        with self.tracer.span(
-            "churn_apply", schema=schema.name, kind=mutation.kind
-        ) as span:
-            old_problem = self.problem
-            sites = self._apply_topology(mutation)
-            self.problem = problem = schema.repair_problem(graph)
+        try:
+            with self.tracer.span(
+                "churn_apply", schema=schema.name, kind=mutation.kind
+            ) as span:
+                old_problem = self.problem
+                sites = self._apply_topology(mutation)
+                self.problem = problem = schema.repair_problem(graph)
 
-            residual: List[Node] = []
-            label_radius = 0
-            if problem is not None:
-                if old_problem is not None and repr(old_problem) != repr(problem):
-                    # A global parameter shifted (e.g. Delta dropped and the
-                    # palette shrank): region checks are no longer sound,
-                    # fall back to a whole-graph sweep.
-                    bad = sorted(
-                        (
-                            v
-                            for v in graph.nodes()
-                            if not valid_at(problem, graph, self.labeling, v)
-                        ),
-                        key=graph.id_of,
+                residual: List[Node] = []
+                label_radius = 0
+                if problem is not None:
+                    if old_problem is not None and repr(old_problem) != repr(problem):
+                        # A global parameter shifted (e.g. Delta dropped and the
+                        # palette shrank): region checks are no longer sound,
+                        # fall back to a whole-graph sweep.
+                        bad = sorted(
+                            (
+                                v
+                                for v in graph.nodes()
+                                if not valid_at(problem, graph, self.labeling, v)
+                            ),
+                            key=graph.id_of,
+                        )
+                    else:
+                        bad = self._region_violations(problem, sites, problem.radius)
+                    if bad:
+                        self.labeling, residual, label_radius = resolve_balls(
+                            graph,
+                            problem,
+                            self.labeling,
+                            bad,
+                            max_radius=self.max_ball_radius,
+                            max_steps=self.max_solver_steps,
+                            actions=record.actions,
+                            tracer=self.tracer,
+                        )
+                elif any(v not in self.labeling for v in sites):
+                    # No label-level repair possible; force escalation below.
+                    residual = [v for v in sites if v not in self.labeling]
+
+                if not residual:
+                    # Wide enough to cover the ball-re-solve interior: bad nodes
+                    # sit within 2*r of a site and repairs reach label_radius
+                    # further out.
+                    r0 = problem.radius if problem is not None else 1
+                    hook_radius = max(2 * r0, label_radius + 2 * r0)
+                    patched = schema.repair_advice(
+                        graph, self.advice, sites, hook_radius, self.labeling
                     )
-                else:
-                    bad = self._region_violations(problem, sites, problem.radius)
-                if bad:
-                    self.labeling, residual, label_radius = resolve_balls(
-                        graph,
-                        problem,
-                        self.labeling,
-                        bad,
-                        max_radius=self.max_ball_radius,
-                        max_steps=self.max_solver_steps,
+                    if patched is not None:
+                        self.advice = dict(patched)
+                        seed_node = sites[0] if sites else None
+                        record.actions.append(
+                            RepairAction(
+                                ADVICE_PATCH, seed_node, hook_radius, True, detail="churn"
+                            )
+                        )
+                    for v in sites:
+                        self.advice.setdefault(v, "")
+
+                if residual:
+                    registry.counter("reencode_fallbacks_total").inc()
+                    state, ok = escalate(
+                        self._fresh_state,
+                        budget=self.escalate_budget,
+                        backoff_base=self.backoff_base,
+                        label="reencode",
                         actions=record.actions,
                         tracer=self.tracer,
-                        registry=registry,
                     )
-            elif any(v not in self.labeling for v in sites):
-                # No label-level repair possible; force escalation below.
-                residual = [v for v in sites if v not in self.labeling]
+                    if ok:
+                        self.advice, self.labeling = state
+                    record.resolved_by = RESOLVED_REENCODE if ok else RESOLVED_FAILED
+                elif local_repairs(record.actions):
+                    record.resolved_by = RESOLVED_LOCAL
+                else:
+                    record.resolved_by = RESOLVED_NOOP
 
-            patched_advice = False
-            if not residual:
-                # Wide enough to cover the ball-re-solve interior: bad nodes
-                # sit within 2*r of a site and repairs reach label_radius
-                # further out.
-                r0 = problem.radius if problem is not None else 1
-                hook_radius = max(2 * r0, label_radius + 2 * r0)
-                patched = schema.repair_advice(
-                    graph, self.advice, sites, hook_radius, self.labeling
-                )
-                if patched is not None:
-                    self.advice = dict(patched)
-                    patched_advice = True
-                    seed_node = sites[0] if sites else None
-                    record.actions.append(
-                        RepairAction(
-                            ADVICE_PATCH, seed_node, hook_radius, True, detail="churn"
-                        )
+                if record.resolved_by == RESOLVED_FAILED:
+                    record.valid = False
+                elif full_check or record.resolved_by == RESOLVED_REENCODE:
+                    record.valid = bool(schema.check_solution(graph, self.labeling))
+                elif problem is not None:
+                    record.valid = not self._region_violations(
+                        problem, sites, max(label_radius, problem.radius)
                     )
-                    registry.counter("repairs_local_total").inc()
-                    registry.histogram("repair_radius").observe(hook_radius)
-                for v in sites:
-                    self.advice.setdefault(v, "")
-
-            if residual:
-                registry.counter("reencode_fallbacks_total").inc()
-                state, ok = escalate(
-                    self._fresh_state,
-                    budget=self.escalate_budget,
-                    backoff_base=self.backoff_base,
-                    label="reencode",
-                    actions=record.actions,
-                    tracer=self.tracer,
-                )
-                if ok:
-                    self.advice, self.labeling = state
-                record.resolved_by = RESOLVED_REENCODE if ok else RESOLVED_FAILED
-            elif patched_advice or any(
-                a.kind == BALL_RESOLVE and a.success for a in record.actions
-            ):
-                record.resolved_by = RESOLVED_LOCAL
-            else:
-                record.resolved_by = RESOLVED_NOOP
-
-            if record.resolved_by == RESOLVED_FAILED:
-                record.valid = False
-            elif full_check or record.resolved_by == RESOLVED_REENCODE:
-                record.valid = bool(schema.check_solution(graph, self.labeling))
-            elif problem is not None:
-                record.valid = not self._region_violations(
-                    problem, sites, max(label_radius, problem.radius)
-                )
-            else:
-                record.valid = True
-            if self.tracer.enabled:
-                span.set(resolved_by=record.resolved_by, valid=record.valid)
+                else:
+                    record.valid = True
+                if self.tracer.enabled:
+                    span.set(resolved_by=record.resolved_by, valid=record.valid)
+        finally:
+            record_repairs(registry, record.actions)
         return record

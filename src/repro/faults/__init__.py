@@ -6,17 +6,16 @@ get dropped/duplicated/delayed, nodes crash — all deterministically from a
 seeded :class:`FaultPlan` — and the :class:`RobustRunner` heals the damage
 with radius-bounded local repair before ever considering a global
 re-solve.  :func:`run_campaign` drives the seeded chaos campaign the CI
-``chaos`` job and ``benchmarks/bench_robustness.py`` share.
+``repair`` job and ``benchmarks/bench_robustness.py`` share.
 """
 
 from .inject import CRASHED, FaultInjector, InjectedFault, NetworkFaults
 from .plan import FaultPlan
 from .runner import RobustRunner
-from .campaign import CampaignResult, run_campaign
+from .campaign import run_campaign
 
 __all__ = [
     "CRASHED",
-    "CampaignResult",
     "FaultInjector",
     "FaultPlan",
     "InjectedFault",

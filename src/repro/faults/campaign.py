@@ -4,7 +4,7 @@
 :class:`~repro.faults.plan.FaultPlan`\\ s (bit flips, erasures,
 truncations; up to ``max_faults`` per run) against every schema in the
 registry, establishes the *ground truth* of each corruption with a plain
-(non-healing) decode, then runs the :class:`~repro.faults.runner
+(non-healing) decode (:func:`~repro.faults.runner.cold_verdict`), then runs the :class:`~repro.faults.runner
 .RobustRunner` and cross-checks its report:
 
 - ``decode-error`` / ``invalid-labeling`` ground truths are *harmful* —
@@ -15,22 +15,24 @@ registry, establishes the *ground truth* of each corruption with a plain
   ``unexpected-error`` — a decoder leaking internals, which fails the
   campaign outright.
 
-Every record derives from ``_mix(seed, "campaign", i)``, so a campaign is
-bit-reproducible from its seed: same inputs, byte-identical ``as_dict()``.
+The records land in one :class:`~repro.obs.robustness.CampaignResult`
+with this module's per-run aggregate.  Every record derives from
+``_mix(seed, "campaign", i)``, so a campaign is bit-reproducible from its
+seed: same inputs, byte-identical ``as_dict()``.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..advice.schema import AdviceError, AdviceSchema
+from ..advice.schema import AdviceSchema
 from ..local.graph import LocalGraph
 from ..obs.metrics import MetricsRegistry
+from ..obs.robustness import CampaignResult, Record
 from .inject import FaultInjector, _mix
 from .plan import FaultPlan
-from .runner import RobustRunner
+from .runner import RobustRunner, cold_verdict
 
 #: Corruption kinds the campaign samples from.
 KINDS: Tuple[str, ...] = ("flip", "erase", "truncate")
@@ -49,31 +51,10 @@ def _plan_for(kind: str, k: int, seed: int) -> FaultPlan:
     raise ValueError(f"unknown corruption kind {kind!r}")
 
 
-def _ground_truth(
-    schema: AdviceSchema, graph: LocalGraph, corrupted: Dict
-) -> Tuple[str, Optional[str]]:
-    """What a non-healing decode of the corrupted advice does."""
-    try:
-        result = schema.decode(graph, dict(corrupted))
-    except AdviceError:
-        return "decode-error", None
-    except Exception as exc:  # decoder leaked a non-advice exception
-        return "unexpected-error", f"{type(exc).__name__}: {exc}"
-    try:
-        ok = bool(schema.check_solution(graph, result.labeling))
-    except Exception as exc:
-        return "unexpected-error", f"{type(exc).__name__}: {exc}"
-    return ("masked" if ok else "invalid-labeling"), None
-
-
-def _aggregate(records: Sequence[Dict[str, object]]) -> Dict[str, object]:
+def _aggregate(records: Sequence[Record]) -> Dict[str, object]:
     harmful = [r for r in records if r["ground_truth"] in HARMFUL]
     detected = [r for r in harmful if r["detected"]]
     local = [r for r in harmful if r["repaired_locally"]]
-    hist: Dict[str, int] = {}
-    for r in records:
-        for radius, count in r["repair_radius_hist"].items():  # type: ignore[union-attr]
-            hist[radius] = hist.get(radius, 0) + count
     return {
         "runs": len(records),
         "harmful": len(harmful),
@@ -91,49 +72,16 @@ def _aggregate(records: Sequence[Dict[str, object]]) -> Dict[str, object]:
         ),
         "escalated": sum(1 for r in harmful if r["escalated"]),
         "invalid_final": sum(1 for r in records if not r["final_valid"]),
-        "repair_radius_hist": {k: hist[k] for k in sorted(hist, key=int)},
     }
 
 
-@dataclass
-class CampaignResult:
-    """Aggregated outcome of one seeded corruption campaign."""
-
-    params: Dict[str, object]
-    records: List[Dict[str, object]] = field(default_factory=list)
-
-    @property
-    def totals(self) -> Dict[str, object]:
-        return _aggregate(self.records)
-
-    @property
-    def per_schema(self) -> Dict[str, Dict[str, object]]:
-        names = sorted({str(r["schema"]) for r in self.records})
-        return {
-            name: _aggregate(
-                [r for r in self.records if r["schema"] == name]
-            )
-            for name in names
-        }
-
-    @property
-    def ok(self) -> bool:
-        """100% detection, no unrepaired runs, no leaked exceptions."""
-        totals = self.totals
-        return (
-            totals["unexpected_errors"] == 0
-            and totals["detection_rate"] == 1.0
-            and totals["invalid_final"] == 0
-        )
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "params": dict(self.params),
-            "totals": self.totals,
-            "per_schema": self.per_schema,
-            "ok": self.ok,
-            "runs": list(self.records),
-        }
+def _accept(summary: Dict[str, object]) -> bool:
+    """100% detection, no unrepaired runs, no leaked exceptions."""
+    return (
+        summary["unexpected_errors"] == 0
+        and summary["detection_rate"] == 1.0
+        and summary["invalid_final"] == 0
+    )
 
 
 def run_campaign(
@@ -152,9 +100,17 @@ def run_campaign(
     is built and cleanly encoded once; every campaign run then corrupts a
     copy of that clean advice under its own derived seed.  ``progress``
     (if given) is called with each record as it lands — the chaos CLI uses
-    it for a live line per run.
+    it for a live line per run.  Raises :class:`ValueError` for
+    ``runs < 1``, ``max_faults < 1`` or empty ``kinds``.
     """
     from ..core import api  # local import: core.api -> faults would cycle
+
+    if runs < 1:
+        raise ValueError("campaign runs must be >= 1")
+    if max_faults < 1:
+        raise ValueError("max_faults must be >= 1")
+    if not kinds:
+        raise ValueError("no corruption kinds to sample")
 
     names = list(schemas) if schemas else api.available_schemas()
     if not names:
@@ -167,7 +123,7 @@ def run_campaign(
         runner = RobustRunner(schema, registry=registry)
         instances[name] = (graph, schema, clean, runner)
 
-    records: List[Dict[str, object]] = []
+    records: List[Record] = []
     for i in range(runs):
         name = names[i % len(names)]
         graph, schema, clean, runner = instances[name]
@@ -177,9 +133,10 @@ def run_campaign(
         k = rng.randint(1, max_faults)
         plan = _plan_for(kind, k, run_seed)
         corrupted, injected = FaultInjector(plan).corrupt_advice(graph, clean)
-        ground, error = _ground_truth(schema, graph, corrupted)
+        verdict, detail = cold_verdict(schema, graph, corrupted)
+        ground = "masked" if verdict == "valid" else verdict
         report = runner.run(graph, plan, advice=clean).robustness
-        record: Dict[str, object] = {
+        record: Record = {
             "run": i,
             "schema": name,
             "kind": kind,
@@ -195,8 +152,8 @@ def run_campaign(
                 str(r): c for r, c in report.repair_radius_hist.items()
             },
         }
-        if error is not None:
-            record["error"] = error
+        if ground == "unexpected-error":
+            record["error"] = detail
         records.append(record)
         if progress is not None:
             progress(record)
@@ -209,4 +166,4 @@ def run_campaign(
         "max_faults": max_faults,
         "kinds": list(kinds),
     }
-    return CampaignResult(params=params, records=records)
+    return CampaignResult(params, _aggregate, _accept, records)

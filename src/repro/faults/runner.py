@@ -23,6 +23,11 @@ short drivers over the same stages:
    deterministic logical backoff.  An exhausted budget is a clean
    recorded failure, never a loop.
 
+Every stage appends its attempts to one :class:`RepairAction` list, and
+each runner counts the repair metrics from that finished list
+(:func:`~repro.obs.robustness.record_repairs`).  :func:`cold_verdict` is
+the plain decode both campaigns judge advice by.
+
 Soundness of the ball re-solve: clusters are merged aggressively enough
 that each repair ball's annulus contains no *other* cluster's violations,
 and the catalog predicates are monotone under refinement, so a patch that
@@ -70,6 +75,7 @@ from ..obs.robustness import (
     GLOBAL_RESOLVE,
     RepairAction,
     RobustnessReport,
+    record_repairs,
 )
 from ..obs.trace import NULL_TRACER, Tracer
 from .inject import FaultInjector
@@ -164,7 +170,6 @@ def resolve_balls(
     max_steps: int,
     actions: List[RepairAction],
     tracer: Tracer = NULL_TRACER,
-    registry: Optional[MetricsRegistry] = None,
 ) -> Tuple[Dict[Node, Label], List[Node], int]:
     """Heal the violations ``bad`` by brute-forcing escalating balls.
 
@@ -217,9 +222,6 @@ def resolve_balls(
                 labeling[w] = solution[w]
             used = max(used, radius)
             actions.append(RepairAction(BALL_RESOLVE, seed_node, radius, True))
-            if registry is not None:
-                registry.counter("repairs_local_total").inc()
-                registry.histogram("repair_radius").observe(radius)
         bad = [v for v in bad if not valid_at(problem, graph, labeling, v)]
     return labeling, bad, used
 
@@ -268,6 +270,30 @@ def escalate(
             )
         )
     return result, False
+
+
+def cold_verdict(
+    schema: AdviceSchema, graph: LocalGraph, advice: Mapping[Node, str]
+) -> Tuple[str, Optional[str]]:
+    """What a plain, non-healing decode of ``advice`` does.
+
+    Returns ``(verdict, detail)`` with ``verdict`` one of ``"valid"``,
+    ``"invalid-labeling"`` (the verifier rejects the decoded labeling),
+    ``"decode-error"`` (a clean :class:`AdviceError` rejection) or
+    ``"unexpected-error"`` (the decoder or verifier leaked any other
+    exception).  ``detail`` names the exception, else it is ``None``.
+    """
+    try:
+        labeling = schema.decode(graph, dict(advice)).labeling
+    except AdviceError as exc:
+        return "decode-error", f"{type(exc).__name__}: {exc}"
+    except Exception as exc:  # decoder leaked a non-advice exception
+        return "unexpected-error", f"{type(exc).__name__}: {exc}"
+    try:
+        ok = bool(schema.check_solution(graph, labeling))
+    except Exception as exc:
+        return "unexpected-error", f"{type(exc).__name__}: {exc}"
+    return ("valid" if ok else "invalid-labeling"), None
 
 
 class RobustRunner:
@@ -368,54 +394,58 @@ class RobustRunner:
                             for fault in injected:
                                 tracer.event("fault-injected", **fault.as_dict())
 
-                result, working = self._decode_with_healing(
-                    graph, clean, working, report
-                )
-                labeling: Dict[Node, Label] = dict(result.labeling)
-                failures = []
-                valid: Optional[bool] = None
-                if check:
-                    problem = schema.repair_problem(graph)
-                    with tracer.span("verify", schema=schema.name):
-                        valid = self._valid(graph, labeling)
-                        bad = (
-                            []
-                            if valid
-                            else self._violations(graph, problem, labeling)
-                        )
-                    report.initial_violations = len(bad)
-                    if not valid:
-                        report.detected = True
-                        failures = build_violation_reports(
-                            schema.name,
-                            graph,
-                            working,
-                            labeling,
-                            bad,
-                            result.rounds,
-                            ring=tracer.ring(),
-                        )
-                        if problem is not None and bad:
-                            labeling, bad, _ = resolve_balls(
+                # Every repair stage appends to report.actions; the metrics are
+                # derived from that one list, also when a stage raises.
+                try:
+                    result, working = self._decode_with_healing(
+                        graph, clean, working, report
+                    )
+                    labeling: Dict[Node, Label] = dict(result.labeling)
+                    failures = []
+                    valid: Optional[bool] = None
+                    if check:
+                        problem = schema.repair_problem(graph)
+                        with tracer.span("verify", schema=schema.name):
+                            valid = self._valid(graph, labeling)
+                            bad = (
+                                []
+                                if valid
+                                else self._violations(graph, problem, labeling)
+                            )
+                        report.initial_violations = len(bad)
+                        if not valid:
+                            report.detected = True
+                            failures = build_violation_reports(
+                                schema.name,
                                 graph,
-                                problem,
+                                working,
                                 labeling,
                                 bad,
-                                max_radius=self.max_ball_radius,
-                                max_steps=self.max_solver_steps,
-                                actions=report.actions,
-                                tracer=tracer,
-                                registry=registry,
+                                result.rounds,
+                                ring=tracer.ring(),
                             )
-                            valid = self._valid(graph, labeling)
-                        if not valid:
-                            labeling, working, valid = self._refetch_and_redecode(
-                                graph, clean, working, labeling, bad, report
-                            )
-                        if not valid:
-                            labeling, valid = self._global_fallback(
-                                graph, clean, report
-                            )
+                            if problem is not None and bad:
+                                labeling, bad, _ = resolve_balls(
+                                    graph,
+                                    problem,
+                                    labeling,
+                                    bad,
+                                    max_radius=self.max_ball_radius,
+                                    max_steps=self.max_solver_steps,
+                                    actions=report.actions,
+                                    tracer=tracer,
+                                )
+                                valid = self._valid(graph, labeling)
+                            if not valid:
+                                labeling, working, valid = self._refetch_and_redecode(
+                                    graph, clean, working, labeling, bad, report
+                                )
+                            if not valid:
+                                labeling, valid = self._global_fallback(
+                                    graph, clean, report
+                                )
+                finally:
+                    record_repairs(registry, report.actions)
                 if report.detected:
                     registry.counter("faults_detected_total").inc()
                 if report.escalated:
@@ -503,9 +533,6 @@ class RobustRunner:
                 # Decode converged: the patches that got us here worked.
                 for action in advice_actions:
                     action.success = True
-                for action in advice_actions:
-                    registry.counter("repairs_local_total").inc()
-                    registry.histogram("repair_radius").observe(action.radius)
                 return result, working
             except AdviceError as exc:
                 report.detected = True
@@ -609,7 +636,6 @@ class RobustRunner:
     ) -> Tuple[Dict[Node, Label], AdviceMap, bool]:
         """Residual violations: re-request advice around them and re-decode."""
         schema = self.schema
-        registry = self.registry
         anchors = bad if bad else sorted(graph.nodes(), key=graph.id_of)[:1]
         for radius in self.refetch_radii:
             patched = dict(working)
@@ -634,8 +660,6 @@ class RobustRunner:
                 report.actions.append(
                     RepairAction(ADVICE_REFETCH, seed_node, radius, True)
                 )
-                registry.counter("repairs_local_total").inc()
-                registry.histogram("repair_radius").observe(radius)
                 return candidate, patched, True
             report.actions.append(
                 RepairAction(

@@ -15,10 +15,11 @@ Three pieces, designed to stay out of the hot path until asked for:
   ``B·⌈log n⌉`` bits per edge per round), the ``measure_bits`` message
   encoder, the per-``(edge, round)`` ``BandwidthMeter``, and the
   aggregated ``BandwidthProfile`` every schema run carries.
-* :mod:`repro.obs.robustness` — ``RobustnessReport``/``RepairAction``
-  records emitted by the self-healing runner (:mod:`repro.faults`).
-* :mod:`repro.obs.churn` — ``ChurnReport``/``MutationRecord`` records
-  emitted by the dynamic churn runtime (:mod:`repro.dynamic`).
+* :mod:`repro.obs.robustness` — the one repair record: the
+  ``RepairAction`` list that the self-healing runner (:mod:`repro.faults`,
+  ``RobustnessReport``) and the churn runtime (:mod:`repro.dynamic`,
+  ``MutationRecord``) both emit, and the ``CampaignResult`` that chaos
+  and churn campaigns both return (``per_schema``/``totals``/``runs``).
 * :mod:`repro.obs.profile` — ``WorkProfile`` span-tree work attribution
   (collapsed stacks, critical path, telemetry reconciliation).
 * :mod:`repro.obs.diff` — run-over-run telemetry/profile diffing under
@@ -63,7 +64,6 @@ from .failure import (
     build_violation_reports,
     view_fingerprint,
 )
-from .churn import ChurnReport, MutationRecord
 from .live import (
     SamplingTracer,
     SlidingWindowHistogram,
@@ -77,7 +77,7 @@ from .live import (
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .profile import WorkProfile, parse_collapsed, profile_run
 from .report import build_provenance, collect_report, render_markdown
-from .robustness import RepairAction, RobustnessReport
+from .robustness import CampaignResult, MutationRecord, RepairAction, RobustnessReport
 from .trace import (
     NULL_TRACER,
     JsonlSink,
@@ -98,7 +98,7 @@ __all__ = [
     "BandwidthPolicy",
     "BandwidthProfile",
     "CONGEST",
-    "ChurnReport",
+    "CampaignResult",
     "Counter",
     "DETERMINISTIC_TOLERANCES",
     "FailureReport",

@@ -46,6 +46,22 @@ class TestCLI:
         for key in ("beta", "rounds", "bits_per_node", "cache_hit_rate"):
             assert key in telemetry
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["churn", "--schema", "foo"],
+            ["churn", "--decode-every", "-7"],
+            ["chaos", "--runs", "0"],
+            ["chaos", "--runs", "-3"],
+            ["chaos", "--max-faults", "0"],
+        ],
+    )
+    def test_bad_campaign_arguments_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
 
 class TestBandwidthCLI:
     def test_table_output(self, capsys):

@@ -12,11 +12,11 @@ class TestCampaign:
     def test_small_campaign_passes_both_flagships(self):
         result = run_churn_campaign(mutations=30, seed=0, n=64)
         assert result.ok
-        assert [r.schema_name for r in result.reports] == list(FLAGSHIPS)
-        for report in result.reports:
-            assert report.mutations == 30
-            assert report.all_valid
-            assert report.local_rate >= 0.95
+        assert list(result.per_schema) == list(FLAGSHIPS)
+        for agg in result.per_schema.values():
+            assert agg["mutations"] == 30
+            assert agg["failures"] == 0
+            assert agg["local_rate"] >= 0.95
         assert result.checkpoints
         assert all(c["ok"] for c in result.checkpoints)
 
@@ -32,12 +32,12 @@ class TestCampaign:
             mutations=10, seed=0, n=64, schemas=["2-coloring"], min_local_rate=1.01
         )
         # Validity holds, but an unreachable floor must flip ok to False.
-        assert all(r.all_valid for r in result.reports)
+        assert all(r["valid"] for r in result.records)
         assert not result.ok
 
     def test_schema_restriction(self):
         result = run_churn_campaign(mutations=10, seed=0, schemas=["3-coloring"])
-        assert [r.schema_name for r in result.reports] == ["3-coloring"]
+        assert list(result.per_schema) == ["3-coloring"]
 
     def test_unknown_flagship_rejected(self):
         with pytest.raises(KeyError):

@@ -8,13 +8,14 @@ from repro.dynamic.runner import ChurnError
 from repro.graphs import grid, planted_three_colorable
 from repro.local import LocalGraph
 from repro.obs import MetricsRegistry
-from repro.obs.churn import (
+from repro.obs.robustness import (
+    BALL_RESOLVE,
+    GLOBAL_RESOLVE,
     RESOLVED_FAILED,
     RESOLVED_LOCAL,
     RESOLVED_NOOP,
     RESOLVED_REENCODE,
 )
-from repro.obs.robustness import BALL_RESOLVE, GLOBAL_RESOLVE
 from repro.schemas.three_coloring import ThreeColoringSchema
 from repro.schemas.two_coloring import TwoColoringSchema
 
@@ -177,7 +178,7 @@ class TestRecords:
             "actions",
             "resolved_by",
             "local",
-            "repair_radius",
+            "repair_radius_hist",
             "valid",
         }
         assert d["resolved_by"] in (
@@ -197,5 +198,5 @@ class TestRecords:
             if record.resolved_by == RESOLVED_LOCAL:
                 saw_local = True
                 assert record.actions
-                assert record.repair_radius >= 0
+                assert record.as_dict()["repair_radius_hist"]
         assert saw_local

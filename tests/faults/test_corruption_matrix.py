@@ -22,7 +22,8 @@ from repro.core.api import (
     solve_with_advice,
 )
 from repro.faults import FaultInjector, FaultPlan, RobustRunner
-from repro.faults.campaign import KINDS, _ground_truth, _plan_for
+from repro.faults.campaign import KINDS, _plan_for
+from repro.faults.runner import cold_verdict
 
 N = 48
 
@@ -45,7 +46,7 @@ def test_corruption_never_leaks_and_always_heals(instances, name, kind):
     for seed in range(3):
         plan = _plan_for(kind, k=2, seed=seed)
         corrupted, injected = FaultInjector(plan).corrupt_advice(graph, clean)
-        ground, error = _ground_truth(schema, graph, corrupted)
+        ground, error = cold_verdict(schema, graph, corrupted)
         assert ground != "unexpected-error", (
             f"{name} leaked a non-advice exception under {kind}: {error}"
         )
