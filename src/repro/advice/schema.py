@@ -197,9 +197,9 @@ class DecodeResult:
 class SchemaRun:
     """Full encode→decode→verify record (what the benchmarks report).
 
-    ``telemetry`` merges the engine's :class:`~repro.perf.SimStats`
-    counters with the per-run metrics snapshot (β, rounds, bits per node,
-    cache hit rate, violations — see :mod:`repro.obs.metrics`);
+    ``telemetry`` is the per-run metrics snapshot (β, rounds, bits per
+    node, violations — see :mod:`repro.obs.metrics`) plus the engine's
+    :class:`~repro.perf.SimStats` counters and cache hit rate;
     ``failures`` holds one :class:`~repro.obs.FailureReport` per violating
     node when verification rejects the decoded labeling.
     """
@@ -505,21 +505,12 @@ class AdviceSchema(abc.ABC):
     def _build_telemetry(
         self, run: SchemaRun, registry: MetricsRegistry
     ) -> Dict[str, object]:
-        """Merge engine counters with the metrics snapshot (Def. 3.2 footprint)."""
-        stats = run.result.stats
-        if stats is None:
-            detail_stats = (
-                run.result.detail.get("stats")
-                if isinstance(run.result.detail, dict)
-                else None
-            )
-            stats_dict = (
-                dict(detail_stats)
-                if isinstance(detail_stats, dict) and detail_stats
-                else SimStats().as_dict()
-            )
-        else:
-            stats_dict = stats.as_dict()
+        """The metrics snapshot plus the engine counters (Def. 3.2 footprint).
+
+        The engine counters come from ``run.result.stats`` alone (zeros
+        when the decoder ran no engine), so they are the same ints the
+        run's trace spans were stamped with.
+        """
         registry.gauge("beta").set(run.beta)
         registry.gauge("rounds").set(run.rounds)
         registry.gauge("advice_total_bits").set(run.total_advice_bits)
@@ -528,14 +519,13 @@ class AdviceSchema(abc.ABC):
             hist.observe(len(bits))
         for _ in range(run.n - len(run.advice)):
             hist.observe(0)  # nodes absent from the map carry no advice
+        stats = run.result.stats if run.result.stats is not None else SimStats()
+        telemetry: Dict[str, object] = registry.snapshot()
+        telemetry.update(stats.as_dict())
         if run.bandwidth is not None:
-            # Decoders whose stats predate (or bypass) the meter still get
-            # the schema-level accounting folded into their counters.
-            stats_dict["bits_on_wire"] = run.bandwidth.total_bits
-        registry.merge_stats(stats_dict)
-        telemetry: Dict[str, object] = dict(stats_dict)
-        telemetry.update(registry.snapshot())
-        if run.bandwidth is not None:
+            # Decoders without engine stats still get the schema-level
+            # bits-on-wire accounting.
+            telemetry["bits_on_wire"] = run.bandwidth.total_bits
             telemetry["bandwidth"] = run.bandwidth.as_dict()
         telemetry.update(
             beta=run.beta,
@@ -545,7 +535,6 @@ class AdviceSchema(abc.ABC):
             schema_type=run.schema_type,
             n=run.n,
             max_degree=run.max_degree,
-            cache_hit_rate=stats_dict.get("cache_hit_rate", 0.0),
         )
         return telemetry
 

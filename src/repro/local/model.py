@@ -124,8 +124,8 @@ class RunResult:
         the gathering radius; for message passing it is the number of
         executed rounds until every node halted.
     stats:
-        :class:`repro.perf.SimStats` counters/timers for the run (views
-        gathered, cache hits, BFS node-visits, per-phase wall time).
+        :class:`repro.perf.SimStats` counters for the run (views
+        gathered, cache hits, BFS node-visits).
     """
 
     outputs: Dict[Node, object]
@@ -192,7 +192,7 @@ def run_view_algorithm(
     neighbourhoods opt in; :func:`repro.local.views.mark_order_invariant`
     declares the property but does not switch the cache on.
     ``RunResult.stats`` reports views gathered, cache hits/misses, BFS
-    node-visits, per-phase wall time, and which engine ran.
+    node-visits, and which engine ran.
     """
     if radius < 0:
         raise SimulationError("radius must be non-negative")
@@ -200,30 +200,27 @@ def run_view_algorithm(
         tracer = NULL_TRACER
     resolved = resolve_engine(engine, graph.n)
     tracing = tracer.enabled
-    stats = SimStats()
-    stats.engine = resolved
-    with tracer.span(
+    stats = SimStats(engine=resolved)
+    with stats.span(
+        tracer,
         "run_view_algorithm",
         radius=radius,
         n=graph.n,
         memoize=memoize,
         engine=resolved,
-    ) as run_span:
-        with stats.phase("gather"):
-            if resolved == "vectorized":
-                from .vectorized import gather_views_batched
+    ):
+        if resolved == "vectorized":
+            from .vectorized import gather_views_batched
 
-                views = gather_views_batched(
-                    graph, radius, advice=advice, stats=stats, tracer=tracer
-                )
-            else:
-                views = gather_all_views(
-                    graph, radius, advice=advice, stats=stats, tracer=tracer
-                )
+            views = gather_views_batched(
+                graph, radius, advice=advice, stats=stats, tracer=tracer
+            )
+        else:
+            views = gather_all_views(
+                graph, radius, advice=advice, stats=stats, tracer=tracer
+            )
         outputs: Dict[Node, object] = {}
-        with tracer.span("decide", n=len(views)) as decide_span, stats.phase(
-            "decide"
-        ):
+        with stats.span(tracer, "decide", n=len(views)):
             if memoize:
                 cache: Dict[object, object] = {}
                 for v, view in views.items():
@@ -250,17 +247,6 @@ def run_view_algorithm(
                 # Hot path: one dict comprehension, one bulk counter add.
                 outputs.update((v, decide(view)) for v, view in views.items())
                 stats.decide_calls += len(views)
-            if tracing:
-                # Declare this span's share of the work counters so the
-                # profiler (repro.obs.profile) can attribute self-vs-
-                # cumulative work; the enclosing span carries the totals.
-                decide_span.set(
-                    decide_calls=stats.decide_calls,
-                    view_cache_hits=stats.view_cache_hits,
-                    view_cache_misses=stats.view_cache_misses,
-                )
-        if tracing:
-            run_span.set(**stats.as_dict())
     return RunResult(outputs=outputs, rounds=radius, stats=stats)
 
 
@@ -365,7 +351,7 @@ def run_message_passing(
     if policy is None:
         policy = current_bandwidth_policy()
     meter = BandwidthMeter(policy, n) if policy.records else None
-    with tracer.span("run_message_passing", n=n) as run_span:
+    with stats.span(tracer, "run_message_passing", n=n) as run_span:
         algos: Dict[Node, MessagePassingAlgorithm] = {}
         for v in nodes:
             algo = factory()
@@ -386,14 +372,13 @@ def run_message_passing(
         # for each directed port (v, p) -> u, the reverse port of v at u.
         # The seed re-sorted neighbors and linearly scanned port_of per
         # delivered message.
-        with stats.phase("compile-ports"):
-            compiled = graph.compiled
-            nbrs_at: Dict[Node, List[Node]] = {}
-            rev_port: Dict[Node, List[int]] = {}
-            for v in nodes:
-                nbrs = compiled.neighbors(v)
-                nbrs_at[v] = nbrs
-                rev_port[v] = [compiled.port_of(u, v) for u in nbrs]
+        compiled = graph.compiled
+        nbrs_at: Dict[Node, List[Node]] = {}
+        rev_port: Dict[Node, List[int]] = {}
+        for v in nodes:
+            nbrs = compiled.neighbors(v)
+            nbrs_at[v] = nbrs
+            rev_port[v] = [compiled.port_of(u, v) for u in nbrs]
 
         sender_ids: Dict[Node, int] = {}
         # delivery round -> [(target, port, msg, sender_id, bits)]
@@ -402,72 +387,81 @@ def run_message_passing(
             sender_ids = {v: graph.id_of(v) for v in nodes}
 
         rounds = 0
-        with stats.phase("rounds"):
-            while not all(algo.halted for algo in algos.values()):
-                if rounds >= max_rounds:
-                    raise SimulationError(
-                        f"no termination within {max_rounds} rounds"
-                    )
-                if faults is not None:
-                    for v in faults.crashes_at(rounds):
-                        algo = algos[v]
-                        if not algo.halted:
-                            algo.output = faults.crash_output
-                delivered_before = stats.messages_delivered
-                outboxes = {
-                    v: (algos[v].send(rounds) if not algos[v].halted else {})
-                    for v in nodes
-                }
-                inboxes: Dict[Node, Dict[int, object]] = {v: {} for v in nodes}
-                if faults is not None:
-                    for target, in_port, message, from_id, mbits in pending.pop(
-                        rounds, ()
-                    ):
-                        if meter is not None:
-                            # Delayed messages are charged in the round the
-                            # wire actually carries them to the receiver.
+        while not all(algo.halted for algo in algos.values()):
+            if rounds >= max_rounds:
+                raise SimulationError(
+                    f"no termination within {max_rounds} rounds"
+                )
+            if faults is not None:
+                for v in faults.crashes_at(rounds):
+                    algo = algos[v]
+                    if not algo.halted:
+                        algo.output = faults.crash_output
+            delivered_before = stats.messages_delivered
+            outboxes = {
+                v: (algos[v].send(rounds) if not algos[v].halted else {})
+                for v in nodes
+            }
+            inboxes: Dict[Node, Dict[int, object]] = {v: {} for v in nodes}
+            if faults is not None:
+                for target, in_port, message, from_id, mbits in pending.pop(
+                    rounds, ()
+                ):
+                    if meter is not None:
+                        # Delayed messages are charged in the round the
+                        # wire actually carries them to the receiver.
+                        meter.charge(
+                            rounds,
+                            from_id,
+                            sender_ids[target],
+                            mbits,
+                            node=target,
+                        )
+                    if not algos[target].halted:
+                        inboxes[target][in_port] = message
+                        stats.messages_delivered += 1
+            # One payload object is often fanned out on every port
+            # (GatherAlgorithm broadcasts its whole state); size each
+            # distinct object once per round.
+            sized: Dict[int, int] = {}
+            for v in nodes:
+                nbrs = nbrs_at[v]
+                back = rev_port[v]
+                for port, message in outboxes[v].items():
+                    if not 0 <= port < len(nbrs):
+                        raise SimulationError(
+                            f"node {v!r} sent on invalid port {port}"
+                        )
+                    if faults is None and meter is None:
+                        # The historical meter-free LOCAL fast path.
+                        inboxes[nbrs[port]][back[port]] = message
+                        stats.messages_delivered += 1
+                        continue
+                    target = nbrs[port]
+                    if meter is None:
+                        mbits = 0
+                    else:
+                        mbits = sized.get(id(message))
+                        if mbits is None:
+                            mbits = measure_bits(message)
+                            sized[id(message)] = mbits
+                    if faults is None:
+                        fates = _DELIVER_NOW
+                    else:
+                        fates = faults.fate(rounds, sender_ids[v], port)
+                        if meter is not None and not fates:
+                            # Dropped in transit: the sender still put
+                            # it on the wire in its send round.
                             meter.charge(
                                 rounds,
-                                from_id,
+                                sender_ids[v],
                                 sender_ids[target],
                                 mbits,
-                                node=target,
+                                node=v,
                             )
-                        if not algos[target].halted:
-                            inboxes[target][in_port] = message
-                            stats.messages_delivered += 1
-                # One payload object is often fanned out on every port
-                # (GatherAlgorithm broadcasts its whole state); size each
-                # distinct object once per round.
-                sized: Dict[int, int] = {}
-                for v in nodes:
-                    nbrs = nbrs_at[v]
-                    back = rev_port[v]
-                    for port, message in outboxes[v].items():
-                        if not 0 <= port < len(nbrs):
-                            raise SimulationError(
-                                f"node {v!r} sent on invalid port {port}"
-                            )
-                        if faults is None and meter is None:
-                            # The historical meter-free LOCAL fast path.
-                            inboxes[nbrs[port]][back[port]] = message
-                            stats.messages_delivered += 1
-                            continue
-                        target = nbrs[port]
-                        if meter is None:
-                            mbits = 0
-                        else:
-                            mbits = sized.get(id(message))
-                            if mbits is None:
-                                mbits = measure_bits(message)
-                                sized[id(message)] = mbits
-                        if faults is None:
-                            fates = _DELIVER_NOW
-                        else:
-                            fates = faults.fate(rounds, sender_ids[v], port)
-                            if meter is not None and not fates:
-                                # Dropped in transit: the sender still put
-                                # it on the wire in its send round.
+                    for delay in fates:
+                        if delay <= 0:
+                            if meter is not None:
                                 meter.charge(
                                     rounds,
                                     sender_ids[v],
@@ -475,46 +469,35 @@ def run_message_passing(
                                     mbits,
                                     node=v,
                                 )
-                        for delay in fates:
-                            if delay <= 0:
-                                if meter is not None:
-                                    meter.charge(
-                                        rounds,
-                                        sender_ids[v],
-                                        sender_ids[target],
-                                        mbits,
-                                        node=v,
-                                    )
-                                if faults is None or not algos[target].halted:
-                                    inboxes[target][back[port]] = message
-                                    stats.messages_delivered += 1
-                            else:
-                                pending.setdefault(rounds + delay, []).append(
-                                    (
-                                        target,
-                                        back[port],
-                                        message,
-                                        sender_ids[v],
-                                        mbits,
-                                    )
+                            if faults is None or not algos[target].halted:
+                                inboxes[target][back[port]] = message
+                                stats.messages_delivered += 1
+                        else:
+                            pending.setdefault(rounds + delay, []).append(
+                                (
+                                    target,
+                                    back[port],
+                                    message,
+                                    sender_ids[v],
+                                    mbits,
                                 )
-                if trace is not None:
-                    trace.record_round(outboxes)
-                if tracing:
-                    tracer.event(
-                        "round",
-                        round=rounds,
-                        messages=stats.messages_delivered - delivered_before,
-                    )
-                for v in nodes:
-                    if not algos[v].halted:
-                        algos[v].receive(rounds, inboxes[v])
-                rounds += 1
+                            )
+            if trace is not None:
+                trace.record_round(outboxes)
+            if tracing:
+                tracer.event(
+                    "round",
+                    round=rounds,
+                    messages=stats.messages_delivered - delivered_before,
+                )
+            for v in nodes:
+                if not algos[v].halted:
+                    algos[v].receive(rounds, inboxes[v])
+            rounds += 1
         if meter is not None:
             stats.bits_on_wire = meter.total_bits
             stats.bandwidth = meter.profile(rounds)
-        if tracing:
-            run_span.set(rounds=rounds, **stats.as_dict())
+        run_span.set(rounds=rounds)
 
     return RunResult(
         outputs={v: a.output for v, a in algos.items()}, rounds=rounds, stats=stats

@@ -57,6 +57,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as _np
 
+from ..obs.trace import as_tracer
+from ..perf import SimStats
 from .graph import LocalGraph, Node
 from .views import View
 
@@ -739,22 +741,14 @@ def gather_views_batched(
 ) -> Dict[Node, View]:
     """Vectorized drop-in for :func:`repro.local.views.gather_all_views`.
 
-    Same contract (and the same ``gather`` span + counters when a tracer
-    is attached); the returned views are lazy :class:`BatchView` objects.
+    Same contract (and the same stamped ``gather`` span when a tracer is
+    attached); the returned views are lazy :class:`BatchView` objects.
     """
-    if tracer is None or not tracer.enabled:
+    if stats is None:
+        stats = SimStats()
+    with stats.span(
+        as_tracer(tracer), "gather", radius=radius, n=graph.n, engine="vectorized"
+    ):
         return gather_ball_batch(
             graph, radius, advice=advice, roots=roots, stats=stats
         ).views()
-    with tracer.span(
-        "gather", radius=radius, n=graph.n, engine="vectorized"
-    ) as span:
-        batch = gather_ball_batch(
-            graph, radius, advice=advice, roots=roots, stats=stats
-        )
-        views = batch.views()
-        span.set(
-            views_gathered=len(batch),
-            bfs_node_visits=int(batch.ball_nodes.size),
-        )
-    return views

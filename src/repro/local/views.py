@@ -33,6 +33,8 @@ from typing import (
     Tuple,
 )
 
+from ..obs.trace import as_tracer
+from ..perf import SimStats
 from .graph import LocalGraph, Node
 
 
@@ -563,36 +565,20 @@ def gather_all_views(
     shared scratch buffers instead of ``n`` independent networkx
     traversals.  ``stats`` (a :class:`repro.perf.SimStats`) accumulates
     views gathered and BFS node-visits when provided; ``tracer`` (a
-    :class:`repro.obs.Tracer`) wraps the sweep in a ``gather`` span with
-    the same counters attached.
+    :class:`repro.obs.Tracer`) wraps the sweep in a ``gather`` span stamped
+    with the same counters (:meth:`repro.perf.SimStats.span`).
     """
     compiled = graph.compiled
     advice = advice or {}
-    if tracer is None or not tracer.enabled:
+    if stats is None:
+        stats = SimStats()
+    with stats.span(as_tracer(tracer), "gather", radius=radius, n=compiled.n):
         return {
             compiled.nodes[i]: _view_from_compiled(
                 graph, compiled, i, radius, advice, stats
             )
             for i in range(compiled.n)
         }
-    with tracer.span("gather", radius=radius, n=compiled.n) as span:
-        own_stats = stats
-        if own_stats is None:
-            from ..perf import SimStats
-
-            own_stats = SimStats()
-        before = (own_stats.views_gathered, own_stats.bfs_node_visits)
-        views = {
-            compiled.nodes[i]: _view_from_compiled(
-                graph, compiled, i, radius, advice, own_stats
-            )
-            for i in range(compiled.n)
-        }
-        span.set(
-            views_gathered=own_stats.views_gathered - before[0],
-            bfs_node_visits=own_stats.bfs_node_visits - before[1],
-        )
-    return views
 
 
 def mark_order_invariant(decide):

@@ -1,12 +1,14 @@
 """Observability: run tracing, metrics, and failure attribution.
 
-Three pieces, designed to stay out of the hot path until asked for:
+Engine work is counted once, in :class:`repro.perf.SimStats`; spans,
+telemetry, history rows and the serving snapshot all read it.  The
+modules, designed to stay out of the hot path until asked for:
 
 * :mod:`repro.obs.trace` — structured span/event traces of a run
   (``Tracer``, ``RingSink``, ``JsonlSink``; ``NULL_TRACER`` is the
   zero-cost default threaded through the engine and schemas).
 * :mod:`repro.obs.metrics` — a counter/gauge/histogram registry capturing
-  the paper's observables (β, T, bits per node, engine counters) into
+  the paper's observables (β, T, bits per node, violations) into
   ``SchemaRun.telemetry``.
 * :mod:`repro.obs.failure` — ``FailureReport`` attribution for invalid
   labelings and decoder errors.
@@ -21,13 +23,13 @@ Three pieces, designed to stay out of the hot path until asked for:
   ``MutationRecord``) both emit, and the ``CampaignResult`` that chaos
   and churn campaigns both return (``per_schema``/``totals``/``runs``).
 * :mod:`repro.obs.profile` — ``WorkProfile`` span-tree work attribution
-  (collapsed stacks, critical path, telemetry reconciliation).
+  (collapsed stacks, critical path, timelines).
 * :mod:`repro.obs.diff` — run-over-run telemetry/profile diffing under
   the shared deterministic-metric tolerance semantics.
 * :mod:`repro.obs.report` — the unified dashboard
   (``python -m repro report``) and the cross-PR perf history.
 * :mod:`repro.obs.live` — streaming serving telemetry for
-  :mod:`repro.serve`: hash-based head sampling (``SamplingTracer``),
+  :mod:`repro.serve`: hash-based head sampling (``head_sampled``),
   rolling quantiles (``SlidingWindowHistogram``), bounded-cardinality
   per-tenant metric shards (``TenantShards``), SLO objectives with
   error-budget burn (``SloPolicy``/``SloMonitor``), and the Prometheus
@@ -65,12 +67,12 @@ from .failure import (
     view_fingerprint,
 )
 from .live import (
-    SamplingTracer,
     SlidingWindowHistogram,
     SloMonitor,
     SloPolicy,
     TenantShards,
     build_slo_report,
+    head_sampled,
     prometheus_text,
     write_prometheus,
 )
@@ -116,7 +118,6 @@ __all__ = [
     "RepairAction",
     "RingSink",
     "RobustnessReport",
-    "SamplingTracer",
     "SlidingWindowHistogram",
     "SloMonitor",
     "SloPolicy",
@@ -139,6 +140,7 @@ __all__ = [
     "flooding_bandwidth",
     "format_deltas",
     "format_span_tree",
+    "head_sampled",
     "load_jsonl",
     "measure_bits",
     "parse_collapsed",

@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from ..perf import WORK_COUNTERS
 from .profile import WorkProfile
 
 #: Deterministic metrics diffed by default, with their tolerances.  Exact
@@ -34,14 +35,8 @@ DETERMINISTIC_TOLERANCES: Dict[str, float] = {
     "beta": 0.0,
     "rounds": 0.0,
     "total_advice_bits": 0.0,
-    "views_gathered": 0.0,
-    "bfs_node_visits": 0.0,
-    "decide_calls": 0.0,
-    "view_cache_hits": 0.0,
-    "view_cache_misses": 0.0,
-    "messages_delivered": 0.0,
-    "bits_on_wire": 0.0,
-    "view_cache_hit_rate": 0.01,
+    **{counter: 0.0 for counter in WORK_COUNTERS},
+    "cache_hit_rate": 0.01,
 }
 
 

@@ -5,10 +5,10 @@ telemetry dict.  A long-lived decode service answering a stream of
 ``query(node)`` calls needs a different set of primitives, collected here
 and kept deterministic so the test suite can pin them bit-for-bit:
 
-* :class:`SamplingTracer` — deterministic hash-based head sampling over
-  the :class:`~repro.obs.trace.Tracer` protocol.  Each query key is hashed
-  (seeded BLAKE2b — *not* Python's salted ``hash()``) against the
-  configured rate; sampled queries get the real tracer and emit the full
+* :func:`head_sampled` — deterministic hash-based head sampling.  Each
+  query key is hashed (seeded BLAKE2b — *not* Python's salted ``hash()``)
+  against the configured rate; sampled queries get the service's one
+  :class:`~repro.obs.trace.Tracer` and emit the full
   ``query → gather → decode`` span tree, unsampled queries
   get :data:`~repro.obs.trace.NULL_TRACER` at the cost of one short hash.
 * :class:`SlidingWindowHistogram` — a ring of mergeable fixed-bucket
@@ -30,7 +30,7 @@ and kept deterministic so the test suite can pin them bit-for-bit:
 * exporters — :func:`prometheus_text` renders a registry in the
   Prometheus text exposition format (:func:`write_prometheus` dumps it);
   span export reuses the :class:`~repro.obs.trace.JsonlSink` wire format
-  verbatim (attach one to the sampling tracer's base tracer).
+  verbatim (pass one as the service's ``span_sink``).
 """
 
 from __future__ import annotations
@@ -47,59 +47,32 @@ from .metrics import (
     Histogram,
     MetricsRegistry,
 )
-from .trace import NULL_TRACER, Tracer
 
 # ---------------------------------------------------------------------------
 # Sampling
 # ---------------------------------------------------------------------------
 
-#: The sampler hashes into 64 bits; a query is sampled when its digest
-#: falls below ``rate * 2^64``.
+#: Sampling hashes into 64 bits; a key is sampled when its digest falls
+#: below ``rate * 2^64``.
 _HASH_SPACE = 1 << 64
 
 
-class SamplingTracer:
-    """Deterministic head sampling over the ``Tracer``/``Sink`` protocol.
+def head_sampled(key: object, rate: float, seed: int = 0) -> bool:
+    """Whether ``key`` falls in the sampled fraction ``rate`` under ``seed``.
 
-    ``for_query(key)`` returns the real ``base`` tracer when ``key`` is
-    sampled and :data:`~repro.obs.trace.NULL_TRACER` otherwise, so the
-    unsampled path costs one 8-byte BLAKE2b digest plus a comparison —
-    Python's builtin ``hash()`` is per-process salted and would make the
-    sampled set irreproducible, which is exactly what the deterministic
-    test suite must rule out.  The decision is a pure function of
-    ``(seed, rate, key)``: the same query stream yields the same sampled
-    span set on every run, machine, and Python version.
+    A pure function of ``(key, rate, seed)``: the key is hashed with an
+    8-byte seeded BLAKE2b digest, so the same query stream yields the
+    same sampled set on every run, machine, and Python version.  Python's
+    builtin ``hash()`` is per-process salted and would make the sampled
+    set irreproducible, which the deterministic test suite rules out.
     """
-
-    def __init__(self, base: Tracer, rate: float = 0.01, seed: int = 0) -> None:
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError(f"sample rate {rate} outside [0, 1]")
-        self.base = base
-        self.rate = rate
-        self.seed = seed
-        self._threshold = int(rate * _HASH_SPACE)
-        self.sampled_total = 0
-        self.unsampled_total = 0
-
-    def sampled(self, key: object) -> bool:
-        """Whether ``key`` falls in the sampled fraction (pure, stateless)."""
-        if self._threshold == 0:
-            return False
-        digest = hashlib.blake2b(
-            f"{self.seed}:{key}".encode(), digest_size=8
-        ).digest()
-        return int.from_bytes(digest, "big") < self._threshold
-
-    def for_query(self, key: object) -> Tracer:
-        """The tracer to use for this query: ``base`` if sampled, else null."""
-        if self.sampled(key):
-            self.sampled_total += 1
-            return self.base
-        self.unsampled_total += 1
-        return NULL_TRACER
-
-    def close(self) -> None:
-        self.base.close()
+    if not 0.0 <= rate <= 1.0:
+        raise ValueError(f"sample rate {rate} outside [0, 1]")
+    threshold = int(rate * _HASH_SPACE)
+    if threshold == 0:
+        return False
+    digest = hashlib.blake2b(f"{seed}:{key}".encode(), digest_size=8).digest()
+    return int.from_bytes(digest, "big") < threshold
 
 
 # ---------------------------------------------------------------------------

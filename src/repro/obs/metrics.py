@@ -2,11 +2,12 @@
 
 Definition 3.2 characterizes an advice schema by measurable quantities —
 ``beta`` (bits per node), ``T`` (decoder rounds), and the locality actually
-consumed — and PR 1's engine added execution counters (BFS node-visits,
-view-cache hit rate).  This module gives them a uniform home: a
+consumed.  This module gives them a uniform home: a
 :class:`MetricsRegistry` of counters, gauges, and histograms whose
 :meth:`~MetricsRegistry.snapshot` lands verbatim in ``SchemaRun.telemetry``
-and the benchmark JSON.
+and the benchmark JSON.  Engine work (views, BFS visits, decides, bits on
+wire) is not a registry metric: it is counted once, in
+:class:`repro.perf.SimStats`, and telemetry reads it from there.
 
 Labels are frozen ``(key, value)`` tuples so a labeled metric family is an
 ordinary dict keyed on them; unlabeled per-run registries (what
@@ -21,11 +22,6 @@ name                              type        meaning (paper quantity)
 ``rounds``                        gauge       decoder LOCAL rounds (T)
 ``advice_total_bits``             gauge       Σ_v |advice(v)|
 ``advice_bits_per_node``          histogram   per-node advice lengths
-``views_gathered``                counter     engine: views materialized
-``bfs_node_visits``               counter     engine: Σ_v |B(v,T)| work
-``decide_calls``                  counter     engine: distinct decisions
-``view_cache_hit_rate``           gauge       engine: memoization hit rate
-``bits_on_wire``                  counter     bandwidth: total message bits
 ``violations_total``              counter     nodes failing the local check
 ``decode_errors_total``           counter     typed decoder failures
 ``bandwidth_exceeded_total``      counter     CONGEST budget overflows
@@ -236,15 +232,3 @@ class MetricsRegistry:
         for (name, labels), metric in sorted(self._metrics.items()):
             out[_render(name, labels)] = metric.snapshot_value()
         return out
-
-    def merge_stats(self, stats_dict: Dict[str, object], **labels: object) -> None:
-        """Fold a ``SimStats.as_dict()`` into engine-level metrics."""
-        for key in ("views_gathered", "bfs_node_visits", "decide_calls",
-                    "view_cache_hits", "view_cache_misses",
-                    "messages_delivered", "bits_on_wire"):
-            value = stats_dict.get(key)
-            if value:
-                self.counter(key, **labels).inc(value)
-        rate = stats_dict.get("cache_hit_rate")
-        if rate is not None:
-            self.gauge("view_cache_hit_rate", **labels).set(float(rate))

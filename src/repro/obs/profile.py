@@ -8,23 +8,21 @@ this module joins the two into a :class:`WorkProfile` — a span tree where
 every span carries
 
 * **wall time**, cumulative (its whole subtree) and self (exclusive);
-* **work counters** (``views_gathered``, ``bfs_node_visits``,
-  ``decide_calls``, ``view_cache_hits``/``misses``,
-  ``messages_delivered``, ``bits_on_wire``), likewise cumulative and
-  self, reconstructed
-  from the span attributes the engine emits (``run_view_algorithm`` totals
-  on the engine span, per-phase shares on its ``gather``/``decide``
-  children);
+* **work counters** (:data:`repro.perf.WORK_COUNTERS`), likewise
+  cumulative and self, read from the span attributes that
+  :meth:`repro.perf.SimStats.span` stamps: each engine span carries the
+  ``SimStats`` delta over its lifetime, so the engine span holds the run
+  totals and its ``gather``/``decide`` children split them;
 * **event counts** (one ``decide`` event per node, one ``round`` event per
   message-passing round).
 
 On top of the tree: :meth:`WorkProfile.collapsed` exports collapsed-stack
 lines for flamegraph tooling (``a;b;c 42``), :meth:`WorkProfile.critical_path`
-follows the heaviest child chain, :meth:`WorkProfile.timeline` lays the
-spans and per-round events on the trace clock, and
-:meth:`WorkProfile.reconcile` cross-checks the profile totals against a
-run's ``SchemaRun.telemetry`` — the soundness property the test suite pins
-on all ten schemas: per-span work sums *exactly* to the engine totals.
+follows the heaviest child chain, and :meth:`WorkProfile.timeline` lays
+the spans and per-round events on the trace clock.  Because spans and
+``SchemaRun.telemetry`` both read the one ``SimStats``, the profile totals
+equal the telemetry counters by construction; the test suite asserts the
+equality on all ten schemas and both engines.
 
 Profiles are built entirely from trace records (a :class:`RingSink`, a
 JSONL file, or any record iterable), so profiling costs nothing unless a
@@ -36,20 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+from ..perf import WORK_COUNTERS
 from .trace import RingSink, Tracer, load_jsonl
-
-#: Engine work counters attributed span-by-span, in display order.  These
-#: are exactly the additive :class:`repro.perf.SimStats` counters; spans
-#: declare their share through same-named attributes.
-WORK_COUNTERS: Tuple[str, ...] = (
-    "views_gathered",
-    "bfs_node_visits",
-    "decide_calls",
-    "view_cache_hits",
-    "view_cache_misses",
-    "messages_delivered",
-    "bits_on_wire",
-)
 
 
 @dataclass
@@ -204,7 +190,7 @@ class WorkProfile:
     def by_name(self, name: str) -> List[SpanWork]:
         return [s for s in self.spans if s.name == name]
 
-    # -- totals & reconciliation ---------------------------------------------
+    # -- totals ---------------------------------------------------------------
 
     def total(self, metric: str) -> float:
         """Whole-trace total of ``metric`` (a work counter or ``"wall"``)."""
@@ -222,31 +208,6 @@ class WorkProfile:
         if metric == "wall":
             return sum(s.wall_self for s in self.spans)
         return sum(s.work_self.get(metric, 0.0) for s in self.spans)
-
-    def reconcile(self, telemetry: Mapping[str, object]) -> List[str]:
-        """Cross-check profile totals against a run's telemetry.
-
-        Returns human-readable mismatch strings (empty = the profile's
-        per-span attribution sums exactly to the engine's counters).  Both
-        directions are checked: per-span self sums against the tree total,
-        and the tree total against ``SchemaRun.telemetry``.
-        """
-        problems: List[str] = []
-        for counter in WORK_COUNTERS:
-            tree_total = self.total(counter)
-            self_total = self.self_totals(counter)
-            if abs(tree_total - self_total) > 1e-9:
-                problems.append(
-                    f"{counter}: per-span self sum {self_total:g} != "
-                    f"tree total {tree_total:g}"
-                )
-            reported = _numeric(telemetry.get(counter))
-            if reported is not None and abs(tree_total - reported) > 1e-9:
-                problems.append(
-                    f"{counter}: profile total {tree_total:g} != "
-                    f"telemetry {reported:g}"
-                )
-        return problems
 
     # -- collapsed stacks (flamegraph interchange) ---------------------------
 
@@ -421,8 +382,8 @@ def profile_run(
     A convenience wrapper over ``AdviceSchema.run``: attaches a fresh
     :class:`RingSink` tracer (optionally on a deterministic ``clock``),
     runs, and folds the records into a profile.  Engine totals land in
-    both ``run.telemetry`` and ``profile.totals()`` — reconciled by
-    construction (:meth:`WorkProfile.reconcile`).
+    both ``run.telemetry`` and ``profile.totals()``, equal by construction:
+    both read the run's :class:`repro.perf.SimStats`.
     """
     ring = RingSink(capacity=capacity)
     tracer = Tracer(ring, clock=clock)

@@ -6,8 +6,7 @@ instance with a tracer attached and folds four layers into one dashboard:
 * **telemetry** — the Definition 3.2 footprint (β, T, bits per node) plus
   the engine work counters of every run;
 * **profile** — per-span work attribution (:mod:`repro.obs.profile`):
-  totals, critical path, hottest self-time spans, reconciled exactly
-  against the telemetry;
+  totals, critical path, hottest self-time spans;
 * **robustness** — an optional seeded chaos campaign summary
   (:mod:`repro.faults`), including the repair-radius histogram;
 * **lint** — the static LOCAL-contract linter's violation counts
@@ -35,6 +34,7 @@ import subprocess
 import sys
 from typing import Dict, List, Mapping, Optional, Sequence
 
+from ..perf import WORK_COUNTERS
 from .diff import DETERMINISTIC_TOLERANCES, diff_telemetry
 from .profile import profile_run
 
@@ -44,13 +44,7 @@ HISTORY_METRICS: Sequence[str] = (
     "beta",
     "rounds",
     "total_advice_bits",
-    "views_gathered",
-    "bfs_node_visits",
-    "decide_calls",
-    "view_cache_hits",
-    "view_cache_misses",
-    "messages_delivered",
-    "bits_on_wire",
+    *WORK_COUNTERS,
 )
 
 #: Per-case serving metrics pinned in every history entry (rows keyed
@@ -189,7 +183,6 @@ def collect_schema(name: str, n: int, seed: int) -> Dict[str, object]:
         "schema_type": run.schema_type,
         "telemetry": run.telemetry,
         "profile": profile.summary(),
-        "reconciliation": profile.reconcile(run.telemetry),
         "failures": len(run.failures),
     }
     try:
@@ -225,8 +218,7 @@ def collect_report(
     payload: Dict[str, object] = {
         "provenance": build_provenance(seed=seed, schemas=names, n=n),
         "schemas": records,
-        "ok": all(r.get("valid") and not r.get("reconciliation")
-                  for r in records),
+        "ok": all(r.get("valid") for r in records),
     }
     if serving:
         from ..serve.bench import run_serve_bench
@@ -477,7 +469,6 @@ def render_markdown(report: Mapping[str, object]) -> str:
         profile = record.get("profile") or {}
         totals = profile.get("totals", {})
         crit = profile.get("critical_path", [])
-        reconciliation = record.get("reconciliation", [])
         lines.append(f"### {name}")
         lines.append("")
         lines.append(
@@ -495,11 +486,6 @@ def render_markdown(report: Mapping[str, object]) -> str:
             ) or "-")
         )
         lines.append(f"- advice bits/node: {_advice_quantiles(record)}")
-        lines.append(
-            "- reconciliation: "
-            + ("OK (profile totals = telemetry)" if not reconciliation
-               else "; ".join(reconciliation))
-        )
         lines.append("")
 
     serving = report.get("serving")
@@ -566,7 +552,7 @@ def render_markdown(report: Mapping[str, object]) -> str:
         )
         lines.append("")
 
-    status = "all schemas valid, profiles reconciled" if report.get("ok") \
+    status = "all schemas valid" if report.get("ok") \
         else "PROBLEMS — see above"
     lines.append(f"**Status:** {status}")
     lines.append("")
@@ -600,15 +586,11 @@ def render_html(report: Mapping[str, object]) -> str:
             f"{esc(s['name'])} ({s['wall'] * 1000:.2f}ms)"
             for s in profile.get("critical_path", [])
         )
-        reconciliation = record.get("reconciliation", [])
-        ok = "OK" if not reconciliation else esc("; ".join(reconciliation))
         sections.append(
             f"<h3>{name}</h3><p>critical path: {crit or '-'}<br>"
-            f"advice bits/node: {esc(_advice_quantiles(record))}<br>"
-            f"reconciliation: {ok}</p>"
+            f"advice bits/node: {esc(_advice_quantiles(record))}</p>"
         )
-    status = "all schemas valid, profiles reconciled" if report.get("ok") \
-        else "PROBLEMS"
+    status = "all schemas valid" if report.get("ok") else "PROBLEMS"
     return f"""<!doctype html>
 <html><head><meta charset="utf-8"><title>repro observability report</title>
 <style>

@@ -114,7 +114,6 @@ class TwoColoringSchema(AdviceSchema):
         return DecodeResult(
             labeling=dict(result.outputs),
             rounds=radius if graph.n else 0,
-            detail={"stats": result.stats.as_dict() if result.stats else {}},
             stats=result.stats,
         )
 

@@ -43,11 +43,11 @@ from ..local.model import ENGINES, resolve_engine
 from ..local.vectorized import gather_views_batched
 from ..local.views import View, gather_view
 from ..obs.live import (
-    SamplingTracer,
     SlidingWindowHistogram,
     SloMonitor,
     SloPolicy,
     TenantShards,
+    head_sampled,
     prometheus_text,
 )
 from ..obs.metrics import MetricsRegistry
@@ -178,18 +178,19 @@ class AdviceService:
             if slo is not None
             else None
         )
-        self.sampler = (
-            SamplingTracer(
-                Tracer(
-                    RingSink(),
-                    *([span_sink] if span_sink is not None else []),
-                    clock=clock,
-                ),
-                rate=sample_rate,
-                seed=sample_seed,
+        if sample_rate is not None and not 0.0 <= sample_rate <= 1.0:
+            raise ValueError(f"sample rate {sample_rate} outside [0, 1]")
+        self.sample_rate = sample_rate
+        self.sample_seed = sample_seed
+        #: the one tracer every sampled query runs under
+        self.tracer = (
+            Tracer(
+                RingSink(),
+                *([span_sink] if span_sink is not None else []),
+                clock=clock,
             )
             if sample_rate is not None
-            else None
+            else NULL_TRACER
         )
         self.stats = SimStats()
         self._next_query_id = 0
@@ -200,9 +201,11 @@ class AdviceService:
         return self._clock() if self._clock is not None else time.perf_counter()
 
     def _tracer_for(self, query_id: int) -> Tracer:
-        if self.sampler is None:
-            return NULL_TRACER
-        return self.sampler.for_query(query_id)
+        if self.sample_rate is not None and head_sampled(
+            query_id, self.sample_rate, self.sample_seed
+        ):
+            return self.tracer
+        return NULL_TRACER
 
     def _gather(self, nodes: Sequence[Node], tracer: Tracer) -> Dict[Node, View]:
         """Radius-``T`` balls of ``nodes`` only — never the whole graph."""
@@ -218,8 +221,8 @@ class AdviceService:
                 roots=roots,
             )
         views: Dict[Node, View] = {}
-        with tracer.span(
-            "gather", radius=self.radius, roots=len(nodes), engine="scalar"
+        with self.stats.span(
+            tracer, "gather", radius=self.radius, roots=len(nodes), engine="scalar"
         ):
             for v in nodes:
                 views[v] = gather_view(self.graph, v, self.radius, self.advice)
@@ -281,7 +284,8 @@ class AdviceService:
         sampled = tracer.enabled
         start = self._now()
         results: List[QueryResult] = []
-        with tracer.span(
+        with self.stats.span(
+            tracer,
             "query",
             query_id=query_id,
             tenant=tenant,
@@ -293,9 +297,9 @@ class AdviceService:
                 answered: List[Tuple[Node, object, int]] = []
                 for v in nodes:
                     view = views[v]
-                    with tracer.span("decode", node=v):
+                    with self.stats.span(tracer, "decode", node=v):
                         label = self._decide(view)
-                    self.stats.decide_calls += 1
+                        self.stats.decide_calls += 1
                     answered.append((v, label, len(view.nodes)))
             except AdviceError:
                 self._account(tenant, sampled, [], len(nodes))
@@ -337,13 +341,8 @@ class AdviceService:
             "ball_size": self.ball_size_window.snapshot_value(),
             "engine_stats": self.stats.as_dict(),
         }
-        if self.sampler is not None:
-            snap["sampling"] = {
-                "rate": self.sampler.rate,
-                "seed": self.sampler.seed,
-                "sampled_total": self.sampler.sampled_total,
-                "unsampled_total": self.sampler.unsampled_total,
-            }
+        if self.sample_rate is not None:
+            snap["sampling"] = {"rate": self.sample_rate, "seed": self.sample_seed}
         if self.slo is not None:
             snap["slo"] = self.slo.snapshot_value()
         return snap
@@ -353,5 +352,4 @@ class AdviceService:
         return prometheus_text(self.registry, namespace=namespace)
 
     def close(self) -> None:
-        if self.sampler is not None:
-            self.sampler.close()
+        self.tracer.close()

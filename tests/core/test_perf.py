@@ -1,8 +1,7 @@
-"""Unit tests for the repro.perf counters/timers."""
+"""Unit tests for the repro.perf work counters."""
 
-import pytest
-
-from repro.perf import SimStats, Timer
+from repro.obs.trace import NULL_TRACER, RingSink, Tracer
+from repro.perf import WORK_COUNTERS, SimStats
 
 
 class TestSimStats:
@@ -13,79 +12,56 @@ class TestSimStats:
         stats.view_cache_misses = 1
         assert stats.cache_hit_rate == 0.75
 
-    def test_phase_timer_accumulates(self):
-        stats = SimStats()
-        with stats.phase("gather"):
-            pass
-        first = stats.phase_seconds["gather"]
-        with stats.phase("gather"):
-            pass
-        assert stats.phase_seconds["gather"] >= first
-        assert stats.total_seconds == sum(stats.phase_seconds.values())
-
-    def test_nested_phases_do_not_double_count(self):
-        # Regression: a phase opened inside another phase used to count its
-        # wall time twice in total_seconds (once for itself, once inside the
-        # parent).  Self-time excludes child phases, so totals stay honest.
-        stats = SimStats()
-        with stats.phase("run"):
-            with stats.phase("gather"):
-                sum(range(20000))
-            with stats.phase("decide"):
-                sum(range(20000))
-        run = stats.phase_seconds["run"]
-        gather = stats.phase_seconds["gather"]
-        decide = stats.phase_seconds["decide"]
-        # cumulative: parent covers its children
-        assert run >= gather + decide
-        # self-time: parent excludes its children
-        assert stats.phase_self_seconds["run"] == pytest.approx(
-            run - gather - decide
-        )
-        # leaves have self == cumulative
-        assert stats.phase_self_seconds["gather"] == gather
-        # total is the sum of self-times == wall time of the outermost phase
-        assert stats.total_seconds == pytest.approx(run)
-        assert stats.total_seconds < run + gather + decide
-
-    def test_nested_merge_keeps_both_views(self):
-        a = SimStats()
-        with a.phase("run"):
-            with a.phase("gather"):
-                pass
-        b = SimStats()
-        with b.phase("run"):
-            pass
-        a.merge(b)
-        assert set(a.phase_seconds) == {"run", "gather"}
-        assert a.phase_self_seconds["run"] == pytest.approx(
-            a.phase_seconds["run"] - a.phase_seconds["gather"]
-        )
-
     def test_merge(self):
         a = SimStats(views_gathered=2, bfs_node_visits=10)
-        a.phase_seconds["gather"] = 0.5
         b = SimStats(views_gathered=3, view_cache_hits=4, decide_calls=1)
-        b.phase_seconds["gather"] = 0.25
-        b.phase_seconds["decide"] = 0.1
         a.merge(b)
         assert a.views_gathered == 5
         assert a.view_cache_hits == 4
         assert a.bfs_node_visits == 10
-        assert a.phase_seconds == {"gather": 0.75, "decide": 0.1}
+        assert a.decide_calls == 1
 
     def test_as_dict_is_json_ready(self):
         import json
 
-        stats = SimStats(views_gathered=1)
-        with stats.phase("decide"):
+        stats = SimStats(views_gathered=1, engine="scalar")
+        payload = stats.as_dict()
+        json.dumps(payload)
+        assert list(payload) == ["engine", *WORK_COUNTERS, "cache_hit_rate"]
+        assert "engine" not in SimStats().as_dict()
+
+
+class TestSpan:
+    def test_span_stamps_the_counter_delta(self):
+        ring = RingSink()
+        tracer = Tracer(ring)
+        stats = SimStats(views_gathered=5)  # work before the span is not its
+        with stats.span(tracer, "outer", radius=2):
+            stats.views_gathered += 3
+            with stats.span(tracer, "inner"):
+                stats.bfs_node_visits += 7
+        inner, outer = (r["attrs"] for r in ring.records)
+        assert inner == {**dict.fromkeys(WORK_COUNTERS, 0), "bfs_node_visits": 7}
+        # nested work counts in the enclosing span too
+        assert outer["radius"] == 2
+        assert outer["views_gathered"] == 3 and outer["bfs_node_visits"] == 7
+
+    def test_span_is_stamped_when_the_block_raises(self):
+        ring = RingSink()
+        stats = SimStats()
+        try:
+            with stats.span(Tracer(ring), "decode"):
+                stats.decide_calls += 1
+                raise KeyError("boom")
+        except KeyError:
             pass
-        payload = json.dumps(stats.as_dict())
-        assert "views_gathered" in payload
+        [record] = ring.records
+        assert record["attrs"]["decide_calls"] == 1
+        assert record["attrs"]["error"] == "KeyError"
 
-
-class TestTimer:
-    def test_records_elapsed(self):
-        with Timer() as t:
-            sum(range(1000))
-        assert t.seconds >= 0
+    def test_null_tracer_gets_the_null_span(self):
+        stats = SimStats()
+        with stats.span(NULL_TRACER, "gather", radius=1) as span:
+            stats.views_gathered += 1
+        assert span is NULL_TRACER.span("gather")
+        assert stats.views_gathered == 1

@@ -29,7 +29,7 @@ class TestAllowedDrift:
 
 class TestDiffTelemetry:
     BASE = {"beta": 1, "rounds": 7, "bfs_node_visits": 900,
-            "view_cache_hit_rate": 0.5}
+            "cache_hit_rate": 0.5}
 
     def test_identical_runs_show_no_significant_drift(self):
         deltas = diff_telemetry(self.BASE, dict(self.BASE))
@@ -45,12 +45,12 @@ class TestDiffTelemetry:
         assert significant[0].delta == 1800
 
     def test_tolerance_allows_slack(self):
-        current = dict(self.BASE, view_cache_hit_rate=0.505)
+        current = dict(self.BASE, cache_hit_rate=0.505)
         deltas = {d.metric: d for d in diff_telemetry(self.BASE, current)}
-        assert not deltas["view_cache_hit_rate"].significant
-        current["view_cache_hit_rate"] = 0.52
+        assert not deltas["cache_hit_rate"].significant
+        current["cache_hit_rate"] = 0.52
         deltas = {d.metric: d for d in diff_telemetry(self.BASE, current)}
-        assert deltas["view_cache_hit_rate"].significant
+        assert deltas["cache_hit_rate"].significant
 
     def test_appearing_and_disappearing_metrics(self):
         deltas = {d.metric: d for d in diff_telemetry(

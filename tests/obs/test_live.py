@@ -20,16 +20,18 @@ from repro.core.api import make_service, solve_with_advice
 from repro.graphs.generators import grid
 from repro.local.graph import LocalGraph
 from repro.obs.live import (
-    SamplingTracer,
     SlidingWindowHistogram,
     SloMonitor,
     SloPolicy,
     TenantShards,
+    head_sampled,
     prometheus_text,
     write_prometheus,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import NULL_TRACER, LogicalClock, RingSink, Tracer
+from repro.obs.profile import WorkProfile
+from repro.obs.trace import NULL_TRACER, LogicalClock
+from repro.perf import WORK_COUNTERS
 from repro.schemas.two_coloring import TwoColoringSchema
 from repro.serve import AdviceService, ServeError, run_serve_bench
 
@@ -53,45 +55,44 @@ class ListSink:
 
 
 # ---------------------------------------------------------------------------
-# SamplingTracer
+# Head sampling of the service's one tracer
 # ---------------------------------------------------------------------------
 
 
 class TestSamplingTracer:
+    """``head_sampled`` decides which queries run under the service tracer."""
+
     def test_decision_is_deterministic_across_instances(self):
-        a = SamplingTracer(NULL_TRACER, rate=0.3, seed=5)
-        b = SamplingTracer(NULL_TRACER, rate=0.3, seed=5)
         keys = range(2000)
-        set_a = {k for k in keys if a.sampled(k)}
-        set_b = {k for k in keys if b.sampled(k)}
+        set_a = {k for k in keys if head_sampled(k, 0.3, seed=5)}
+        set_b = {k for k in keys if head_sampled(k, 0.3, seed=5)}
         assert set_a == set_b
         # and roughly the configured fraction
         assert 0.25 < len(set_a) / 2000 < 0.35
 
     def test_different_seed_different_set(self):
-        a = SamplingTracer(NULL_TRACER, rate=0.3, seed=0)
-        b = SamplingTracer(NULL_TRACER, rate=0.3, seed=1)
-        assert {k for k in range(500) if a.sampled(k)} != \
-            {k for k in range(500) if b.sampled(k)}
+        assert {k for k in range(500) if head_sampled(k, 0.3, seed=0)} != \
+            {k for k in range(500) if head_sampled(k, 0.3, seed=1)}
 
     def test_rate_zero_and_one(self):
-        never = SamplingTracer(NULL_TRACER, rate=0.0)
-        always = SamplingTracer(NULL_TRACER, rate=1.0)
-        assert not any(never.sampled(k) for k in range(100))
-        assert all(always.sampled(k) for k in range(100))
+        assert not any(head_sampled(k, 0.0) for k in range(100))
+        assert all(head_sampled(k, 1.0) for k in range(100))
 
     def test_for_query_routes_and_counts(self):
-        base = Tracer(RingSink(), clock=LogicalClock())
-        sampler = SamplingTracer(base, rate=1.0)
-        assert sampler.for_query(1) is base
-        none = SamplingTracer(base, rate=0.0)
-        assert none.for_query(1) is NULL_TRACER
-        assert sampler.sampled_total == 1 and sampler.unsampled_total == 0
-        assert none.sampled_total == 0 and none.unsampled_total == 1
+        always, _ = make_grid_service(side=8, sample_rate=1.0)
+        never, _ = make_grid_service(side=8, sample_rate=0.0)
+        assert always._tracer_for(1) is always.tracer
+        assert never._tracer_for(1) is NULL_TRACER
+        node = next(iter(always.graph.nodes()))
+        assert always.query(node).sampled and not never.query(node).sampled
+        assert always.registry.snapshot()["queries_sampled_total"] == 1
+        assert never.registry.snapshot()["queries_unsampled_total"] == 1
 
     def test_invalid_rate_rejected(self):
         with pytest.raises(ValueError):
-            SamplingTracer(NULL_TRACER, rate=1.5)
+            head_sampled(0, 1.5)
+        with pytest.raises(ValueError):
+            make_grid_service(side=8, sample_rate=1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +319,6 @@ class TestAdviceService:
         assert shard_sum == total
         assert sampled + unsampled == total
         assert TenantShards.OVERFLOW in service.shards.labels()
-        assert service.sampler.sampled_total == sampled
-        assert service.sampler.unsampled_total == unsampled
 
     def test_per_query_work_flat_as_n_grows(self):
         # The acceptance sweep: n = 4k -> 16k -> 64k at fixed Δ = 4.  The
@@ -381,6 +380,23 @@ class TestAdviceService:
         baseline, unsampled = best
         assert unsampled <= baseline * 1.10
 
+    @pytest.mark.parametrize("batch", [1, 80])
+    def test_sampled_trace_totals_equal_service_stats(self, batch):
+        # Every serve span is stamped from the service's SimStats, so a
+        # fully sampled trace accounts for exactly the work the service
+        # counted, on the scalar (one node) and vectorized gather alike.
+        service, graph = make_grid_service(side=16, sample_rate=1.0)
+        nodes = sorted(graph.nodes(), key=graph.id_of)[:batch]
+        service.query_batch(nodes)
+        profile = WorkProfile.from_records(service.tracer.ring().records)
+        [gather] = profile.by_name("gather")
+        assert gather.attrs["engine"] == (
+            "scalar" if batch == 1 else "vectorized"
+        )
+        stats = service.stats.counters()
+        assert stats["decide_calls"] == batch
+        assert {c: profile.total(c) for c in WORK_COUNTERS} == stats
+
     def test_repeated_query_is_decided_again(self):
         service, graph = make_grid_service(side=16)
         center = sorted(graph.nodes(), key=graph.id_of)[40]
@@ -440,8 +456,9 @@ class TestAdviceService:
         assert snap["metrics"]["queries_total"] == 10
         assert snap["latency"]["observed_total"] == 10
         assert snap["ball_size"]["p99"] <= 113
-        assert snap["sampling"]["sampled_total"] + \
-            snap["sampling"]["unsampled_total"] == 10
+        assert snap["sampling"] == {"rate": 0.5, "seed": 0}
+        assert snap["metrics"]["queries_sampled_total"] + \
+            snap["metrics"]["queries_unsampled_total"] == 10
         json.dumps(snap)  # JSON-ready
         text = service.prometheus()
         assert "repro_queries_total 10" in text

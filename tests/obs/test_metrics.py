@@ -164,17 +164,3 @@ class TestRegistry:
         assert snap["beta{schema=two-coloring}"] == 1.0
         assert snap["advice_bits_per_node"]["count"] == 1
         json.dumps(snap)  # JSON-ready
-
-    def test_merge_stats(self):
-        from repro.perf import SimStats
-
-        stats = SimStats(
-            views_gathered=10, bfs_node_visits=50, view_cache_hits=3,
-            view_cache_misses=1, decide_calls=4,
-        )
-        reg = MetricsRegistry()
-        reg.merge_stats(stats.as_dict())
-        snap = reg.snapshot()
-        assert snap["views_gathered"] == 10
-        assert snap["bfs_node_visits"] == 50
-        assert snap["view_cache_hit_rate"] == 0.75

@@ -1,9 +1,9 @@
-"""Work-profile soundness: attribution must reconcile exactly.
+"""Work-profile soundness: attribution must match the engine exactly.
 
-The profiler's contract (the tentpole property): for every registered
-schema, the per-span work attributed by :class:`WorkProfile` sums *exactly*
-to the run's engine totals (``SimStats`` / ``MetricsRegistry``), both
-span-by-span (self sums = tree totals) and against ``SchemaRun.telemetry``.
+The profiler's contract: spans and ``SchemaRun.telemetry`` both read the
+run's ``SimStats``, so for every registered schema the per-span work
+attributed by :class:`WorkProfile` sums *exactly* to the telemetry
+counters, and span-by-span self sums equal the tree totals.
 Collapsed-stack output round-trips through :func:`parse_collapsed`, and a
 :class:`LogicalClock` makes whole profiles deterministic.
 """
@@ -27,7 +27,7 @@ from repro.obs import (
     parse_collapsed,
     profile_run,
 )
-from repro.obs.profile import WORK_COUNTERS
+from repro.perf import WORK_COUNTERS
 from repro.graphs import cycle, grid
 
 
@@ -37,6 +37,14 @@ def _profile_schema(name, n=60, seed=0, clock=None):
     return profile_run(schema, graph, clock=clock)
 
 
+def _work(profile, telemetry):
+    """(profile totals, telemetry values) of every work counter."""
+    return (
+        {c: profile.total(c) for c in WORK_COUNTERS},
+        {c: telemetry[c] for c in WORK_COUNTERS},
+    )
+
+
 class TestReconciliation:
     """Per-span work sums exactly to the run's engine totals — all schemas."""
 
@@ -44,8 +52,16 @@ class TestReconciliation:
     def test_profile_reconciles_with_telemetry(self, name):
         run, profile = _profile_schema(name)
         assert run.valid, f"{name}: demo instance must solve"
-        mismatches = profile.reconcile(run.telemetry)
-        assert mismatches == [], f"{name}: {mismatches}"
+        totals, telemetry = _work(profile, run.telemetry)
+        assert totals == telemetry, name
+
+    @pytest.mark.parametrize("name", available_schemas())
+    def test_telemetry_counters_are_ints(self, name):
+        graph, kwargs = default_instance(name, 60, 0)
+        run = make_schema(name, **kwargs).run(graph)
+        for counter in WORK_COUNTERS:
+            value = run.telemetry[counter]
+            assert type(value) is int, f"{name}: {counter}={value!r}"
 
     @pytest.mark.parametrize("name", available_schemas())
     def test_self_sums_equal_totals(self, name):
@@ -184,13 +200,15 @@ class TestStructure:
         run = schema.run(graph, tracer=tracer)
         tracer.close()
         profile = WorkProfile.from_jsonl(str(path))
-        assert profile.reconcile(run.telemetry) == []
+        totals, telemetry = _work(profile, run.telemetry)
+        assert totals == telemetry
 
     def test_solve_profiled_facade(self):
         graph, kwargs = default_instance("2-coloring", 40, 0)
         run, profile = solve_profiled("2-coloring", graph, **kwargs)
         assert run.valid
-        assert profile.reconcile(run.telemetry) == []
+        totals, telemetry = _work(profile, run.telemetry)
+        assert totals == telemetry
 
     def test_summary_is_json_ready(self):
         import json

@@ -16,6 +16,7 @@ from repro.obs.report import (
     render_markdown,
     report_main,
 )
+from repro.perf import WORK_COUNTERS
 
 SUBSET = ["2-coloring", "balanced-orientation"]
 
@@ -40,12 +41,14 @@ class TestCollect:
         assert [r["schema"] for r in subset_report["schemas"]] == SUBSET
         for record in subset_report["schemas"]:
             assert record["valid"] is True
-            assert record["reconciliation"] == []
+            totals = record["profile"]["totals"]
+            for counter in WORK_COUNTERS:
+                assert totals[counter] == record["telemetry"][counter]
             assert record["profile"]["critical_path"][0]["name"] == "schema_run"
             assert "beta" in record["telemetry"]
 
     def test_full_registry_dashboard(self):
-        # The acceptance property: all ten schemas, valid, reconciled.
+        # The acceptance property: all ten schemas, valid.
         report = collect_report(n=60, seed=0)
         names = [r["schema"] for r in report["schemas"]]
         assert names == available_schemas() and len(names) == 10
@@ -80,7 +83,6 @@ class TestRendering:
         assert "Definition 3.2" in text
         for name in SUBSET:
             assert name in text
-        assert "reconciliation: OK" in text
         assert "**Status:** all schemas valid" in text
 
     def test_bandwidth_section_and_column(self, subset_report):
