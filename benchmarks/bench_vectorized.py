@@ -1,12 +1,16 @@
-"""Engine benchmark: scalar vs vectorized batched-BFS.
+"""Gather benchmark: scalar vs vectorized batched-BFS.
 
-Times ``run_view_algorithm`` under both engines on the same graphs:
+Times both view gathers on the same graphs, each followed by deciding
+every view:
 
-* **scalar** — per-root CSR BFS with dict-based view assembly (the PR-2
-  engine, still the reference semantics);
+* **scalar** — per-root CSR BFS with dict-based view assembly
+  (:func:`repro.local.gather_all_views`, the reference semantics);
 * **vectorized** — one masked multi-source BFS frontier sweep over the
   CSR arrays for *all* roots at once, views materialized lazily
-  (:func:`repro.local.gather_views_batched`).
+  (:func:`repro.local.vectorized.gather_views_batched`).
+
+``run_view_algorithm`` picks between the two by root count alone; this
+benchmark calls each directly so both are timed on every case.
 
 The decision rule is the center advice-decompression rule — O(1) per
 view after gathering — so the timings measure the gather/decode
@@ -18,7 +22,7 @@ stamped with provenance plus the numpy version::
         --rows 64 --cols 64 --radius 3 --out BENCH_vectorized.json
 
 The 64x64-grid radius-3 case is the acceptance workload: ``--min-speedup
-10`` fails the run unless the vectorized engine beats scalar by 10x.
+10`` fails the run unless the vectorized gather beats scalar by 10x.
 Also runnable under pytest-benchmark (a small smoke instance) like the
 other ``bench_*`` modules.
 """
@@ -33,7 +37,9 @@ from typing import Dict, List, Optional
 import numpy
 
 from repro.graphs import binary_tree, cycle, grid
-from repro.local import LocalGraph, run_view_algorithm
+from repro.local import LocalGraph, gather_all_views
+from repro.local.vectorized import gather_views_batched
+from repro.perf import SimStats
 
 
 def _decide(view) -> str:
@@ -65,25 +71,28 @@ def bench_case(
     radius: int,
     reps: int,
 ) -> Dict[str, object]:
-    """Time both engines on one graph; verify bit-identical outputs."""
+    """Time both gathers on one graph; verify bit-identical outputs."""
     advice = _advice(graph)
 
+    def decide_all(gather, engine):
+        stats = SimStats(engine=engine)
+        views = gather(graph, radius, advice, stats=stats)
+        outputs = {v: _decide(view) for v, view in views.items()}
+        stats.decide_calls += len(views)
+        return outputs, stats
+
     def scalar_run():
-        return run_view_algorithm(
-            graph, radius, _decide, advice=advice, engine="scalar"
-        )
+        return decide_all(gather_all_views, "scalar")
 
     def vectorized_run():
-        return run_view_algorithm(
-            graph, radius, _decide, advice=advice, engine="vectorized"
-        )
+        return decide_all(gather_views_batched, "vectorized")
 
     scalar_seconds = _best(scalar_run, reps)
-    scalar = scalar_run()
+    scalar_outputs, scalar_stats = scalar_run()
 
     vectorized_seconds = _best(vectorized_run, reps)
-    vectorized = vectorized_run()
-    if vectorized.outputs != scalar.outputs:
+    vectorized_outputs, vectorized_stats = vectorized_run()
+    if vectorized_outputs != scalar_outputs:
         raise AssertionError(f"{name}: vectorized outputs diverge")
 
     return {
@@ -98,8 +107,8 @@ def bench_case(
         "views_per_second": round(
             graph.n / max(vectorized_seconds, 1e-9), 1
         ),
-        "engine_stats": vectorized.stats.as_dict(),
-        "scalar_stats": scalar.stats.as_dict(),
+        "engine_stats": vectorized_stats.as_dict(),
+        "scalar_stats": scalar_stats.as_dict(),
     }
 
 
@@ -140,7 +149,7 @@ def main(argv: Optional[List[str]] = None) -> Dict[str, object]:
         "--min-speedup",
         type=float,
         default=0.0,
-        help="fail unless the grid case's vectorized engine reaches this "
+        help="fail unless the grid case's vectorized gather reaches this "
         "speedup over scalar (0 = record only)",
     )
     args = parser.parse_args(argv)

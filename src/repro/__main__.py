@@ -66,29 +66,22 @@ served answer differs from a cold full-graph decode.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import sys
 from typing import Dict, Optional
 
 from .advice.schema import SchemaRun
 from .core.api import available_schemas, default_instance, make_schema
-from .local.model import ENGINES, use_engine
 from .obs import JsonlSink, RingSink, Tracer, format_span_tree, load_jsonl
 from .perf import WORK_COUNTERS
 
 
 def run_one(
-    name: str,
-    n: int,
-    seed: int,
-    tracer: Optional[Tracer] = None,
-    engine: Optional[str] = None,
+    name: str, n: int, seed: int, tracer: Optional[Tracer] = None
 ) -> SchemaRun:
     graph, kwargs = default_instance(name, n, seed)
     schema = make_schema(name, **kwargs)
-    with use_engine(engine) if engine else contextlib.nullcontext():
-        return schema.run(graph, tracer=tracer)
+    return schema.run(graph, tracer=tracer)
 
 
 def trace_main(argv: list) -> int:
@@ -103,11 +96,6 @@ def trace_main(argv: list) -> int:
     parser.add_argument(
         "--out", default=None, help="trace file (default: trace-<schema>.jsonl)"
     )
-    parser.add_argument(
-        "--engine", choices=ENGINES, default=None,
-        help="execution engine for the decode "
-        "(matches run_view_algorithm(engine=...); default: ambient)",
-    )
     args = parser.parse_args(argv)
 
     out = args.out or f"trace-{args.schema}.jsonl"
@@ -115,9 +103,7 @@ def trace_main(argv: list) -> int:
     sink = JsonlSink(out)
     tracer = Tracer(ring, sink)
     try:
-        run = run_one(
-            args.schema, args.n, args.seed, tracer=tracer, engine=args.engine
-        )
+        run = run_one(args.schema, args.n, args.seed, tracer=tracer)
     except Exception as exc:
         tracer.close()
         print(f"{args.schema}: ERROR {type(exc).__name__}: {exc}")
@@ -344,11 +330,6 @@ def profile_main(argv: list) -> int:
         action="store_true",
         help="use the deterministic logical clock (trace work, not seconds)",
     )
-    parser.add_argument(
-        "--engine", choices=ENGINES, default=None,
-        help="execution engine for the decode "
-        "(matches run_view_algorithm(engine=...); default: ambient)",
-    )
     args = parser.parse_args(argv)
 
     from .obs import LogicalClock, profile_run
@@ -356,8 +337,7 @@ def profile_main(argv: list) -> int:
     graph, kwargs = default_instance(args.schema, args.n, args.seed)
     schema = make_schema(args.schema, **kwargs)
     clock = LogicalClock() if args.logical_clock else None
-    with use_engine(args.engine) if args.engine else contextlib.nullcontext():
-        run, profile = profile_run(schema, graph, clock=clock)
+    run, profile = profile_run(schema, graph, clock=clock)
 
     print(f"== profile: {args.schema} (n={run.n}, seed={args.seed})")
     print(profile.table())
@@ -396,10 +376,6 @@ def bandwidth_main(argv: list) -> int:
         help="CONGEST budget B (only with --policy congest; default 1)",
     )
     parser.add_argument(
-        "--engine", choices=ENGINES, default=None,
-        help="execution engine for the decode (default: ambient)",
-    )
-    parser.add_argument(
         "--json", action="store_true",
         help="print the raw BandwidthProfile as JSON",
     )
@@ -412,7 +388,7 @@ def bandwidth_main(argv: list) -> int:
     )
     try:
         with use_bandwidth_policy(policy):
-            run = run_one(args.schema, args.n, args.seed, engine=args.engine)
+            run = run_one(args.schema, args.n, args.seed)
     except BandwidthExceeded as exc:
         print(f"{args.schema}: BANDWIDTH EXCEEDED under {policy.describe()}")
         print(f"  {exc}")

@@ -494,7 +494,7 @@ class _Analyzer:
         self.merge_env(env, else_env)
 
     def merge_env(self, env: Dict[str, object], other: Dict[str, object]) -> None:
-        for key in set(env) | set(other):
+        for key in sorted(set(env) | set(other)):
             if key in env and key in other:
                 joined = (
                     env[key] if _same(env[key], other[key]) else _join(env[key], other[key])
@@ -568,7 +568,7 @@ class _Analyzer:
         self.exec_block(body, env, returns)
         self._aug_frames.pop()
         after2 = dict(env)
-        for name in set(after2) | set(before):
+        for name in sorted(set(after2) | set(before)):
             if name == pinned:
                 env[name] = before.get(name, UNKNOWN)
                 continue

@@ -125,7 +125,6 @@ def solve_with_advice(
     robust: bool = False,
     fault_plan: Optional[object] = None,
     robust_options: Optional[Dict[str, object]] = None,
-    engine: Optional[str] = None,
     **kwargs: object,
 ) -> SchemaRun:
     """Encode, decode, and verify a schema on ``graph`` in one call.
@@ -135,13 +134,9 @@ def solve_with_advice(
     ``telemetry`` with the engine counters and the paper's observables, so
     callers no longer lose ``RunResult.stats`` at this boundary.
 
-    ``engine`` selects the decode execution engine (``"auto"`` /
-    ``"scalar"`` / ``"vectorized"`` — see
-    ``docs/performance.md``).  It is applied ambiently via
-    :func:`repro.local.use_engine` around the whole run, so every
-    ``run_view_algorithm`` call the schema makes inherits it; outputs are
-    engine-independent, and the chosen engine lands in
-    ``SchemaRun.telemetry["engine"]``.
+    Each ``run_view_algorithm`` call the schema makes picks its gather from
+    the graph size (``docs/performance.md``, "Which gather runs"); the
+    gather that ran lands in ``SchemaRun.telemetry["engine"]``.
 
     With ``robust=True`` (implied by passing a ``fault_plan``) the run goes
     through the self-healing :class:`repro.faults.RobustRunner` instead:
@@ -151,28 +146,23 @@ def solve_with_advice(
     are forwarded to the :class:`~repro.faults.RobustRunner` constructor
     (e.g. ``max_ball_radius``, ``max_solver_steps``).
     """
-    from ..local.model import use_engine
-
     if isinstance(schema, str):
         schema = make_schema(schema, **kwargs)
     elif kwargs:
         raise TypeError("kwargs are only accepted with a schema name")
-    with use_engine(engine if engine is not None else "auto"):
-        if robust or fault_plan is not None:
-            from ..faults.runner import RobustRunner
+    if robust or fault_plan is not None:
+        from ..faults.runner import RobustRunner
 
-            runner = RobustRunner(
-                schema,
-                tracer=tracer,
-                registry=registry,
-                **(robust_options or {}),
-            )
-            return runner.run(graph, plan=fault_plan, check=check)
-        if robust_options:
-            raise TypeError(
-                "robust_options require robust=True or a fault_plan"
-            )
-        return schema.run(graph, check=check, tracer=tracer, registry=registry)
+        runner = RobustRunner(
+            schema,
+            tracer=tracer,
+            registry=registry,
+            **(robust_options or {}),
+        )
+        return runner.run(graph, plan=fault_plan, check=check)
+    if robust_options:
+        raise TypeError("robust_options require robust=True or a fault_plan")
+    return schema.run(graph, check=check, tracer=tracer, registry=registry)
 
 
 def solve_profiled(
@@ -213,8 +203,8 @@ def make_service(
     n.  Requires the schema to expose a :meth:`AdviceSchema.view_decoder`;
     schemas whose decode is not per-view raise
     :class:`repro.serve.ServeError`.  Keyword options (``sample_rate``,
-    ``slo``, ``registry``, ``clock``, ``engine``, ...) pass straight
-    through to the :class:`~repro.serve.AdviceService` constructor.
+    ``slo``, ``registry``, ``clock``, ...) pass straight through to the
+    :class:`~repro.serve.AdviceService` constructor.
     """
     from ..serve import AdviceService
 

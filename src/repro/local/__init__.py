@@ -4,17 +4,14 @@ from .algorithm import LocalityTracker
 from .compiled import CompiledGraph
 from .graph import LocalGraph, LocalGraphError, Node
 from .model import (
-    ENGINES,
     GatherAlgorithm,
     MessagePassingAlgorithm,
     MessageTrace,
     NodeContext,
     RunResult,
     SimulationError,
-    current_engine,
     run_message_passing,
     run_view_algorithm,
-    use_engine,
 )
 from .views import (
     GlobalKnowledge,
@@ -30,7 +27,6 @@ from .views import (
 
 __all__ = [
     "CompiledGraph",
-    "ENGINES",
     "GatherAlgorithm",
     "GlobalKnowledge",
     "GlobalKnowledgeUse",
@@ -44,7 +40,6 @@ __all__ = [
     "RunResult",
     "SimulationError",
     "View",
-    "current_engine",
     "gather_all_views",
     "gather_view",
     "is_marked_order_invariant",
@@ -52,6 +47,5 @@ __all__ = [
     "run_message_passing",
     "run_view_algorithm",
     "track_global_knowledge",
-    "use_engine",
     "uses_global_knowledge",
 ]

@@ -188,7 +188,7 @@ class LocalGraph:
         """Bump the epoch and drop every topology-derived cache.
 
         The compiled CSR snapshot is dropped wholesale (its ``_np_csr`` /
-        ``_np_csr32`` / ``_np_flood`` engine caches die with it) and the
+        ``_np_flood`` engine caches die with it) and the
         bounded-LRU ball cache is cleared; both rebuild lazily on the next
         query against the post-mutation topology.
         """

@@ -27,10 +27,8 @@ meter-free fast path.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from contextvars import ContextVar
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, Iterator, List, Mapping, Optional
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from ..obs.bandwidth import (
     BandwidthMeter,
@@ -49,66 +47,48 @@ class SimulationError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Engine selection
+# Gather selection
 # ---------------------------------------------------------------------------
 
-#: the engines run_view_algorithm dispatches between (see docs/performance.md)
-ENGINES = ("auto", "scalar", "vectorized")
-
-#: ``auto`` gathers with ``vectorized`` once one gather call has at least
-#: this many roots — every node in a whole-graph run, the batch in an
-#: ``AdviceService`` query — and stays ``scalar`` below it, where the numpy
-#: sweep's fixed per-call cost (array setup, mask allocation) outweighs its
-#: per-root win.
+#: A gather call with at least this many roots — every node in a
+#: whole-graph run, the batch in an ``AdviceService`` query — runs the
+#: ``vectorized`` sweep; below it the ``scalar`` per-root BFS, where the
+#: numpy sweep's fixed per-call cost (array setup, mask allocation)
+#: outweighs its per-root win.
 AUTO_VECTORIZE_MIN_NODES = 64
 
-#: ambient engine for runs that don't pass ``engine=`` explicitly; set
-#: via :func:`use_engine` (e.g. by ``solve_with_advice``) so schemas whose
-#: ``decode`` predates the dispatch still inherit the selection.
-_ENGINE_VAR: ContextVar[str] = ContextVar("repro_engine", default="auto")
 
+def resolve_engine(roots: int) -> str:
+    """The gather a call over ``roots`` roots runs: ``scalar`` or ``vectorized``.
 
-@contextmanager
-def use_engine(engine: str) -> Iterator[None]:
-    """Set the ambient engine for :func:`run_view_algorithm` calls within.
-
-    Engine selection flows *around* schema code: ``solve_with_advice``
-    wraps ``schema.run`` in this context manager, so every decoder that
-    calls ``run_view_algorithm`` without an explicit ``engine=`` — i.e.
-    all ten registered schemas — inherits the caller's choice without any
-    signature change.  An explicit ``engine=`` argument always wins.
+    The root count is the only input; both gathers return equal views
+    and charge equal work counters (see :func:`gather_views`).
     """
-    if engine not in ENGINES:
-        raise SimulationError(
-            f"unknown engine {engine!r}; expected one of {ENGINES}"
-        )
-    token = _ENGINE_VAR.set(engine)
-    try:
-        yield
-    finally:
-        _ENGINE_VAR.reset(token)
+    return "vectorized" if roots >= AUTO_VECTORIZE_MIN_NODES else "scalar"
 
 
-def current_engine() -> str:
-    """The ambient engine name (``"auto"`` unless :func:`use_engine` set it)."""
-    return _ENGINE_VAR.get()
+def gather_views(
+    graph: LocalGraph,
+    radius: int,
+    advice: Optional[Mapping[Node, str]] = None,
+    roots: Optional[Sequence[int]] = None,
+    stats=None,
+    tracer=None,
+) -> Dict[Node, View]:
+    """Radius-``radius`` views of ``roots`` (dense indices; default: all nodes).
 
-
-def resolve_engine(engine: Optional[str], roots: int) -> str:
-    """Resolve ``engine`` (or the ambient default) for a gather of ``roots``.
-
-    ``auto`` picks ``vectorized`` when the call gathers at least
-    :data:`AUTO_VECTORIZE_MIN_NODES` roots, else ``scalar``.
+    Runs :func:`repro.local.views.gather_all_views` or
+    :func:`repro.local.vectorized.gather_views_batched`, whichever
+    :func:`resolve_engine` picks for the root count.
     """
-    if engine is None:
-        engine = _ENGINE_VAR.get()
-    if engine not in ENGINES:
-        raise SimulationError(
-            f"unknown engine {engine!r}; expected one of {ENGINES}"
-        )
-    if engine == "auto":
-        return "vectorized" if roots >= AUTO_VECTORIZE_MIN_NODES else "scalar"
-    return engine
+    count = graph.n if roots is None else len(roots)
+    if resolve_engine(count) == "vectorized":
+        from .vectorized import gather_views_batched as gather
+    else:
+        gather = gather_all_views
+    return gather(
+        graph, radius, advice=advice, stats=stats, tracer=tracer, roots=roots
+    )
 
 
 @dataclass
@@ -167,21 +147,13 @@ def run_view_algorithm(
     advice: Optional[Mapping[Node, str]] = None,
     memoize: bool = False,
     tracer=None,
-    engine: Optional[str] = None,
 ) -> RunResult:
     """Run the ``radius``-round view algorithm ``decide`` on every node.
 
-    ``engine`` picks how the per-node work executes — the *outputs are
-    engine-independent* (the test suite pins bit-identical labelings):
-
-    * ``"scalar"`` — one Python BFS per root, eager :class:`View` dicts;
-    * ``"vectorized"`` — one masked multi-source numpy sweep over the
-      compiled CSR for all roots (:mod:`repro.local.vectorized`), with
-      lazy views;
-    * ``"auto"`` (default) — ``vectorized`` for graphs of at least
-      :data:`AUTO_VECTORIZE_MIN_NODES` nodes, else ``scalar``.
-    * ``None`` — the ambient engine from :func:`use_engine` (``"auto"``
-      unless a caller such as ``solve_with_advice`` chose otherwise).
+    The views come from :func:`gather_views`: the ``vectorized`` sweep for
+    graphs of at least :data:`AUTO_VECTORIZE_MIN_NODES` nodes, else the
+    ``scalar`` per-root BFS.  The outputs do not depend on which gather ran
+    (the test suite pins bit-identical labelings).
 
     By default every view is decided directly.  With ``memoize=True``
     order-isomorphic views are decided once and answered from a cache keyed
@@ -198,27 +170,17 @@ def run_view_algorithm(
         raise SimulationError("radius must be non-negative")
     if tracer is None:
         tracer = NULL_TRACER
-    resolved = resolve_engine(engine, graph.n)
     tracing = tracer.enabled
-    stats = SimStats(engine=resolved)
+    stats = SimStats(engine=resolve_engine(graph.n))
     with stats.span(
         tracer,
         "run_view_algorithm",
         radius=radius,
         n=graph.n,
         memoize=memoize,
-        engine=resolved,
+        engine=stats.engine,
     ):
-        if resolved == "vectorized":
-            from .vectorized import gather_views_batched
-
-            views = gather_views_batched(
-                graph, radius, advice=advice, stats=stats, tracer=tracer
-            )
-        else:
-            views = gather_all_views(
-                graph, radius, advice=advice, stats=stats, tracer=tracer
-            )
+        views = gather_views(graph, radius, advice, stats=stats, tracer=tracer)
         outputs: Dict[Node, object] = {}
         with stats.span(tracer, "decide", n=len(views)):
             if memoize:

@@ -190,7 +190,7 @@ def _extract_edges(compiled, roots, ball_indptr, ball_nodes, ball_dists, radius,
     ``(edge_indptr, edge_lo, edge_hi)`` with ``ids[lo] < ids[hi]``.
     """
     n = compiled.n
-    indptr, indices, ids = _csr_arrays(compiled)
+    indptr, indices, ids = compiled.np_csr()
     dtype = indices.dtype
     nroots = int(roots.size)
     e_count_parts: List = []
@@ -245,34 +245,6 @@ def _concat(parts, dtype=None):
     return _np.concatenate(parts)
 
 
-def _csr_arrays(compiled):
-    """The compiled CSR as numpy arrays, downcast to int32 when safe.
-
-    The sweep's key space is ``block * n <= _MASK_BUDGET`` (or ``n`` for
-    single-root blocks), so 32-bit arithmetic is exact whenever the graph
-    itself fits 32 bits — and roughly 15% faster end to end.  Falls back
-    to the public int64 snapshot for astronomically large inputs.
-    """
-    indptr, indices, ids = compiled.np_csr()
-    cache = getattr(compiled, "_np_csr32", None)
-    if cache is not None:
-        return cache
-    if (
-        compiled.n < (1 << 30)
-        and len(compiled.indices) < (1 << 31)
-        and (not compiled.ids or max(compiled.ids) < (1 << 31))
-    ):
-        cache = (
-            indptr.astype(_np.int32),
-            indices.astype(_np.int32),
-            ids.astype(_np.int32),
-        )
-    else:  # pragma: no cover - needs a >2^30-node graph
-        cache = (indptr, indices, ids)
-    compiled._np_csr32 = cache
-    return cache
-
-
 def gather_ball_batch(
     graph: LocalGraph,
     radius: int,
@@ -294,7 +266,7 @@ def gather_ball_batch(
         raise ValueError("radius must be non-negative")
     compiled = graph.compiled
     n = compiled.n
-    indptr, indices, _ids = _csr_arrays(compiled)
+    indptr, indices, _ids = compiled.np_csr()
     dtype = indices.dtype
     if roots is None:
         root_arr = _np.arange(n, dtype=dtype)

@@ -30,6 +30,7 @@ from typing import (
     Mapping,
     NamedTuple,
     Optional,
+    Sequence,
     Tuple,
 )
 
@@ -556,11 +557,14 @@ def gather_all_views(
     advice: Optional[Mapping[Node, str]] = None,
     stats=None,
     tracer=None,
+    roots: Optional[Sequence[int]] = None,
 ) -> Dict[Node, View]:
-    """Compute the radius-``radius`` view of **every** node in one sweep.
+    """Compute the radius-``radius`` view of every node in ``roots``.
 
-    Equivalent to ``{v: gather_view(graph, v, radius, advice) for v in
-    graph.nodes()}`` (the test suite cross-checks exact :class:`View`
+    ``roots`` are dense CSR indices, as in
+    :func:`repro.local.vectorized.gather_views_batched` (default: every
+    node).  Equivalent to ``{v: gather_view(graph, v, radius, advice) for
+    v in graph.nodes()}`` (the test suite cross-checks exact :class:`View`
     equality), but runs all BFS sweeps over the compiled CSR arrays with
     shared scratch buffers instead of ``n`` independent networkx
     traversals.  ``stats`` (a :class:`repro.perf.SimStats`) accumulates
@@ -572,12 +576,16 @@ def gather_all_views(
     advice = advice or {}
     if stats is None:
         stats = SimStats()
-    with stats.span(as_tracer(tracer), "gather", radius=radius, n=compiled.n):
+    if roots is None:
+        roots = range(compiled.n)
+    with stats.span(
+        as_tracer(tracer), "gather", radius=radius, n=compiled.n, engine="scalar"
+    ):
         return {
             compiled.nodes[i]: _view_from_compiled(
                 graph, compiled, i, radius, advice, stats
             )
-            for i in range(compiled.n)
+            for i in roots
         }
 
 

@@ -15,8 +15,7 @@ This module makes the model split explicit and observable:
 * :class:`BandwidthPolicy` — :data:`LOCAL` (unbounded, record only),
   :func:`CONGEST` (``B·⌈log n⌉`` bits per edge per round, overflow is a
   hard error) and :data:`OFF` (no metering at all, for overhead A/B);
-  the ambient policy flows through :func:`use_bandwidth_policy` exactly
-  like :func:`repro.local.use_engine` flows the engine choice;
+  the ambient policy flows through :func:`use_bandwidth_policy`;
 * :class:`BandwidthMeter` — per-``(edge, round)`` charging used by
   :func:`repro.local.run_message_passing`; a CONGEST overflow raises a
   :class:`BandwidthExceeded` attributed to node/edge/round/bits;
@@ -29,8 +28,8 @@ This module makes the model split explicit and observable:
   canonically by incremental flooding (each node forwards, in round
   ``t``, the records it learned in round ``t-1``, i.e. its distance-
   ``(t-1)`` layer), so its bits-on-wire is a pure function of
-  ``(graph, T, advice)`` — independent of which execution engine
-  (scalar or vectorized) produced the outputs.
+  ``(graph, T, advice)`` — independent of which gather (scalar or
+  vectorized) produced the outputs.
 
 Canonical record encoding (what one node's flooded record costs): its
 identifier (``⌈log n⌉`` bits), its port-ordered adjacency list
@@ -277,8 +276,7 @@ def parse_policy(name: str, budget: Optional[int] = None) -> BandwidthPolicy:
     )
 
 
-#: ambient policy for runs that don't pass one explicitly, mirroring the
-#: engine selection contextvar (:func:`repro.local.use_engine`).
+#: ambient policy for runs that don't pass one explicitly.
 _POLICY_VAR: ContextVar[BandwidthPolicy] = ContextVar(
     "repro_bandwidth_policy", default=LOCAL
 )

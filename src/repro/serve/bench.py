@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..graphs.generators import grid
 from ..local.graph import LocalGraph
-from ..local.model import ENGINES, resolve_engine
+from ..local.model import resolve_engine
 from ..obs.live import SloPolicy
 from ..schemas.two_coloring import TwoColoringSchema
 from .service import AdviceService
@@ -77,7 +77,6 @@ def _bench_case(
     sample_rate: float,
     tenants: int,
     batch: int,
-    engine: str,
     slo: Optional[SloPolicy],
     verify: bool,
 ) -> Dict[str, object]:
@@ -89,7 +88,6 @@ def _bench_case(
         sample_rate=sample_rate,
         sample_seed=seed,
         slo=slo,
-        engine=engine,
     )
     order = sorted(graph.nodes(), key=graph.id_of)
     rng = random.Random(seed * 1_000_003 + side)
@@ -149,7 +147,7 @@ def _bench_case(
         "unsampled_total": int(unsampled),
         "tenant_shards": service.shards.labels(),
         "reconciled": reconciled,
-        "engine": resolve_engine(engine, batch),
+        "engine": resolve_engine(batch),
     }
     if verify:
         case["verified_against_cold_decode"] = mismatches == 0
@@ -168,7 +166,6 @@ def run_serve_bench(
     sample_rate: float = 0.05,
     tenants: int = 4,
     batch: int = 1,
-    engine: str = "auto",
     slo_latency_target: Optional[float] = None,
     verify: bool = False,
 ) -> Dict[str, object]:
@@ -187,7 +184,7 @@ def run_serve_bench(
     cases = [
         _bench_case(
             side, queries, seed, spacing, sample_rate, tenants, batch,
-            engine, slo, verify,
+            slo, verify,
         )
         for side in sides
     ]
@@ -209,7 +206,6 @@ def run_serve_bench(
             "sample_rate": sample_rate,
             "tenants": tenants,
             "batch": batch,
-            "engine": engine,
         },
         "cases": cases,
         "flatness": flatness,
@@ -253,10 +249,6 @@ def serve_bench_main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--batch", type=int, default=1,
                         help="nodes per query_batch call (default 1)")
     parser.add_argument(
-        "--engine", choices=ENGINES, default="auto",
-        help="serving gather engine (default auto)",
-    )
-    parser.add_argument(
         "--slo-latency-target", type=float, default=None, metavar="SECONDS",
         help="attach an SloMonitor with this p95 latency target",
     )
@@ -283,7 +275,6 @@ def serve_bench_main(argv: Optional[List[str]] = None) -> int:
         sample_rate=args.sample_rate,
         tenants=args.tenants,
         batch=args.batch,
-        engine=args.engine,
         slo_latency_target=args.slo_latency_target,
         verify=args.verify,
     )

@@ -11,10 +11,9 @@ This module is the minimal query engine that makes the claim operational:
   as an integrity check — the served bits are the bits that survived the
   wire format.
 * **Query via ball gathers.**  ``query(node)`` / ``query_batch(nodes)``
-  gather only the queried nodes' radius-``T`` balls — per root with
-  :func:`repro.local.views.gather_view`, or in one
-  :func:`repro.local.vectorized.gather_views_batched` sweep with a
-  ``roots=`` subset; ``engine="auto"`` picks per batch from its size — and
+  gather only the queried nodes' radius-``T`` balls through
+  :func:`repro.local.model.gather_views` with a ``roots=`` subset (the
+  batch size picks the scalar or the vectorized gather) — and
   decide each ball directly with the schema's
   :meth:`~repro.advice.schema.AdviceSchema.view_decoder`.  The full graph
   is never re-decoded, and no answer is cached: an order-signature memo
@@ -39,9 +38,8 @@ from ..advice.schema import (
     validate_advice_map,
 )
 from ..local.graph import LocalGraph, Node
-from ..local.model import ENGINES, resolve_engine
-from ..local.vectorized import gather_views_batched
-from ..local.views import View, gather_view
+from ..local.model import gather_views, resolve_engine
+from ..local.views import View
 from ..obs.live import (
     SlidingWindowHistogram,
     SloMonitor,
@@ -113,13 +111,10 @@ class AdviceService:
         clock: Optional[Callable[[], float]] = None,
         max_tenants: int = 32,
         span_sink: Optional[Sink] = None,
-        engine: str = "auto",
         latency_buckets: Optional[Sequence[float]] = None,
         window_size: int = 256,
         windows: int = 4,
     ) -> None:
-        if engine not in ENGINES:
-            raise ServeError(f"unknown serving engine {engine!r}")
         contract = schema.locality_contract(graph)
         if contract is None:
             raise ServeError(
@@ -138,7 +133,6 @@ class AdviceService:
         self.graph = graph
         self.radius = contract.radius
         self._decide = decide
-        self._engine = engine
         self._clock = clock
 
         # -- encode once, through the bitstream wire format ------------------
@@ -209,26 +203,15 @@ class AdviceService:
 
     def _gather(self, nodes: Sequence[Node], tracer: Tracer) -> Dict[Node, View]:
         """Radius-``T`` balls of ``nodes`` only — never the whole graph."""
-        if resolve_engine(self._engine, len(nodes)) == "vectorized":
-            index_of = self.graph.compiled.index_of
-            roots = [index_of[v] for v in nodes]
-            return gather_views_batched(
-                self.graph,
-                self.radius,
-                self.advice,
-                stats=self.stats,
-                tracer=tracer,
-                roots=roots,
-            )
-        views: Dict[Node, View] = {}
-        with self.stats.span(
-            tracer, "gather", radius=self.radius, roots=len(nodes), engine="scalar"
-        ):
-            for v in nodes:
-                views[v] = gather_view(self.graph, v, self.radius, self.advice)
-                self.stats.views_gathered += 1
-                self.stats.bfs_node_visits += len(views[v].nodes)
-        return views
+        index_of = self.graph.compiled.index_of
+        return gather_views(
+            self.graph,
+            self.radius,
+            self.advice,
+            roots=[index_of[v] for v in nodes],
+            stats=self.stats,
+            tracer=tracer,
+        )
 
     def _account(
         self,
@@ -268,10 +251,10 @@ class AdviceService:
     def query_batch(
         self, nodes: Sequence[Node], tenant: str = "default"
     ) -> List[QueryResult]:
-        """Answer a batch of nodes through one shared batched ball gather.
+        """Answer a batch of nodes through one shared ball gather.
 
         The batch shares a query id (one sampling decision) and one
-        ``gather_views_batched(roots=...)`` call; per-query latency is the
+        ``gather_views(roots=...)`` call; per-query latency is the
         batch wall time amortized evenly.  An :class:`AdviceError` from any
         ball is counted (``query_errors_total``, SLO error budget) and
         re-raised — partial batches are not returned.
@@ -335,7 +318,7 @@ class AdviceService:
             "radius": self.radius,
             "packed_advice_bits": len(self.packed_advice),
             # the gather engine a single-node query uses
-            "engine": resolve_engine(self._engine, 1),
+            "engine": resolve_engine(1),
             "metrics": self.registry.snapshot(),
             "latency": self.latency_window.snapshot_value(),
             "ball_size": self.ball_size_window.snapshot_value(),

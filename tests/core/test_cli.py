@@ -105,17 +105,6 @@ class TestBandwidthCLI:
         assert profile["policy"] == "congest"
         assert profile["capacity_bits"] == 64 * profile["id_bits"]
 
-    def test_engine_passthrough_is_bit_invariant(self, capsys):
-        totals = []
-        for engine in ("scalar", "vectorized"):
-            code = main(
-                ["bandwidth", "2-coloring", "--n", "60",
-                 "--engine", engine, "--json"]
-            )
-            assert code == 0
-            totals.append(json.loads(capsys.readouterr().out)["total_bits"])
-        assert totals[0] == totals[1]
-
 
 class TestTraceCLI:
     def test_trace_writes_jsonl_and_summary(self, tmp_path, capsys):
@@ -141,21 +130,3 @@ class TestTraceCLI:
         capsys.readouterr()
         assert code == 0
         assert (tmp_path / "trace-2-coloring.jsonl").exists()
-
-    def test_trace_engine_passthrough(self, tmp_path, capsys):
-        out = str(tmp_path / "trace.jsonl")
-        code = main(
-            ["trace", "2-coloring", "--n", "40",
-             "--engine", "vectorized", "--out", out]
-        )
-        stdout = capsys.readouterr().out
-        assert code == 0
-        assert "bits_on_wire" in stdout
-
-    def test_profile_engine_passthrough(self, capsys):
-        code = main(
-            ["profile", "2-coloring", "--n", "40", "--engine", "scalar"]
-        )
-        stdout = capsys.readouterr().out
-        assert code == 0
-        assert "schema_run" in stdout

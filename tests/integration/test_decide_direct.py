@@ -3,7 +3,8 @@
 Order signatures belong to the Section 8 lookup-table construction and to
 callers that opt into ``memoize=True``; the default decode and serve paths
 must never compute one.  Each test makes ``View.order_signature`` raise and
-drives a path end to end.
+drives a path end to end, on the gather the root count picks (``auto``)
+and on each branch forced.
 """
 
 import pytest
@@ -25,9 +26,10 @@ def no_signatures(monkeypatch):
 
 
 @pytest.mark.parametrize("engine", ["auto", "scalar", "vectorized"])
-def test_solve_decides_without_signatures(no_signatures, engine):
+def test_solve_decides_without_signatures(no_signatures, force_gather, engine):
+    force_gather(engine)
     graph = LocalGraph(grid(24, 24), seed=0)
-    run = solve_with_advice("2-coloring", graph, engine=engine)
+    run = solve_with_advice("2-coloring", graph)
     assert run.valid
     stats = run.result.stats
     assert stats.decide_calls == graph.n
@@ -35,9 +37,10 @@ def test_solve_decides_without_signatures(no_signatures, engine):
 
 
 @pytest.mark.parametrize("engine", ["auto", "scalar", "vectorized"])
-def test_service_answers_without_signatures(no_signatures, engine):
+def test_service_answers_without_signatures(no_signatures, force_gather, engine):
+    force_gather(engine)
     graph = LocalGraph(grid(24, 24), seed=0)
-    service = AdviceService(TwoColoringSchema(spacing=8), graph, engine=engine)
+    service = AdviceService(TwoColoringSchema(spacing=8), graph)
     nodes = sorted(graph.nodes(), key=graph.id_of)
     cold = solve_with_advice("2-coloring", LocalGraph(grid(24, 24), seed=0))
     expected = cold.result.labeling

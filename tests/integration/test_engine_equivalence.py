@@ -1,11 +1,12 @@
-"""Engine-independence: every schema, every engine, identical labelings.
+"""Gather-independence: every schema, both gathers, identical labelings.
 
-The acceptance bar of the vectorized engine: all registered schemas
-produce **bit-identical** labelings under ``scalar`` and
-``vectorized``, engine choice lands in
-``SchemaRun.telemetry``, and the work profile's totals equal the
-telemetry counters exactly on every engine — per-span counter shares sum
-to the engine totals regardless of which engine stamped them.
+The acceptance bar of the vectorized gather: all registered schemas
+produce **bit-identical** labelings on the ``scalar`` and the
+``vectorized`` branch of the root-count rule, the gather that ran lands
+in ``SchemaRun.telemetry``, and the work profile's totals equal the
+telemetry counters exactly on each branch — per-span counter shares sum
+to the engine totals regardless of which gather stamped them.  The
+``force_gather`` fixture picks the branch.
 """
 
 import pytest
@@ -16,71 +17,72 @@ from repro.core.api import (
     make_schema,
     solve_with_advice,
 )
-from repro.local import use_engine
-from repro.local.model import current_engine
-from repro.obs.profile import profile_run
+from repro.graphs import grid
+from repro.local import LocalGraph, run_view_algorithm
+from repro.obs.profile import WorkProfile, profile_run
 from repro.perf import WORK_COUNTERS
+from repro.schemas.two_coloring import TwoColoringSchema
+from repro.serve import AdviceService
 
 ENGINES = ["scalar", "vectorized"]
 
 
-def _solve(name, engine, seed=11):
+def _solve(name, seed=11):
     graph, kwargs = default_instance(name, 64, seed=seed)
-    return solve_with_advice(name, graph, engine=engine, **kwargs)
+    return solve_with_advice(name, graph, **kwargs)
 
 
 @pytest.mark.parametrize("name", available_schemas())
-def test_labelings_bit_identical_across_engines(name):
-    runs = {engine: _solve(name, engine) for engine in ENGINES}
+def test_labelings_bit_identical_across_engines(name, force_gather):
+    runs = {}
+    for engine in ENGINES:
+        force_gather(engine)
+        runs[engine] = _solve(name)
     assert all(run.valid for run in runs.values())
     reference = runs["scalar"].result.labeling
     for engine in ENGINES[1:]:
         assert runs[engine].result.labeling == reference, engine
 
 
-def test_engine_recorded_in_telemetry():
+def test_engine_recorded_in_telemetry(force_gather):
     # two-coloring decodes through run_view_algorithm, so its telemetry
-    # must name the engine that actually ran.
-    run = _solve("2-coloring", "vectorized")
-    assert run.telemetry["engine"] == "vectorized"
-    run = _solve("2-coloring", "scalar")
-    assert run.telemetry["engine"] == "scalar"
+    # must name the gather that actually ran.
+    for engine in ENGINES:
+        force_gather(engine)
+        assert _solve("2-coloring").telemetry["engine"] == engine
 
 
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("name", available_schemas())
-def test_reconcile_balances_on_every_engine(engine, name):
+def test_reconcile_balances_on_every_engine(engine, name, force_gather):
+    force_gather(engine)
     graph, kwargs = default_instance(name, 64, seed=5)
     schema = make_schema(name, **kwargs)
-    with use_engine(engine):
-        run, profile = profile_run(schema, graph)
+    run, profile = profile_run(schema, graph)
     for counter in WORK_COUNTERS:
         assert profile.total(counter) == run.telemetry[counter], counter
 
 
-def test_use_engine_scopes_and_restores():
-    assert current_engine() == "auto"
-    with use_engine("scalar"):
-        assert current_engine() == "scalar"
-        with use_engine("vectorized"):
-            assert current_engine() == "vectorized"
-        assert current_engine() == "scalar"
-    assert current_engine() == "auto"
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("batch", [1, 80])
+def test_service_and_run_charge_equal_work(batch, engine, force_gather):
+    # Both call sites share one gather helper, so a served root costs the
+    # views and BFS visits its view costs in a whole-graph run.
+    force_gather(engine)
+    graph = LocalGraph(grid(12, 12), seed=0)
+    service = AdviceService(TwoColoringSchema(spacing=8), graph, sample_rate=1.0)
+    run = run_view_algorithm(
+        graph, service.radius, lambda view: len(view.nodes), advice=service.advice
+    )
+    assert run.stats.engine == engine
+    assert run.stats.views_gathered == graph.n
+    assert run.stats.bfs_node_visits == sum(run.outputs.values())
 
-
-def test_unknown_engine_rejected():
-    from repro.local import SimulationError
-    from repro.serve import AdviceService, ServeError
-
-    graph, kwargs = default_instance("2-coloring", 16, seed=0)
-    # "parallel" named the process-pool engine, which no longer exists
-    for engine in ("warp-drive", "parallel"):
-        with pytest.raises(SimulationError):
-            with use_engine(engine):
-                pass  # pragma: no cover
-        with pytest.raises(SimulationError):
-            solve_with_advice("2-coloring", graph, engine=engine, **kwargs)
-        with pytest.raises(ServeError):
-            AdviceService(
-                make_schema("2-coloring", **kwargs), graph, engine=engine
-            )
+    roots = sorted(graph.nodes(), key=graph.id_of)[:batch]
+    service.query_batch(roots)
+    profile = WorkProfile.from_records(service.tracer.ring().records)
+    [gather] = profile.by_name("gather")
+    assert gather.attrs["engine"] == engine
+    assert service.stats.views_gathered == batch
+    assert service.stats.bfs_node_visits == sum(run.outputs[v] for v in roots)
+    service.close()

@@ -2,7 +2,7 @@
 
 The churn runtime (PR 9) mutates a live graph in place.  Every
 topology-derived cache — the compiled CSR snapshot with its vectorized
-``_np_csr32`` / ``_np_flood`` sidecars, the bounded-LRU ball cache, and
+``_np_csr`` / ``_np_flood`` sidecars, the bounded-LRU ball cache, and
 memoized views gathered from the old topology — must be invalidated the
 moment an edge flips, or the decoder would be served stale neighborhoods.
 """
@@ -133,15 +133,13 @@ class TestEpochInvalidation:
         assert again.order_signature() == before.order_signature()
 
     def test_vectorized_csr32_cache_dropped_on_mutation(self):
-        numpy = pytest.importorskip("numpy")  # noqa: F841
-        from repro.local.vectorized import _csr_arrays
-
+        numpy = pytest.importorskip("numpy")
         g = _fresh(8)
-        _csr_arrays(g.compiled)
-        assert g.compiled._np_csr32 is not None
+        indptr, _, _ = g.compiled.np_csr()
+        assert indptr.dtype == numpy.int32  # the one snapshot, narrowed
         g.add_edge(0, 4)
-        assert g.compiled._np_csr32 is None  # fresh snapshot, cache dies with old CSR
-        indptr, indices, ids = _csr_arrays(g.compiled)
+        assert g.compiled._np_csr is None  # fresh snapshot, cache dies with old CSR
+        indptr, indices, ids = g.compiled.np_csr()
         assert int(indptr[-1]) == 2 * g.m
 
     def test_flood_cache_dropped_on_mutation(self):

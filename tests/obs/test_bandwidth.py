@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.core.api import solve_with_advice
 from repro.graphs import cycle, grid
 from repro.local import LocalGraph
 from repro.obs.bandwidth import (
@@ -241,15 +242,17 @@ class TestFloodingBandwidth:
         # the per-round histogram has one zero entry per silent round
         assert long.per_round["count"] == ecc + 50
 
-    def test_independent_of_ambient_engine(self):
-        from repro.local import use_engine
-
+    def test_independent_of_ambient_engine(self, force_gather):
         g = LocalGraph(grid(6, 6), seed=1)
-        profiles = []
+        profiles, solved = [], []
         for engine in ("scalar", "vectorized"):
-            with use_engine(engine):
-                profiles.append(flooding_bandwidth(g, 3).as_dict())
+            force_gather(engine)
+            profiles.append(flooding_bandwidth(g, 3).as_dict())
+            run = solve_with_advice("2-coloring", LocalGraph(grid(8, 8), seed=1))
+            assert run.telemetry["engine"] == engine
+            solved.append(run.bandwidth.as_dict())
         assert profiles[0] == profiles[1]
+        assert solved[0] == solved[1]
 
     def test_off_policy_returns_none(self):
         g = LocalGraph(cycle(4), seed=0)

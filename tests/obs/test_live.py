@@ -463,19 +463,16 @@ class TestAdviceService:
         text = service.prometheus()
         assert "repro_queries_total 10" in text
 
-    def test_engines_agree(self):
+    def test_engines_agree(self, force_gather):
         graph = LocalGraph(grid(12, 12), seed=0)
         nodes = sorted(graph.nodes(), key=graph.id_of)[:25]
-        vec = AdviceService(
-            TwoColoringSchema(spacing=8), graph, engine="vectorized",
-            sample_rate=None,
-        )
-        scal = AdviceService(
-            TwoColoringSchema(spacing=8), graph, engine="scalar",
-            sample_rate=None,
-        )
+        vec = AdviceService(TwoColoringSchema(spacing=8), graph, sample_rate=None)
+        scal = AdviceService(TwoColoringSchema(spacing=8), graph, sample_rate=None)
         for v in nodes:
-            assert vec.query(v).label == scal.query(v).label
+            force_gather("vectorized")
+            label = vec.query(v).label
+            force_gather("scalar")
+            assert label == scal.query(v).label
         # the deterministic work counters are engine-independent too
         assert vec.stats.views_gathered == scal.stats.views_gathered
         assert vec.stats.bfs_node_visits == scal.stats.bfs_node_visits
@@ -483,35 +480,31 @@ class TestAdviceService:
 
     @pytest.mark.parametrize("engine", ["auto", "vectorized"])
     @pytest.mark.parametrize("batch", [1, 3, 4, 64])
-    def test_batches_answer_like_scalar(self, engine, batch):
+    def test_batches_answer_like_scalar(self, force_gather, engine, batch):
         graph = LocalGraph(grid(12, 12), seed=0)
         nodes = sorted(graph.nodes(), key=graph.id_of)
         batches = [
             [nodes[(start + k) % len(nodes)] for k in range(batch)]
             for start in range(0, 2 * batch, batch)
         ]
-        served = AdviceService(
-            TwoColoringSchema(spacing=8), graph, engine=engine,
-            sample_rate=None,
-        )
-        scal = AdviceService(
-            TwoColoringSchema(spacing=8), graph, engine="scalar",
-            sample_rate=None,
-        )
+        served = AdviceService(TwoColoringSchema(spacing=8), graph, sample_rate=None)
+        scal = AdviceService(TwoColoringSchema(spacing=8), graph, sample_rate=None)
         for roots in batches:
+            force_gather(engine)
             got = [(r.node, r.label) for r in served.query_batch(roots)]
+            force_gather("scalar")
             want = [(r.node, r.label) for r in scal.query_batch(roots)]
             assert got == want
         assert served.stats.views_gathered == scal.stats.views_gathered
         assert served.stats.bfs_node_visits == scal.stats.bfs_node_visits
         assert served.stats.decide_calls == scal.stats.decide_calls
 
-    def test_snapshot_names_the_single_query_engine(self):
+    def test_snapshot_names_the_single_query_engine(self, force_gather):
         # One root is below auto's vectorize cut-off.
         service, _ = make_grid_service(side=12)
         assert service.snapshot()["engine"] == "scalar"
-        vec, _ = make_grid_service(side=12, engine="vectorized")
-        assert vec.snapshot()["engine"] == "vectorized"
+        force_gather("vectorized")
+        assert service.snapshot()["engine"] == "vectorized"
 
     def test_make_service_facade(self):
         graph = LocalGraph(grid(12, 12), seed=0)
