@@ -17,7 +17,7 @@ by the Section 7 bit groups.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 HEADER = "11110110"
 WORD_ZERO = "110"
@@ -88,6 +88,26 @@ def try_decode_stream(stream: str) -> Optional[Tuple[str, int]]:
         return decode_stream(stream)
     except CodecError:
         return None
+
+
+def read_marker_stream(counts: Sequence[int]) -> Optional[str]:
+    """Payload of a marker code read off per-sphere 1-node counts.
+
+    ``counts[j]`` is the number of 1-nodes at distance exactly ``j`` from
+    a candidate start.  Returns ``None`` when some sphere holds more than
+    one 1-node (the uniqueness condition fails), when the stream does not
+    parse, or when a 1 follows the terminator.
+    """
+    if any(c > 1 for c in counts):
+        return None
+    stream = "".join("1" if c else "0" for c in counts)
+    parsed = try_decode_stream(stream)
+    if parsed is None:
+        return None
+    payload, consumed = parsed
+    if "1" in stream[consumed:]:
+        return None
+    return payload
 
 
 def int_to_bits(value: int, width: Optional[int] = None) -> str:

@@ -16,17 +16,20 @@ sphere-uniqueness condition (at most one 1-node per sphere, paper Section 4,
 starts parse and interior nodes fail.  The encoder *verifies* these
 conditions globally and raises when the caller placed holders too close
 together, so a successful encode certifies decodability.
+
+Decoding takes two rounds.  Round A (:func:`payload_table`): every 1-node
+parses its own radius-``window`` stream, once.  Round B: every node looks
+the payloads of its ball up in that table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Mapping, Optional
 
 from ..algorithms.bfs import path_at_distance
-from ..local.algorithm import LocalityTracker
 from ..local.graph import LocalGraph, Node
-from .bitstream import encode_payload, try_decode_stream
+from .bitstream import encode_payload, read_marker_stream
 from .schema import AdviceError, AdviceMap, AdviceSchema
 
 
@@ -35,14 +38,11 @@ class OneBitLayout:
     """Result of laying variable-length payloads out as single bits.
 
     ``bits`` maps *every* node to ``"0"`` or ``"1"`` (a uniform fixed-length
-    1-bit advice map).  ``paths`` records, per payload holder, the path its
-    marker code occupies (encoder-side bookkeeping; the decoder never sees
-    it).  ``window`` is the scan radius both sides agree on.
+    1-bit advice map).  ``window`` is the scan radius both sides agree on.
     """
 
     bits: AdviceMap
     window: int
-    paths: Dict[Node, List[Node]] = field(default_factory=dict)
 
     def ones(self) -> int:
         return sum(1 for b in self.bits.values() if b == "1")
@@ -79,7 +79,6 @@ def encode_paths(
         raise AdviceError(f"window {window} < longest code {needed}")
 
     bits: AdviceMap = {v: "0" for v in graph.nodes()}
-    paths: Dict[Node, List[Node]] = {}
     for holder in sorted(codes, key=graph.id_of):
         code = codes[holder]
         path = path_at_distance(graph.graph, holder, len(code) - 1)
@@ -91,124 +90,70 @@ def encode_paths(
         for node, bit in zip(path, code):
             if bit == "1":
                 bits[node] = "1"
-        paths[holder] = path
 
-    _verify_layout(graph, codes, paths, bits, window)
-    return OneBitLayout(bits=bits, window=window, paths=paths)
+    _verify_layout(graph, codes, bits, window)
+    return OneBitLayout(bits=bits, window=window)
 
 
 def _verify_layout(
     graph: LocalGraph,
     codes: Mapping[Node, str],
-    paths: Mapping[Node, List[Node]],
     bits: Mapping[Node, str],
     window: int,
 ) -> None:
-    """Certify decodability: around each holder the spheres carry exactly
-    its own code, with at most one 1-node per sphere, zeros beyond."""
+    """Certify decodability: every holder's stream reads back its own code.
+
+    Each code path is a shortest path from its holder, so this holds iff
+    the spheres around the holder carry exactly its code — at most one
+    1-node per sphere, zeros beyond.
+    """
+    table = payload_table(graph, bits, window)
     for holder, code in codes.items():
-        path = paths[holder]
-        for j in range(window + 1):
-            ones = [u for u in graph.sphere(holder, j) if bits.get(u) == "1"]
-            expected = [path[j]] if j < len(code) and code[j] == "1" else []
-            if ones != expected and set(ones) != set(expected):
-                raise AdviceError(
-                    f"holder {holder!r}: sphere {j} carries {len(ones)} "
-                    f"one-bits (expected {len(expected)}); holders are too "
-                    f"close together for window {window}"
-                )
-        # A genuine start must actually parse back to its payload.
-        decoded = decode_at(graph, holder, window, bits)
-        if decoded is None or encode_payload(decoded) != code:
+        payload = table.get(holder)
+        if payload is None or encode_payload(payload) != code:
             raise AdviceError(
-                f"holder {holder!r}: self-check decode failed"
+                f"holder {holder!r}: its spheres do not read back its code; "
+                f"holders are too close together for window {window}"
             )
 
 
-def sphere_stream(
-    graph: LocalGraph,
-    start: Node,
-    window: int,
-    bits: Mapping[Node, str],
-) -> Optional[str]:
-    """Read the bit stream off the BFS spheres of ``start``.
-
-    Returns ``None`` when some sphere within the window contains more than
-    one 1-node (the uniqueness condition fails, so ``start`` cannot be a
-    code start).
-    """
-    stream = []
-    for j in range(window + 1):
-        ones = sum(1 for u in graph.sphere(start, j) if bits.get(u) == "1")
-        if ones > 1:
-            return None
-        stream.append("1" if ones == 1 else "0")
-    return "".join(stream)
-
-
-def decode_at(
-    graph: LocalGraph,
-    start: Node,
-    window: int,
-    bits: Mapping[Node, str],
-) -> Optional[str]:
-    """Attempt to parse a payload whose code starts at ``start``.
-
-    Success requires: ``start`` carries a 1; spheres are unique-or-empty;
-    the stream parses as header+payload+terminator; and every sphere after
-    the terminator out to ``window`` is all zeros.  Interior path nodes fail
-    these conditions (see module docstring), so the start is identified
-    unambiguously.
-    """
-    if bits.get(start) != "1":
-        return None
-    stream = sphere_stream(graph, start, window, bits)
-    if stream is None:
-        return None
-    parsed = try_decode_stream(stream)
-    if parsed is None:
-        return None
-    payload, consumed = parsed
-    if any(b == "1" for b in stream[consumed:]):
-        return None
-    return payload
-
-
-def find_payloads_in_ball(
-    tracker: LocalityTracker,
-    node: Node,
-    radius: int,
-    window: int,
-    bits: Mapping[Node, str],
-) -> List[Tuple[Node, str]]:
-    """All ``(start, payload)`` pairs decodable within distance ``radius``
-    of ``node`` — the local operation a decoder actually performs.
-
-    Locality: examining candidates within ``radius`` and parsing their
-    windows costs ``radius + window`` rounds, charged on the tracker.
-    """
-    tracker.charge(radius + window)
-    graph = tracker.graph
-    found: List[Tuple[Node, str]] = []
-    for candidate in graph.ball(node, radius):
-        if bits.get(candidate) != "1":
-            continue
-        payload = decode_at(graph, candidate, window, bits)
-        if payload is not None:
-            found.append((candidate, payload))
-    return found
-
-
-def decode_all(
+def payload_table(
     graph: LocalGraph, bits: Mapping[Node, str], window: int
 ) -> Dict[Node, str]:
-    """Every decodable ``start -> payload`` in the graph (test utility)."""
-    out: Dict[Node, str] = {}
-    for v in graph.nodes():
-        payload = decode_at(graph, v, window, bits)
+    """Round A of the decode: every 1-node parses its own marker stream.
+
+    One batched radius-``window`` gather over the 1-nodes, one
+    ``bincount`` of 1-bits per ``(start, distance)``, and
+    :func:`~repro.advice.bitstream.read_marker_stream` per row.  Returns
+    ``start -> payload`` for every start whose stream parses; interior
+    path nodes fail the reader (see module docstring), so each payload
+    appears once, at its genuine start.  Round B is a lookup: a node
+    finds the payloads in its ball by looking its ball's nodes up here.
+    """
+    import numpy as np
+
+    from ..local.vectorized import gather_ball_batch
+
+    compiled = graph.compiled
+    nodes = compiled.nodes
+    ones = np.fromiter(
+        (bits.get(v) == "1" for v in nodes), dtype=bool, count=compiled.n
+    )
+    roots = np.flatnonzero(ones)
+    batch = gather_ball_batch(graph, window, roots=roots)
+    depth = window + 1
+    owner = np.repeat(np.arange(roots.size), np.diff(batch.ball_indptr))
+    hit = ones[batch.ball_nodes]
+    counts = np.bincount(
+        owner[hit] * depth + batch.ball_dists[hit],
+        minlength=roots.size * depth,
+    ).reshape(roots.size, depth)
+    table: Dict[Node, str] = {}
+    for i, row in zip(roots.tolist(), counts.tolist()):
+        payload = read_marker_stream(row)
         if payload is not None:
-            out[v] = payload
-    return out
+            table[nodes[i]] = payload
+    return table
 
 
 class OneBitConversion(AdviceSchema):
@@ -254,8 +199,7 @@ class OneBitConversion(AdviceSchema):
                 "(pass window= at construction; both sides must agree)"
             )
         reconstructed: Dict[Node, str] = {v: "" for v in graph.nodes()}
-        for holder, payload in decode_all(graph, advice, window).items():
-            reconstructed[holder] = payload
+        reconstructed.update(payload_table(graph, advice, window))
         result = self.inner.decode(graph, reconstructed)
         result.rounds += window
         return result

@@ -54,8 +54,14 @@ __all__ = [
     "source_root",
 ]
 
-#: subpackages of ``repro`` holding LOCAL-contract code (ISSUE scope)
-DEFAULT_ROOTS: Tuple[str, ...] = ("schemas", "algorithms", "lower_bounds")
+#: subpackages of ``repro`` holding LOCAL-contract code (the §9 one-bit
+#: decode lives in ``advice``)
+DEFAULT_ROOTS: Tuple[str, ...] = (
+    "schemas",
+    "algorithms",
+    "lower_bounds",
+    "advice",
+)
 
 _WAIVER_DECORATORS = {"lint_waiver", "uses_global_knowledge"}
 _TIME_FUNCTIONS = {"monotonic", "perf_counter", "time", "time_ns"}

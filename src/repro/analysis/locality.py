@@ -291,6 +291,13 @@ def _same(a: object, b: object) -> bool:
 # ---------------------------------------------------------------------------
 
 
+#: ``(id(schema), "decode" | "encode") -> (schema, bound)``.  Each entry
+#: holds its schema, so no key's id can be reused while the memo lives:
+#: decoders build temporary sub-schemas, and a freed one's address would
+#: otherwise hand a new schema its stale bound.
+_Memo = Dict[Tuple[int, str], Tuple[object, Optional[int]]]
+
+
 class _Analyzer:
     """Abstract interpreter over one schema's decode/encode functions.
 
@@ -303,7 +310,7 @@ class _Analyzer:
         self,
         schema: object,
         graph: LocalGraph,
-        memo: Dict[Tuple[int, str], Optional[int]],
+        memo: _Memo,
         depth: int = 0,
     ) -> None:
         self.schema = schema
@@ -1150,15 +1157,15 @@ class StaticBounds:
 def _infer_radius(
     schema: object,
     graph: LocalGraph,
-    memo: Dict[Tuple[int, str], Optional[int]],
+    memo: _Memo,
     depth: int = 0,
 ) -> Optional[int]:
     key = (id(schema), "decode")
     if key in memo:
-        return memo[key]
+        return memo[key][1]
     if depth >= _MAX_DEPTH:
         return None
-    memo[key] = None  # cycle guard
+    memo[key] = (schema, None)  # cycle guard
     analyzer = _Analyzer(schema, graph, memo, depth)
     decode = getattr(schema, "decode", None)
     if decode is None:
@@ -1178,22 +1185,22 @@ def _infer_radius(
         bound = analyzer._hint("rounds")
     else:
         bound = max([c for c in candidates if c is not None] or [0])
-    memo[key] = bound
+    memo[key] = (schema, bound)
     return bound
 
 
 def _infer_bits(
     schema: object,
     graph: LocalGraph,
-    memo: Dict[Tuple[int, str], Optional[int]],
+    memo: _Memo,
     depth: int = 0,
 ) -> Optional[int]:
     key = (id(schema), "encode")
     if key in memo:
-        return memo[key]
+        return memo[key][1]
     if depth >= _MAX_DEPTH:
         return None
-    memo[key] = None  # cycle guard
+    memo[key] = (schema, None)  # cycle guard
     analyzer = _Analyzer(schema, graph, memo, depth)
     encode = getattr(schema, "encode", None)
     if encode is None:
@@ -1207,7 +1214,7 @@ def _infer_bits(
         bound = None
     if bound is None:
         bound = analyzer._hint("advice_bits")
-    memo[key] = bound
+    memo[key] = (schema, bound)
     return bound
 
 
@@ -1218,7 +1225,7 @@ def infer_static_bounds(schema: object, graph: LocalGraph) -> StaticBounds:
     unbounded traversal (``LOC103``) or an unbounded encoder (``LOC102``)
     unless a :func:`locality_hints` bound closes the gap.
     """
-    memo: Dict[Tuple[int, str], Optional[int]] = {}
+    memo: _Memo = {}
     radius = _infer_radius(schema, graph, memo)
     bits = _infer_bits(schema, graph, memo)
     return StaticBounds(radius, bits)

@@ -57,7 +57,7 @@ from ..advice.bitstream import (
     encode_payload,
     int_to_bits,
     pack_parts,
-    try_decode_stream,
+    read_marker_stream,
     unpack_parts,
 )
 from ..advice.schema import (
@@ -747,24 +747,13 @@ class OneBitLCLSchema(AdviceSchema):
         ``y+1..x`` free of run-ones; the stream parses as a marker code with
         all-zero tail.
         """
-        spheres: Dict[int, List[Node]] = {}
+        counts = [0] * (self.x + 1)
         for w, d in dist.items():
             if d <= self.x and w in run_ones:
-                spheres.setdefault(d, []).append(w)
-        stream = []
-        for j in range(self.x + 1):
-            ones = spheres.get(j, [])
-            if len(ones) > 1:
-                return None
-            if j > self.y and ones:
-                return None
-            stream.append("1" if ones else "0")
-        parsed = try_decode_stream("".join(stream))
-        if parsed is None:
+                counts[d] += 1
+        if any(counts[self.y + 1 :]):
             return None
-        payload, consumed = parsed
-        if any(b == "1" for b in "".join(stream)[consumed:]):
-            return None
+        payload = read_marker_stream(counts)
         if not payload:
             return None
         return bits_to_int(payload)

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..advice.bitstream import bits_to_int, int_to_bits
-from ..advice.onebit import encode_paths, find_payloads_in_ball
+from ..advice.onebit import encode_paths, payload_table
 from ..advice.schema import (
     AdviceError,
     AdviceMap,
@@ -653,6 +653,7 @@ class OneBitOrientationSchema(AdviceSchema):
         width = self._port_width(graph)
         limit = self.walk_limit_for(graph)
         small = self._small_component_nodes(graph)
+        table = payload_table(graph, advice, window)
         oriented: Set[Edge] = set()
         for v, u in graph.edges():
             if v in small:
@@ -670,7 +671,7 @@ class OneBitOrientationSchema(AdviceSchema):
                 oriented.add((v, u) if forward else (u, v))
             else:
                 oriented.add(
-                    self._orient_edge(tracker, advice, v, u, window, width, limit)
+                    self._orient_edge(tracker, table, v, u, window, width, limit)
                 )
         labels = orientation_to_port_labels(graph, oriented)
         return DecodeResult(
@@ -682,7 +683,7 @@ class OneBitOrientationSchema(AdviceSchema):
     def _orient_edge(
         self,
         tracker: LocalityTracker,
-        advice: Mapping[Node, str],
+        table: Mapping[Node, str],
         v: Node,
         u: Node,
         window: int,
@@ -700,9 +701,7 @@ class OneBitOrientationSchema(AdviceSchema):
             if len(full) <= limit:  # see BalancedOrientationSchema._orient_edge
                 return (v, u) if _canonical_open_forward(graph, full) else (u, v)
         for walked, along_forward in ((fwd, True), (bwd, False)):
-            found = self._find_payload_anchor(
-                graph, advice, walked, window, width
-            )
+            found = self._find_payload_anchor(graph, table, walked, width)
             if found is None:
                 continue
             oriented_edge, walked_edge = found
@@ -718,16 +717,13 @@ class OneBitOrientationSchema(AdviceSchema):
     @staticmethod
     def _find_payload_anchor(
         graph: LocalGraph,
-        advice: Mapping[Node, str],
+        table: Mapping[Node, str],
         walked: Sequence[Edge],
-        window: int,
         width: int,
     ) -> Optional[Tuple[Edge, Edge]]:
-        from ..advice.onebit import decode_at
-
         for (x, y) in walked:
             for node, mate, walked_edge in ((x, y, (x, y)), (y, x, (x, y))):
-                payload = decode_at(graph, node, window, advice)
+                payload = table.get(node)
                 if payload is None or len(payload) != width + 1:
                     continue
                 port = bits_to_int(payload[:width])

@@ -19,7 +19,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import networkx as nx
 
-from ..advice.onebit import decode_at, encode_paths
+from ..advice.onebit import encode_paths, payload_table
 from ..advice.schema import (
     AdviceError,
     AdviceMap,
@@ -269,19 +269,15 @@ class OneBitTwoColoringSchema(AdviceSchema):
         # payload (the information its radius-(spacing+window) ball holds).
         anchors: Dict[Node, Tuple[str, int]] = {}
         with tracer.span("gather", radius=radius + self.WINDOW, n=graph.n):
+            table = payload_table(graph_, advice, self.WINDOW)
+            colors = {u: p for u, p in table.items() if len(p) == 1}
             for v in graph_.nodes():
                 found = None
-                for distance in range(radius + 1):
-                    starts = []
-                    for u in graph_.sphere(v, distance):
-                        payload = decode_at(graph_, u, self.WINDOW, advice)
-                        if payload is not None and len(payload) == 1:
-                            starts.append((u, payload))
+                for distance, layer in enumerate(graph_.bfs_layers(v, radius)):
+                    starts = [u for u in layer if u in colors]
                     if starts:
-                        anchor, payload = min(
-                            starts, key=lambda t: graph_.id_of(t[0])
-                        )
-                        found = (payload, distance)
+                        anchor = min(starts, key=graph_.id_of)
+                        found = (colors[anchor], distance)
                         if tracer.enabled:
                             tracer.event(
                                 "anchor-read",

@@ -21,7 +21,7 @@ class TestShippedTree:
     def test_scans_the_contract_roots(self):
         report = run_lint()
         scanned = "\n".join(report.files)
-        for root in ("schemas", "algorithms", "lower_bounds"):
+        for root in ("schemas", "algorithms", "lower_bounds", "advice"):
             assert f"repro/{root}" in scanned
         assert report.functions_checked > 100
 

@@ -181,3 +181,28 @@ class TestCli:
         assert certify_main(["--schema", "2-coloring"]) == 0
         out = capsys.readouterr().out
         assert "1/1 schemas certified" in out
+
+
+class TestSharedMemo:
+    def test_freed_schema_address_never_serves_a_stale_bound(self):
+        # Decoders build temporary sub-schemas that the interpreter frees;
+        # a later schema can then land at a freed address.  A memo keyed
+        # on bare ids handed it the freed schema's bound.
+        from repro.analysis.locality import _infer_radius
+        from repro.schemas import TwoColoringSchema
+
+        graph = LocalGraph(cycle(64), seed=3)
+        spacings = range(8, 38)
+        want = {
+            s: infer_static_bounds(TwoColoringSchema(spacing=s), graph).radius
+            for s in spacings
+        }
+        assert len(set(want.values())) == len(spacings)
+        memo: dict = {}
+        stale = []
+        for i in range(400):
+            s = spacings[i % len(spacings)]
+            got = _infer_radius(TwoColoringSchema(spacing=s), graph, memo)
+            if got != want[s]:
+                stale.append((s, got))
+        assert stale == []
