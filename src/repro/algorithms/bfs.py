@@ -1,79 +1,17 @@
-"""Component and path utilities shared by the schemas."""
+"""Whole-graph BFS utilities over plain networkx graphs.
+
+Induced-subgraph distances, components and diameter checks live on the
+CSR snapshot: :meth:`repro.local.graph.LocalGraph.induced`.
+"""
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional
 
 import networkx as nx
 
-from ..local.graph import LocalGraph, Node
-
-
-def component_of(graph: nx.Graph, v: Node) -> Set[Node]:
-    """The connected component containing ``v`` in a plain networkx graph."""
-    return set(nx.node_connected_component(graph, v))
-
-
-def components(graph: nx.Graph) -> List[Set[Node]]:
-    """Connected components as node sets."""
-    return [set(c) for c in nx.connected_components(graph)]
-
-
-def diameter_at_most(graph: nx.Graph, bound: int) -> bool:
-    """Is the (strong) diameter of the connected graph ``<= bound``?
-
-    Capped double-BFS style check: runs a bounded BFS from every node but
-    exits early on the first violation, so the common case (small
-    components) is cheap.
-    """
-    for v in graph.nodes():
-        depth = _bfs_depth(graph, v, bound + 1)
-        if depth > bound:
-            return False
-    return True
-
-
-def _bfs_depth(graph: nx.Graph, source: Node, cap: int) -> int:
-    seen = {source}
-    frontier = [source]
-    depth = 0
-    while frontier and depth < cap:
-        nxt = []
-        for v in frontier:
-            for u in graph.neighbors(v):
-                if u not in seen:
-                    seen.add(u)
-                    nxt.append(u)
-        if not nxt:
-            return depth
-        frontier = nxt
-        depth += 1
-    return depth
-
-
-def shortest_path_within(
-    graph: nx.Graph, source: Node, targets: Set[Node]
-) -> Optional[List[Node]]:
-    """Shortest path from ``source`` to the nearest node of ``targets``
-    (BFS inside the given graph); ``None`` when unreachable."""
-    if source in targets:
-        return [source]
-    parent: Dict[Node, Node] = {source: source}
-    frontier = deque([source])
-    while frontier:
-        v = frontier.popleft()
-        for u in graph.neighbors(v):
-            if u in parent:
-                continue
-            parent[u] = v
-            if u in targets:
-                path = [u]
-                while path[-1] != source:
-                    path.append(parent[path[-1]])
-                return list(reversed(path))
-            frontier.append(u)
-    return None
+from ..local.graph import Node
 
 
 def bfs_distances(

@@ -1,7 +1,7 @@
 """LOCAL-model substrate: graphs, views, and execution engines."""
 
 from .algorithm import LocalityTracker
-from .compiled import CompiledGraph
+from .compiled import CompiledGraph, InducedSubgraph
 from .graph import LocalGraph, LocalGraphError, Node
 from .model import (
     GatherAlgorithm,
@@ -30,6 +30,7 @@ __all__ = [
     "GatherAlgorithm",
     "GlobalKnowledge",
     "GlobalKnowledgeUse",
+    "InducedSubgraph",
     "LocalGraph",
     "LocalGraphError",
     "LocalityTracker",

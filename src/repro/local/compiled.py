@@ -24,7 +24,7 @@ its public API unchanged; everything downstream inherits the speedup.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
 Node = Hashable
 
@@ -195,6 +195,37 @@ class CompiledGraph:
         for i in order:
             dist[i] = -1
 
+    def bfs_masked(
+        self, src: int, mask: bytearray, radius: Optional[int] = None
+    ) -> Tuple[List[int], List[int]]:
+        """BFS from ``src`` through the indices ``i`` with ``mask[i]`` set.
+
+        Returns ``(order, depth)``: the visit order (non-decreasing
+        distance) and the hop distance of each visited index, parallel to
+        it.  Unlike :meth:`bfs_fill`, the :attr:`_dist` scratch is reset
+        before returning, so callers need no :meth:`reset_scratch`.
+        """
+        dist = self._dist
+        indptr, indices = self.indptr, self.indices
+        order = [src]
+        dist[src] = 0
+        head = 0
+        while head < len(order):
+            i = order[head]
+            head += 1
+            d = dist[i]
+            if radius is not None and d >= radius:
+                continue
+            d1 = d + 1
+            for k in range(indptr[i], indptr[i + 1]):
+                j = indices[k]
+                if mask[j] and dist[j] < 0:
+                    dist[j] = d1
+                    order.append(j)
+        depth = [dist[i] for i in order]
+        self.reset_scratch(order)
+        return order, depth
+
     # -- node-level API (used by LocalGraph's thin wrappers) -------------------
 
     def neighbors(self, v: Node) -> List[Node]:
@@ -291,3 +322,80 @@ class CompiledGraph:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CompiledGraph(n={self.n}, m={self.m}, max_degree={self.max_degree})"
+
+
+class InducedSubgraph:
+    """The subgraph of a :class:`CompiledGraph` induced by a node set.
+
+    A ``bytearray`` membership mask over the snapshot's dense indices;
+    every query is a :meth:`CompiledGraph.bfs_masked` sweep, so no
+    adjacency is copied and no graph-object view is built.  Like the
+    snapshot it wraps, a view is read-only: build a fresh one (through
+    :meth:`repro.local.graph.LocalGraph.induced`) after a mutation.
+    """
+
+    __slots__ = ("_compiled", "_mask", "_members")
+
+    def __init__(self, compiled: CompiledGraph, nodes: Iterable[Node]) -> None:
+        index_of = compiled.index_of
+        # Member indices in snapshot (``LocalGraph.nodes()``) order.
+        self._members: List[int] = sorted({index_of[v] for v in nodes})
+        mask = bytearray(compiled.n)
+        for i in self._members:
+            mask[i] = 1
+        self._compiled = compiled
+        self._mask = mask
+
+    def nodes(self) -> List[Node]:
+        """Members in ``LocalGraph.nodes()`` order."""
+        names = self._compiled.nodes
+        return [names[i] for i in self._members]
+
+    def __contains__(self, v: Node) -> bool:
+        i = self._compiled.index_of.get(v)
+        return i is not None and bool(self._mask[i])
+
+    def __len__(self) -> int:
+        return len(self._members)
+
+    def distances(self, source: Node, cutoff: Optional[int] = None) -> Dict[Node, int]:
+        """Hop distances from ``source`` inside the subgraph, in BFS order,
+        optionally capped at ``cutoff``."""
+        if source not in self:
+            raise KeyError(f"{source!r} is not in the induced subgraph")
+        order, depth = self._compiled.bfs_masked(
+            self._compiled.index_of[source], self._mask, cutoff
+        )
+        names = self._compiled.nodes
+        return {names[i]: d for i, d in zip(order, depth)}
+
+    def components(self) -> List[Set[Node]]:
+        """Connected components, seeded in ``LocalGraph.nodes()`` order."""
+        compiled, mask = self._compiled, self._mask
+        names = compiled.nodes
+        seen = bytearray(compiled.n)
+        out: List[Set[Node]] = []
+        for i in self._members:
+            if seen[i]:
+                continue
+            order, _ = compiled.bfs_masked(i, mask)
+            for j in order:
+                seen[j] = 1
+            out.append({names[j] for j in order})
+        return out
+
+    def diameter_at_most(self, bound: int) -> bool:
+        """Is every component's (strong) diameter ``<= bound``?
+
+        An ``s``-node subgraph has no component of diameter above
+        ``s - 1``, so that case answers at once; otherwise one capped BFS
+        runs per member and the first one past ``bound`` decides.
+        """
+        if len(self._members) - 1 <= bound:
+            return True
+        compiled, mask = self._compiled, self._mask
+        for i in self._members:
+            _, depth = compiled.bfs_masked(i, mask, bound + 1)
+            if depth[-1] > bound:
+                return False
+        return True

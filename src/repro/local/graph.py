@@ -19,7 +19,7 @@ from typing import Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, 
 
 import networkx as nx
 
-from .compiled import CompiledGraph
+from .compiled import CompiledGraph, InducedSubgraph
 
 Node = Hashable
 
@@ -329,6 +329,15 @@ class LocalGraph:
         if radius < 0:
             return []
         return self.compiled.sphere(v, radius)
+
+    def induced(self, nodes: Iterable[Node]) -> InducedSubgraph:
+        """The subgraph induced by ``nodes``, as a mask over :attr:`compiled`.
+
+        Distances, components and diameter checks inside it run on the CSR
+        arrays (:class:`repro.local.compiled.InducedSubgraph`).  The view
+        is bound to the current snapshot; take a new one after a mutation.
+        """
+        return InducedSubgraph(self.compiled, nodes)
 
     def ball_subgraph(self, v: Node, radius: int) -> nx.Graph:
         """The subgraph induced by ``N_{<= radius}(v)``."""

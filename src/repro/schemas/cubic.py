@@ -34,8 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-import networkx as nx
-
 from ..advice.schema import AdviceError
 from ..local.graph import LocalGraph, Node
 
@@ -194,11 +192,12 @@ class CubicTwoBitCompressor:
                 for u, bit in zip(owned, bits):
                     if bit == "1":
                         edges.add(_edge_key(graph, v, u))
-            sub = graph.graph.subgraph(component)
-            ecc = max(
-                nx.eccentricity(sub).values()
-            )
-            rounds = max(rounds, ecc)
+            # No eccentricity in an s-node component exceeds s - 1.
+            if len(component) - 1 > rounds:
+                rounds = max(
+                    rounds,
+                    max(len(list(graph.bfs_layers(v))) - 1 for v in component),
+                )
         return edges, rounds
 
     def storage_report(

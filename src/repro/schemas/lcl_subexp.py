@@ -48,8 +48,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-import networkx as nx
-
 from ..advice.bitstream import (
     CodecError,
     bits_to_int,
@@ -70,7 +68,6 @@ from ..advice.schema import (
     locality_hints,
     repair_region,
 )
-from ..algorithms.bfs import bfs_distances
 from ..analysis.waivers import lint_waiver
 from ..algorithms.ruling_set import distance_coloring
 from ..lcl.problem import Label, Labeling, LCLProblem
@@ -165,7 +162,7 @@ def build_clustering(
     remaining: Set[Node] = set(graph.nodes())
     clusters: List[Cluster] = []
     for color in range(1, max_color + 1):
-        sub = graph.graph.subgraph(remaining)
+        sub = graph.induced(remaining)
         phase_centers = sorted(
             (
                 v
@@ -176,7 +173,7 @@ def build_clustering(
         )
         new_members: Set[Node] = set()
         for v in phase_centers:
-            dist = bfs_distances(sub, v, cutoff=2 * x + r + 1)
+            dist = sub.distances(v, cutoff=2 * x + r + 1)
             if not any(d == 2 * x for d in dist.values()):
                 continue  # not eligible: would join the unclustered leftovers
             alpha = _lemma43_alpha(dist, x, r, delta)
@@ -192,11 +189,9 @@ def build_clustering(
             new_members |= members
         remaining -= new_members
 
-    leftovers = graph.graph.subgraph(remaining)
-    unclustered = [set(c) for c in nx.connected_components(leftovers)]
     return SubexpClustering(
         clusters=clusters,
-        unclustered=unclustered,
+        unclustered=graph.induced(remaining).components(),
         num_phase_colors=max_color,
     )
 
@@ -418,14 +413,14 @@ class LCLSubexpSchema(AdviceSchema):
         clusters: List[Cluster] = []
         max_color = max(centers.values(), default=0)
         for color in range(1, max_color + 1):
-            sub = graph.graph.subgraph(remaining)
+            sub = graph.induced(remaining)
             phase_centers = sorted(
                 (v for v, c in centers.items() if c == color and v in remaining),
                 key=graph.id_of,
             )
             new_members: Set[Node] = set()
             for v in phase_centers:
-                dist = bfs_distances(sub, v, cutoff=2 * self.x + self.r + 1)
+                dist = sub.distances(v, cutoff=2 * self.x + self.r + 1)
                 alpha = _lemma43_alpha(dist, self.x, self.r, delta)
                 members = {u for u, d in dist.items() if d <= alpha + self.r}
                 clusters.append(
@@ -433,10 +428,9 @@ class LCLSubexpSchema(AdviceSchema):
                 )
                 new_members |= members
             remaining -= new_members
-        leftovers = graph.graph.subgraph(remaining)
         return SubexpClustering(
             clusters=clusters,
-            unclustered=[set(c) for c in nx.connected_components(leftovers)],
+            unclustered=graph.induced(remaining).components(),
             num_phase_colors=max_color,
         )
 
@@ -611,10 +605,10 @@ class OneBitLCLSchema(AdviceSchema):
         for c in clustering.clusters:
             by_color.setdefault(c.color, []).append(c)
         for color in range(1, max_color + 1):
-            sub = graph.graph.subgraph(remaining)
+            sub = graph.induced(remaining)
             for cluster in by_color.get(color, []):
-                out[cluster.center] = bfs_distances(
-                    sub, cluster.center, cutoff=2 * self.x + self.r + 1
+                out[cluster.center] = sub.distances(
+                    cluster.center, cutoff=2 * self.x + self.r + 1
                 )
             for cluster in by_color.get(color, []):
                 remaining -= cluster.members
@@ -686,12 +680,12 @@ class OneBitLCLSchema(AdviceSchema):
         color = 0
         while True:
             color += 1
-            sub = graph.graph.subgraph(remaining)
+            sub = graph.induced(remaining)
             found: List[Tuple[Node, Dict[Node, int]]] = []
             for v in sorted(remaining, key=graph.id_of):
                 if v not in run_ones:
                     continue
-                dist = bfs_distances(sub, v, cutoff=2 * self.x + self.r + 1)
+                dist = sub.distances(v, cutoff=2 * self.x + self.r + 1)
                 if not any(d == 2 * self.x for d in dist.values()):
                     continue
                 parsed = self._parse_center(graph, dist, run_ones)
@@ -726,11 +720,11 @@ class OneBitLCLSchema(AdviceSchema):
     def _any_candidate_left(
         self, graph: LocalGraph, remaining: Set[Node], run_ones: Set[Node]
     ) -> bool:
-        sub = graph.graph.subgraph(remaining)
+        sub = graph.induced(remaining)
         for v in remaining:
             if v not in run_ones:
                 continue
-            dist = bfs_distances(sub, v, cutoff=2 * self.x)
+            dist = sub.distances(v, cutoff=2 * self.x)
             if any(d == 2 * self.x for d in dist.values()):
                 return True
         return False
@@ -769,11 +763,11 @@ class OneBitLCLSchema(AdviceSchema):
         max_color = max(centers.values(), default=0)
         phase_dists: Dict[Node, Dict[Node, int]] = {}
         for color in range(1, max_color + 1):
-            sub = graph.graph.subgraph(remaining)
+            sub = graph.induced(remaining)
             for v in sorted(
                 (w for w, c in centers.items() if c == color), key=graph.id_of
             ):
-                dist = bfs_distances(sub, v, cutoff=2 * self.x + self.r + 1)
+                dist = sub.distances(v, cutoff=2 * self.x + self.r + 1)
                 alpha = _lemma43_alpha(dist, self.x, self.r, delta)
                 members = {u for u, d in dist.items() if d <= alpha + self.r}
                 clusters.append(
@@ -783,10 +777,9 @@ class OneBitLCLSchema(AdviceSchema):
             for cluster in clusters:
                 if cluster.color == color:
                     remaining -= cluster.members
-        leftovers = graph.graph.subgraph(remaining)
         clustering = SubexpClustering(
             clusters=clusters,
-            unclustered=[set(c) for c in nx.connected_components(leftovers)],
+            unclustered=graph.induced(remaining).components(),
             num_phase_colors=max_color,
         )
 

@@ -612,15 +612,16 @@ class OneBitOrientationSchema(AdviceSchema):
         trails and agree on the canonical orientation.  This mirrors the
         paper's "small components are gathered whole" fallbacks and is what
         makes the schema well-defined when ``n`` is comparable to the
-        marker-code window.
+        marker-code window.  An ``s``-node component has diameter at most
+        ``s - 1``, so only larger ones run a capped BFS per node.
         """
-        from ..algorithms.bfs import diameter_at_most
-
+        limit = self.walk_limit_for(graph)
         small: Set[Node] = set()
         for component in graph.components():
-            sub = graph.graph.subgraph(component)
-            if diameter_at_most(sub, self.walk_limit_for(graph)):
-                small |= set(component)
+            if len(component) - 1 <= limit or all(
+                graph.eccentricity_bounded(v, limit) <= limit for v in component
+            ):
+                small |= component
         return small
 
     def encode(self, graph: LocalGraph) -> AdviceMap:

@@ -40,8 +40,6 @@ from __future__ import annotations
 import math
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
-import networkx as nx
-
 from ..advice.schema import (
     AdviceError,
     AdviceMap,
@@ -51,11 +49,11 @@ from ..advice.schema import (
     LocalityContract,
     repair_region,
 )
-from ..algorithms.bfs import bfs_distances, diameter_at_most
 from ..graphs.planted import greedy_recolor, is_greedy_coloring
 from ..lcl.catalog import vertex_coloring
 from ..lcl.solve import solve_exact
 from ..local.algorithm import LocalityTracker
+from ..local.compiled import InducedSubgraph
 from ..local.graph import LocalGraph, Node
 
 
@@ -163,7 +161,7 @@ class ThreeColoringSchema(AdviceSchema):
     def _lemma72_set(
         self,
         graph: LocalGraph,
-        component: nx.Graph,
+        component: InducedSubgraph,
         phi: Mapping[Node, int],
         v: Node,
         forbidden: Set[Node],
@@ -174,7 +172,7 @@ class ThreeColoringSchema(AdviceSchema):
         share-no-color-1-neighbor constraints, folded into ``forbidden`` by
         the caller) are skipped."""
         delta = max(1, graph.max_degree)
-        dist = bfs_distances(component, v, cutoff=delta)
+        dist = component.distances(v, cutoff=delta)
         near = sorted(dist, key=lambda x: (dist[x], graph.id_of(x)))
         for w in near:
             if w in forbidden:
@@ -185,7 +183,9 @@ class ThreeColoringSchema(AdviceSchema):
             if x in forbidden:
                 continue
             ones_x = set(self._color1_neighbors(graph, phi, x))
-            for y in component.neighbors(x):
+            # G's neighbour order decides which pair wins; ``dist`` holds
+            # only component nodes, so it also filters membership.
+            for y in graph.graph.neighbors(x):
                 if y in forbidden or dist.get(y, delta + 1) > delta:
                     continue
                 ones_y = set(self._color1_neighbors(graph, phi, y))
@@ -196,7 +196,7 @@ class ThreeColoringSchema(AdviceSchema):
     def _build_group(
         self,
         graph: LocalGraph,
-        component: nx.Graph,
+        component: InducedSubgraph,
         phi: Mapping[Node, int],
         v: Node,
     ) -> Optional[Tuple[FrozenSet[Node], FrozenSet[Node]]]:
@@ -220,7 +220,7 @@ class ThreeColoringSchema(AdviceSchema):
                 excluded.add(node)
         delta = max(1, graph.max_degree)
         offset = self.path_offset_for(delta)
-        dist = bfs_distances(component, v, cutoff=offset)
+        dist = component.distances(v, cutoff=offset)
         for vp in sorted(dist, key=lambda x: (dist[x], graph.id_of(x))):
             if vp in excluded or dist[vp] < 2:
                 continue
@@ -242,7 +242,7 @@ class ThreeColoringSchema(AdviceSchema):
         return None
 
     def _ruling_set(
-        self, graph: LocalGraph, component: nx.Graph, spacing: int
+        self, graph: LocalGraph, component: InducedSubgraph, spacing: int
     ) -> List[Node]:
         chosen: List[Node] = []
         blocked: Set[Node] = set()
@@ -250,7 +250,7 @@ class ThreeColoringSchema(AdviceSchema):
             if v in blocked:
                 continue
             chosen.append(v)
-            blocked.update(bfs_distances(component, v, cutoff=spacing - 1))
+            blocked.update(component.distances(v, cutoff=spacing - 1))
         return chosen
 
     def encode(self, graph: LocalGraph) -> AdviceMap:
@@ -264,16 +264,13 @@ class ThreeColoringSchema(AdviceSchema):
             v: ("1" if phi[v] == 1 else "0") for v in graph.nodes()
         }
 
-        g23_nodes = [v for v in graph.nodes() if phi[v] != 1]
-        g23 = graph.graph.subgraph(g23_nodes)
+        g23 = graph.induced(v for v in graph.nodes() if phi[v] != 1)
         chosen_groups: List[Tuple[FrozenSet[Node], FrozenSet[Node]]] = []
-        group_component: List[int] = []
         color1_load: Dict[Node, int] = {}
 
-        components = [set(c) for c in nx.connected_components(g23)]
-        for comp_index, comp_nodes in enumerate(components):
-            component = g23.subgraph(comp_nodes)
-            if diameter_at_most(component, threshold):
+        for comp_nodes in g23.components():
+            component = graph.induced(comp_nodes)
+            if component.diameter_at_most(threshold):
                 continue  # small component: no group bits
             for r in self._ruling_set(graph, component, spacing):
                 group = self._select_group(
@@ -285,7 +282,6 @@ class ThreeColoringSchema(AdviceSchema):
                         "enlarge q_radius or the component threshold"
                     )
                 chosen_groups.append(group)
-                group_component.append(comp_index)
                 for s in group[0] | group[1]:
                     for u in self._color1_neighbors(graph, phi, s):
                         color1_load[u] = color1_load.get(u, 0) + 1
@@ -308,7 +304,7 @@ class ThreeColoringSchema(AdviceSchema):
     def _select_group(
         self,
         graph: LocalGraph,
-        component: nx.Graph,
+        component: InducedSubgraph,
         phi: Mapping[Node, int],
         r: Node,
         chosen: Sequence[Tuple[FrozenSet[Node], FrozenSet[Node]]],
@@ -317,7 +313,7 @@ class ThreeColoringSchema(AdviceSchema):
     ) -> Optional[Tuple[FrozenSet[Node], FrozenSet[Node]]]:
         """Greedy replacement for the paper's LLL selection of ``v_{r,C}``:
         try candidate centers near ``r`` until the global constraints hold."""
-        dist_r = bfs_distances(component, r, cutoff=self.q_radius)
+        dist_r = component.distances(r, cutoff=self.q_radius)
         candidates = sorted(dist_r, key=lambda x: (dist_r[x], graph.id_of(x)))
         taken: Set[Node] = set()
         for g1, g2 in chosen:
@@ -347,7 +343,7 @@ class ThreeColoringSchema(AdviceSchema):
 
     @staticmethod
     def _far_from_chosen(
-        component: nx.Graph,
+        component: InducedSubgraph,
         union: Set[Node],
         chosen: Sequence[Tuple[FrozenSet[Node], FrozenSet[Node]]],
         span: int,
@@ -355,12 +351,12 @@ class ThreeColoringSchema(AdviceSchema):
         others: Set[Node] = set()
         for g1, g2 in chosen:
             others |= g1 | g2
-        others &= set(component.nodes())
+        others = {o for o in others if o in component}
         if not others:
             return True
         limit = 2 * span + 1
         for s in union:
-            dist = bfs_distances(component, s, cutoff=limit)
+            dist = component.distances(s, cutoff=limit)
             if any(o in dist for o in others):
                 return False
         return True
@@ -391,8 +387,7 @@ class ThreeColoringSchema(AdviceSchema):
         for first, second in groups:
             union = first | second
             marked = {w for w in union if bits[w] == "1"}
-            sub = graph.graph.subgraph(marked)
-            pieces = nx.number_connected_components(sub) if marked else 0
+            pieces = len(graph.induced(marked).components())
             s = min(union, key=graph.id_of)
             expected = 1 if phi[s] == 2 else 2
             if pieces != expected:
@@ -470,10 +465,9 @@ class ThreeColoringSchema(AdviceSchema):
         for v in sorted(type1, key=graph.id_of):
             labeling[v] = 1
 
-        rest = [v for v in graph.nodes() if v not in type1]
-        g23 = graph.graph.subgraph(rest)
-        for comp_nodes in nx.connected_components(g23):
-            component = g23.subgraph(comp_nodes)
+        g23 = graph.induced(v for v in graph.nodes() if v not in type1)
+        for comp_nodes in g23.components():
+            component = graph.induced(comp_nodes)
             anchor_color, anchor = self._component_anchor(
                 tracker, graph, advice, component, type1, threshold, span, search
             )
@@ -482,7 +476,7 @@ class ThreeColoringSchema(AdviceSchema):
                     "component-anchor", node=anchor, color=anchor_color,
                     component_size=len(comp_nodes),
                 )
-            dist = bfs_distances(component, anchor)
+            dist = component.distances(anchor)
             for v in comp_nodes:
                 if v not in dist:
                     raise InvalidAdvice(
@@ -498,7 +492,7 @@ class ThreeColoringSchema(AdviceSchema):
         tracker: LocalityTracker,
         graph: LocalGraph,
         advice: Mapping[Node, str],
-        component: nx.Graph,
+        component: InducedSubgraph,
         type1: Set[Node],
         threshold: int,
         span: int,
@@ -511,7 +505,7 @@ class ThreeColoringSchema(AdviceSchema):
         Large components read the nearest type-23 group: 1 piece = its
         smallest-ID node has color 2; 2 pieces = color 3.
         """
-        if diameter_at_most(component, threshold):
+        if component.diameter_at_most(threshold):
             tracker.charge(2 * threshold)
             anchor = min(component.nodes(), key=graph.id_of)
             return 2, anchor
@@ -536,7 +530,7 @@ class ThreeColoringSchema(AdviceSchema):
             frontier = [seed]
             while frontier:
                 x = frontier.pop()
-                dist = bfs_distances(component, x, cutoff=span)
+                dist = component.distances(x, cutoff=span)
                 for other in list(unassigned):
                     if other in dist:
                         unassigned.discard(other)
@@ -546,7 +540,7 @@ class ThreeColoringSchema(AdviceSchema):
         # Each node uses the nearest cluster; all clusters decode
         # consistently, so we just take the first in ID order.
         cluster = min(clusters, key=lambda c: min(graph.id_of(x) for x in c))
-        pieces = nx.number_connected_components(graph.graph.subgraph(cluster))
+        pieces = len(graph.induced(cluster).components())
         anchor = min(cluster, key=graph.id_of)
         color = 2 if pieces == 1 else 3
         return color, anchor

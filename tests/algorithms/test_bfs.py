@@ -3,50 +3,35 @@
 import networkx as nx
 import pytest
 
-from repro.algorithms import (
-    bfs_distances,
-    component_of,
-    components,
-    diameter_at_most,
-    path_at_distance,
-    shortest_path_within,
-)
+from repro.algorithms import bfs_distances, path_at_distance
 from repro.graphs import cycle, grid, path
+from repro.local import LocalGraph
+
+
+def _whole(g: nx.Graph):
+    """The whole graph as an induced subgraph of itself."""
+    local = LocalGraph(g)
+    return local.induced(local.nodes())
 
 
 class TestDiameterAtMost:
     def test_exact_threshold(self):
-        g = path(6)  # diameter 5
-        assert diameter_at_most(g, 5)
-        assert not diameter_at_most(g, 4)
+        g = _whole(path(6))  # diameter 5
+        assert g.diameter_at_most(5)
+        assert not g.diameter_at_most(4)
 
     def test_cycle(self):
-        g = cycle(10)  # diameter 5
-        assert diameter_at_most(g, 5)
-        assert not diameter_at_most(g, 4)
+        g = _whole(cycle(10))  # diameter 5
+        assert g.diameter_at_most(5)
+        assert not g.diameter_at_most(4)
 
     def test_single_node(self):
         g = nx.Graph()
         g.add_node(0)
-        assert diameter_at_most(g, 0)
+        assert _whole(g).diameter_at_most(0)
 
 
 class TestPaths:
-    def test_shortest_path_within(self):
-        g = grid(4, 4)
-        found = shortest_path_within(g, 0, {15})
-        assert found[0] == 0 and found[-1] == 15
-        assert len(found) - 1 == nx.shortest_path_length(g, 0, 15)
-
-    def test_shortest_path_source_in_targets(self):
-        g = cycle(5)
-        assert shortest_path_within(g, 2, {2, 4}) == [2]
-
-    def test_shortest_path_unreachable(self):
-        g = nx.Graph()
-        g.add_nodes_from([0, 1])
-        assert shortest_path_within(g, 0, {1}) is None
-
     def test_path_at_distance_valid(self):
         g = grid(5, 5)
         p = path_at_distance(g, 0, 4)
@@ -69,9 +54,9 @@ class TestPaths:
 class TestComponents:
     def test_component_of(self):
         g = nx.Graph([(0, 1), (2, 3)])
-        assert component_of(g, 0) == {0, 1}
+        assert _whole(g).components()[0] == {0, 1}
 
     def test_components(self):
         g = nx.Graph([(0, 1), (2, 3), (3, 4)])
-        sizes = sorted(len(c) for c in components(g))
+        sizes = sorted(len(c) for c in _whole(g).components())
         assert sizes == [2, 3]
