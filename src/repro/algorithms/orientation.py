@@ -18,9 +18,9 @@ the pairing locally ("nodes compute G' without communication").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from ..local.graph import LocalGraph, Node
+from ..local.graph import LocalGraph, LocalGraphError, Node
 
 Edge = Tuple[Node, Node]
 
@@ -29,8 +29,15 @@ class OrientationError(ValueError):
     pass
 
 
-def _edge_key(u: Node, v: Node, graph: LocalGraph) -> Edge:
-    return (u, v) if graph.id_of(u) < graph.id_of(v) else (v, u)
+def _mate_port(port: int, degree: int) -> int:
+    """The port paired with ``port`` at a node of ``degree``, or -1.
+
+    Ports are paired ``(0,1), (2,3), ...``; an odd-degree node leaves its
+    last port unpaired.
+    """
+    if port == degree - 1 and degree % 2 == 1:
+        return -1
+    return port ^ 1
 
 
 def partner(graph: LocalGraph, v: Node, u: Node) -> Optional[Node]:
@@ -41,14 +48,12 @@ def partner(graph: LocalGraph, v: Node, u: Node) -> Optional[Node]:
     unpaired (returns ``None``).  This is a purely local computation — the
     decoder evaluates it without communication beyond radius 1.
     """
-    nbrs = graph.neighbors(v)
-    port = nbrs.index(u) if u in nbrs else -1
-    if port < 0:
-        raise OrientationError(f"{u!r} is not a neighbor of {v!r}")
-    if port == len(nbrs) - 1 and len(nbrs) % 2 == 1:
-        return None
-    mate = port + 1 if port % 2 == 0 else port - 1
-    return nbrs[mate]
+    try:
+        port = graph.port_of(v, u)
+    except LocalGraphError:
+        raise OrientationError(f"{u!r} is not a neighbor of {v!r}") from None
+    mate = _mate_port(port, graph.degree(v))
+    return None if mate < 0 else graph.neighbor_at_port(v, mate)
 
 
 def trail_step(graph: LocalGraph, v: Node, u: Node) -> Optional[Node]:
@@ -81,6 +86,82 @@ class Trail:
         return result
 
 
+class TrailIndex:
+    """Every trail of ``G'`` walked once, with each directed edge located.
+
+    ``trails`` lists the trails in :func:`trail_decomposition` order and
+    walk direction; edge ``j`` of a trail is ``trail.edges()[j]``.  For
+    every directed edge ``v -> u`` the index holds ``(trail, position,
+    sign)``: the trail it lies on, its position there, and ``+1`` when the
+    trail's walk direction traverses it as ``v -> u`` (``-1`` otherwise).
+    The triples live in three flat lists keyed by CSR slot (row of ``v``
+    plus the port of ``u``), so the index costs ``O(m)`` to build and to
+    hold.  It is a snapshot: mutate the graph and build a new one.
+    """
+
+    __slots__ = ("trails", "_compiled", "_trail", "_position", "_sign")
+
+    def __init__(self, graph: LocalGraph) -> None:
+        compiled = graph.compiled
+        indptr, indices, nodes = compiled.indptr, compiled.indices, compiled.nodes
+        slots = len(indices)
+        self._compiled = compiled
+        self._trail = trail = [-1] * slots
+        self._position = position = [0] * slots
+        self._sign = sign = [0] * slots
+        self.trails: List[Trail] = []
+        order = sorted(range(compiled.n), key=compiled.ids.__getitem__)
+
+        def walk(prev: int, start: int) -> None:
+            # Follow the trail from slot ``start`` (leaving ``prev``) until
+            # it ends at an unpaired port or comes back to ``start``.
+            t = len(self.trails)
+            sequence = [prev]
+            slot = start
+            while True:
+                cur = indices[slot]
+                back = indptr[cur] + compiled.port_of_idx(cur, prev)
+                pos = len(sequence) - 1
+                trail[slot] = trail[back] = t
+                position[slot] = position[back] = pos
+                sign[slot], sign[back] = 1, -1
+                mate = _mate_port(back - indptr[cur], indptr[cur + 1] - indptr[cur])
+                if mate < 0:
+                    sequence.append(cur)
+                    closed = False
+                    break
+                slot = indptr[cur] + mate
+                if slot == start:
+                    closed = True
+                    break
+                sequence.append(cur)
+                prev = cur
+            self.trails.append(
+                Trail(nodes=tuple(nodes[i] for i in sequence), closed=closed)
+            )
+
+        # Open trails start at unpaired ports (odd-degree nodes' last port),
+        # lowest identifier first; whatever is left decomposes into cycles.
+        for i in order:
+            last = indptr[i + 1] - 1
+            if (last - indptr[i]) % 2 == 0 and trail[last] < 0:
+                walk(i, last)
+        for i in order:
+            for slot in range(indptr[i], indptr[i + 1]):
+                if trail[slot] < 0:
+                    walk(i, slot)
+
+    def locate(self, v: Node, u: Node) -> Tuple[int, int, int]:
+        """``(trail, position, sign)`` of the directed edge ``v -> u``."""
+        compiled = self._compiled
+        i = compiled.index_of[v]
+        port = compiled.port_of_idx(i, compiled.index_of[u])
+        if port < 0:
+            raise OrientationError(f"{u!r} is not a neighbor of {v!r}")
+        slot = compiled.indptr[i] + port
+        return self._trail[slot], self._position[slot], self._sign[slot]
+
+
 def trail_decomposition(graph: LocalGraph) -> List[Trail]:
     """Decompose all edges of ``G`` into the trails of ``G'``.
 
@@ -90,65 +171,7 @@ def trail_decomposition(graph: LocalGraph) -> List[Trail]:
     and head towards its paired port with smaller neighbor identifier) so
     that encoder and tests are deterministic.
     """
-    visited: Set[Edge] = set()
-    trails: List[Trail] = []
-
-    # Open trails: start from unpaired ports (odd-degree nodes' last port).
-    for v in sorted(graph.nodes(), key=graph.id_of):
-        nbrs = graph.neighbors(v)
-        if len(nbrs) % 2 == 1:
-            u = nbrs[-1]
-            if _edge_key(v, u, graph) in visited:
-                continue
-            sequence = _walk_open(graph, v, u)
-            for a, b in zip(sequence, sequence[1:]):
-                visited.add(_edge_key(a, b, graph))
-            trails.append(Trail(nodes=tuple(sequence), closed=False))
-
-    # Closed trails: whatever is left decomposes into cycles of G'.
-    for v in sorted(graph.nodes(), key=graph.id_of):
-        for u in graph.neighbors(v):
-            if _edge_key(v, u, graph) in visited:
-                continue
-            sequence = _walk_cycle(graph, v, u)
-            edge_keys = {
-                _edge_key(a, b, graph)
-                for a, b in zip(sequence, sequence[1:] + [sequence[0]])
-            }
-            visited |= edge_keys
-            trails.append(Trail(nodes=tuple(sequence), closed=True))
-
-    return trails
-
-
-def _walk_open(graph: LocalGraph, start: Node, first: Node) -> List[Node]:
-    """Follow the trail from the unpaired half-edge ``start -> first``."""
-    sequence = [start, first]
-    prev, cur = start, first
-    while True:
-        nxt = trail_step(graph, prev, cur)
-        if nxt is None:
-            return sequence
-        sequence.append(nxt)
-        prev, cur = cur, nxt
-
-
-def _walk_cycle(graph: LocalGraph, start: Node, first: Node) -> List[Node]:
-    """Follow the closed trail containing the half-edge ``start -> first``.
-
-    Returns the node sequence without repeating the start.
-    """
-    sequence = [start]
-    prev, cur = start, first
-    while not (cur == start and trail_step(graph, prev, cur) == first):
-        sequence.append(cur)
-        nxt = trail_step(graph, prev, cur)
-        if nxt is None:
-            raise OrientationError(
-                "walked off a supposedly closed trail - pairing inconsistent"
-            )
-        prev, cur = cur, nxt
-    return sequence
+    return TrailIndex(graph).trails
 
 
 # ---------------------------------------------------------------------------

@@ -39,14 +39,12 @@ advice bit-string verbatim, and its input through :func:`measure_bits`.
 
 from __future__ import annotations
 
-import heapq
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, fields, is_dataclass
-from itertools import accumulate, repeat
-from operator import neg
+from itertools import repeat
 from typing import (
     Callable,
     Dict,
@@ -359,11 +357,6 @@ def _geometric_buckets(peak: int) -> Tuple[float, ...]:
 #: the searchsorted operand are pure functions of the peak bucket bound.
 _BUCKET_TABLES: Dict[int, Tuple[Tuple[float, ...], Tuple[str, ...], object]] = {}
 
-#: Above this many values the bucket counts come from one numpy
-#: ``searchsorted``; below it a ``bisect`` loop is cheaper than the
-#: list-to-array conversion (measured crossover ~30 values).
-_NP_HISTOGRAM_MIN = 32
-
 
 def _bucket_tables(peak: int):
     entry = _BUCKET_TABLES.get(peak)
@@ -379,50 +372,52 @@ def _bucket_tables(peak: int):
     return entry
 
 
-def _histogram_of(values: Sequence[int]) -> Dict[str, object]:
-    """Bulk-build the exact ``Histogram.snapshot_value()`` dict of ``values``.
+def _histogram_of(values: Sequence[int], zeros: int = 0) -> Dict[str, object]:
+    """Bulk-build the exact ``Histogram.snapshot_value()`` dict of ``values``
+    followed by ``zeros`` more zero values (see :func:`_sorted_histogram`)."""
+    ordered = sorted(values)
+    return _sorted_histogram(ordered, zeros, sum(ordered))
 
-    ``bisect_left`` (or ``searchsorted(side="left")``) lands each value in
-    the first bucket with ``value <= bound``, exactly like
-    ``Histogram.observe``; the quantile scan over cumulative counts
-    mirrors ``Histogram.quantile`` (bucket upper bound at rank
-    ``ceil(q·count)``, clamped to min/max).
+
+def _sorted_histogram(ordered, zeros: int, total: int) -> Dict[str, object]:
+    """The snapshot of the ascending ``ordered`` values (a list, or a numpy
+    array) plus ``zeros`` zeros, given their ``total``.
+
+    ``Histogram.observe`` puts a value in the first bucket with
+    ``value <= bound``, so the cumulative count at a bound is the number
+    of values ``<= bound``: one ``bisect_right`` (or ``searchsorted``) per
+    bound.  The quantile scan over the cumulative counts mirrors
+    ``Histogram.quantile`` (bucket upper bound at rank ``ceil(q·count)``,
+    clamped to min/max).
     """
-    count = len(values)
+    count = len(ordered) + zeros
     if not count:
         return Histogram(buckets=_geometric_buckets(0)).snapshot_value()
-    total = float(sum(values))
-    mn = float(min(values))
-    mx = float(max(values))
-    bounds, labels, bounds_np = _bucket_tables(int(mx))
-    if count > _NP_HISTOGRAM_MIN:
-        import numpy as np
-
-        idx = bounds_np.searchsorted(values, side="left")
-        counts = np.bincount(idx, minlength=len(bounds) + 1).tolist()
+    mn = 0 if zeros or not len(ordered) else int(ordered[0])
+    mx = int(ordered[-1]) if len(ordered) else 0
+    bounds, labels, bounds_np = _bucket_tables(mx)
+    if isinstance(ordered, list):
+        cum = [bisect_right(ordered, b) + zeros for b in bounds]
     else:
-        counts = [0] * (len(bounds) + 1)
-        for value in values:
-            counts[bisect_left(bounds, value)] += 1
-    cum = list(accumulate(counts))
+        cum = ordered.searchsorted(bounds_np, side="right").tolist()
+        if zeros:
+            cum = [c + zeros for c in cum]
     buckets = dict(zip(labels, cum))
-    buckets["le_inf"] = cum[-1]
-    scan = cum[: len(bounds)]
-
-    def quant(q: float) -> float:
-        target = max(1, math.ceil(q * count))
-        pos = bisect_left(scan, target)
-        estimate = bounds[pos] if pos < len(bounds) else mx
-        return min(max(estimate, mn), mx)
-
+    buckets["le_inf"] = count
+    total, low, high = float(total), float(mn), float(mx)
+    quantiles = []
+    for q in (0.50, 0.95):
+        pos = bisect_left(cum, max(1, math.ceil(q * count)))
+        estimate = bounds[pos] if pos < len(bounds) else high
+        quantiles.append(min(max(estimate, low), high))
     return {
         "count": count,
         "sum": round(total, 9),
-        "min": mn,
-        "max": mx,
+        "min": low,
+        "max": high,
         "mean": round(total / count, 9),
-        "p50": quant(0.50),
-        "p95": quant(0.95),
+        "p50": quantiles[0],
+        "p95": quantiles[1],
         "buckets": buckets,
     }
 
@@ -463,41 +458,69 @@ class BandwidthProfile:
         edge_totals: Mapping[Tuple[int, int], int],
         peak_edge_round_bits: int,
     ) -> "BandwidthProfile":
+        """Fold a per-round series and a per-edge mapping of run totals."""
+        import numpy as np
+
         round_totals = list(round_totals)
-        edge_bits = list(edge_totals.values())
-        total = sum(round_totals)
-        edge_sum = sum(edge_bits)
+        keys = sorted(edge_totals)
+        edge_bits = np.fromiter(map(edge_totals.__getitem__, keys), np.int64, len(keys))
+        total, edge_sum = sum(round_totals), int(edge_bits.sum())
         if total != edge_sum:  # pragma: no cover - construction invariant
             raise AssertionError(
                 f"bandwidth books don't balance: per-round sum {total} != "
                 f"per-edge sum {edge_sum}"
             )
+        return cls._fold(
+            policy, n, round_totals, 0, keys, edge_bits, peak_edge_round_bits
+        )
+
+    @classmethod
+    def _fold(
+        cls,
+        policy: BandwidthPolicy,
+        n: int,
+        round_prefix: List[int],
+        zero_rounds: int,
+        edge_keys: Sequence[Tuple[int, int]],
+        edge_bits,
+        peak_edge_round_bits: int,
+    ) -> "BandwidthProfile":
+        """The profile of ``round_prefix`` followed by ``zero_rounds``
+        silent rounds, and of the array ``edge_bits`` (run total of edge
+        ``edge_keys[e]``, keys ascending; the bits sum to the same total).
+        """
+        total = sum(round_prefix)
+        # Heaviest first, lowest edge on ties: a stable sort by descending
+        # bits.  Read backwards, the sorted bits are the per-edge
+        # histogram's input.
+        order = (-edge_bits).argsort(kind="stable")
+        ascending = edge_bits.take(order[::-1])
+        per_edge = _sorted_histogram(ascending, 0, total)
         bits = id_bits(n)
         peak_round = (0, 0)
-        if round_totals:
-            top = max(round_totals)
-            peak_round = (round_totals.index(top) + 1, top)
-        # Heaviest first, lowest edge on ties: the five smallest
-        # (-bits, edge) pairs, compared as plain tuples (no key calls).
-        ranked = heapq.nsmallest(5, zip(map(neg, edge_bits), edge_totals))
+        if round_prefix:
+            peak = max(round_prefix)
+            peak_round = (round_prefix.index(peak) + 1, peak)
+        elif zero_rounds:
+            peak_round = (1, 0)
         return cls(
             policy=policy.name,
             budget=policy.budget,
             capacity_bits=policy.capacity(n),
             total_bits=total,
-            rounds=len(round_totals),
-            edges_used=len(edge_bits) - edge_bits.count(0),
+            rounds=len(round_prefix) + zero_rounds,
+            edges_used=len(edge_keys) - per_edge["buckets"].get("le_0", 0),
             id_bits=bits,
-            per_round=_histogram_of(round_totals),
-            per_edge=_histogram_of(edge_bits),
+            per_round=_histogram_of(round_prefix, zero_rounds),
+            per_edge=per_edge,
             peak_round=peak_round,
             peak_edge_round_bits=peak_edge_round_bits,
             min_congest_budget=max(
                 1, math.ceil(peak_edge_round_bits / bits)
             ) if peak_edge_round_bits else 1,
             hotspots=[
-                {"edge": list(edge), "bits": -neg_bits}
-                for neg_bits, edge in ranked
+                {"edge": list(edge_keys[e]), "bits": int(b)}
+                for e, b in zip(order[:5].tolist(), ascending[:-6:-1].tolist())
             ],
         )
 
@@ -615,7 +638,7 @@ def _flood_cache(graph, compiled):
 
     Nothing here depends on advice or policy, so it is built once per
     compiled graph (and dies with it on a CSR mutation): the edge tails,
-    heads and identifier keys in CSR ``i < j`` order, the degrees, the
+    heads and identifier keys in key order, the degrees, the
     base record bits (``id_bits·(1 + deg)`` plus the input payload), and
     the ball arrays of the largest radius swept so far (see
     :func:`_layer_bits`).
@@ -629,13 +652,18 @@ def _flood_cache(graph, compiled):
         rows = np.repeat(np.arange(n), np.diff(indptr))
         upper = rows < indices
         tails, heads = rows[upper], indices[upper]
-        lo = np.minimum(ids[tails], ids[heads]).tolist()
-        hi = np.maximum(ids[tails], ids[heads]).tolist()
+        lo = np.minimum(ids[tails], ids[heads])
+        hi = np.maximum(ids[tails], ids[heads])
+        # Edges in identifier-key order (the hotspot tie-break);
+        # ``csr_index`` maps each back to its CSR ``i < j`` position (the
+        # overflow tie-break).
+        by_key = np.lexsort((hi, lo))
         bits = id_bits(n)
         state = {
-            "tails": tails,
-            "heads": heads,
-            "edge_keys": list(zip(lo, hi)),
+            "tails": tails[by_key],
+            "heads": heads[by_key],
+            "edge_keys": list(zip(lo[by_key].tolist(), hi[by_key].tolist())),
+            "csr_index": by_key,
             "deg": np.diff(indptr).astype(np.float64),
             "base": np.asarray(
                 [
@@ -738,18 +766,20 @@ def flooding_bandwidth(
         rec = rec + np.fromiter(lengths, np.float64, n)
     layers = _layer_bits(graph, state, min(rounds - 1, n), rec)
 
-    round_totals = (state["deg"] @ layers).astype(np.int64).tolist()
-    round_totals.extend([0] * (rounds - len(round_totals)))
+    # Every round past the deepest ball layer carries nothing.
+    round_prefix = (state["deg"] @ layers).astype(np.int64).tolist()
 
     tails, heads = state["tails"], state["heads"]
-    loads = layers.take(tails, axis=0) + layers.take(heads, axis=0)
+    loads = layers.take(tails, axis=0)
+    loads += layers.take(heads, axis=0)
     peak_edge_round = int(loads.max()) if loads.size else 0
 
     capacity = policy.capacity(n)
     if capacity is not None and peak_edge_round > capacity:
         over = loads > capacity
         d = int(np.argmax(over.any(axis=0)))
-        e = int(np.argmax(over[:, d]))
+        hit = np.flatnonzero(over[:, d])
+        e = int(hit[np.argmin(state["csr_index"][hit])])
         i, j = int(tails[e]), int(heads[e])
         raise BandwidthExceeded(
             node=compiled.nodes[i if layers[i, d] >= layers[j, d] else j],
@@ -762,11 +792,12 @@ def flooding_bandwidth(
 
     # A row of `loads` holds one edge's per-round bits; its sum is the
     # edge's run total.
-    edge_bits = loads.sum(axis=1).astype(np.int64).tolist()
-    return BandwidthProfile.build(
+    return BandwidthProfile._fold(
         policy,
         n,
-        round_totals,
-        dict(zip(state["edge_keys"], edge_bits)),
+        round_prefix,
+        rounds - len(round_prefix),
+        state["edge_keys"],
+        loads.sum(axis=1),
         peak_edge_round,
     )

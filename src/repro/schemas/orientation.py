@@ -35,7 +35,7 @@ converter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..advice.bitstream import bits_to_int, int_to_bits
 from ..advice.onebit import encode_paths, payload_table
@@ -51,6 +51,7 @@ from ..advice.schema import (
 from ..algorithms.lll import BadEvent, LLLInstance, moser_tardos
 from ..algorithms.orientation import (
     Trail,
+    TrailIndex,
     orientation_to_port_labels,
     trail_decomposition,
     trail_step,
@@ -122,6 +123,84 @@ def _canonical_open_forward(graph: LocalGraph, full_edges: Sequence[Edge]) -> bo
     first = full_edges[0][0]
     last = full_edges[-1][1]
     return graph.id_of(first) < graph.id_of(last)
+
+
+#: Anchor marks of one trail, one entry per position: ``True`` when the
+#: anchor there orients the trail along its index walk direction, ``False``
+#: against it, ``None`` where no anchor sits.  A reader walking with the
+#: index direction uses the first list, one walking against it the second.
+Marks = Tuple[List[Optional[bool]], List[Optional[bool]]]
+
+
+class _TrailReader:
+    """One decode's view of the trails, with each trail walked once.
+
+    The per-edge walk of Lemma 5.1 only ever looks at its own trail, so
+    the decoder reads a :class:`TrailIndex` instead of walking: the
+    canonical direction and the anchor marks are computed once per trail
+    (on first use) and every edge scans the positions its walk would have
+    visited.  The answers are a function of the same radius-``limit``
+    trail window as :func:`walk_from_edge`.
+    """
+
+    def __init__(self, graph: LocalGraph, marks_of: Callable[[Trail], Marks]) -> None:
+        self.graph = graph
+        self.index = TrailIndex(graph)
+        self._marks_of = marks_of
+        self._canonical: Dict[int, bool] = {}
+        self._marks: Dict[int, Marks] = {}
+
+    def canonical(self, t: int) -> bool:
+        """Whether trail ``t``'s walk direction is its canonical one."""
+        forward = self._canonical.get(t)
+        if forward is None:
+            trail = self.index.trails[t]
+            rule = _canonical_cycle_forward if trail.closed else _canonical_open_forward
+            forward = self._canonical[t] = rule(self.graph, trail.edges())
+        return forward
+
+    def whole(self, v: Node, u: Node) -> Edge:
+        """Orient ``{v, u}`` canonically, whatever its trail's length (no
+        trail is longer than ``m``)."""
+        edge, _ = self.orient(v, u, self.graph.m)
+        return edge
+
+    def orient(
+        self, v: Node, u: Node, limit: int
+    ) -> Tuple[Optional[Edge], Optional[Tuple[str, Node]]]:
+        """Orient ``{v, u}`` from its trail window of radius ``limit``.
+
+        Returns ``(edge, read)``: ``read`` is ``(direction, anchor)`` when
+        an anchor decided (``"fwd"`` walks ``v -> u``, ``"bwd"`` walks
+        ``u -> v``; ``anchor`` is the tail of the anchor's oriented edge),
+        and ``edge`` is ``None`` when no anchor lies within ``limit`` steps.
+        Trails of length ``<= limit`` are seen whole by every walker and
+        take the canonical direction.
+        """
+        t, i, sign = self.index.locate(v, u)
+        trail = self.index.trails[t]
+        length = trail.length
+        if length <= limit:
+            return ((v, u) if self.canonical(t) == (sign > 0) else (u, v)), None
+        marks = self._marks.get(t)
+        if marks is None:
+            marks = self._marks[t] = self._marks_of(trail)
+        nodes = trail.nodes
+        for direction, step in (("fwd", sign), ("bwd", -sign)):
+            seen = marks[0] if step > 0 else marks[1]
+            j = i
+            for _ in range(limit + 1):
+                along = seen[j]
+                if along is not None:
+                    anchor = nodes[j] if along else nodes[(j + 1) % len(nodes)]
+                    edge = (v, u) if along == (sign > 0) else (u, v)
+                    return edge, (direction, anchor)
+                j += step
+                if trail.closed:
+                    j %= length
+                elif not 0 <= j < length:
+                    break
+        return None, None
 
 
 # ---------------------------------------------------------------------------
@@ -429,9 +508,24 @@ class BalancedOrientationSchema(AdviceSchema):
 
     def decode(self, graph: LocalGraph, advice: Mapping[Node, str]) -> DecodeResult:
         tracker = LocalityTracker(graph)
+        limit = self.walk_limit_for(graph)
+        reader = _TrailReader(graph, lambda trail: self._anchor_marks(advice, trail))
+        tracer = self.tracer
         oriented: Set[Edge] = set()
         for v, u in graph.edges():
-            oriented.add(self._orient_edge(tracker, advice, v, u))
+            # Each edge walks at most walk_limit steps and reads the advice
+            # of the nodes it walks; both endpoints reach the same answer
+            # because the walk depends only on the edge.
+            tracker.charge(limit + 1)
+            edge, read = reader.orient(v, u, limit)
+            if edge is None:
+                raise InvalidAdvice(
+                    f"edge {{{v!r}, {u!r}}}: no anchor within {limit} trail steps",
+                    node=v,
+                )
+            if read is not None and tracer.enabled:
+                tracer.event("anchor-read", node=v, anchor=read[1], direction=read[0])
+            oriented.add(edge)
         labels = orientation_to_port_labels(graph, oriented)
         self.tracer.annotate(
             edges_oriented=len(oriented), locality_queries=tracker.queries
@@ -478,77 +572,26 @@ class BalancedOrientationSchema(AdviceSchema):
                 changed = True
         return patched if changed else None
 
-    def _orient_edge(
-        self,
-        tracker: LocalityTracker,
-        advice: Mapping[Node, str],
-        v: Node,
-        u: Node,
-    ) -> Edge:
-        """Orient one edge; both endpoints would compute the same answer
-        because the walk depends only on the edge."""
-        graph = tracker.graph
-        limit = self.walk_limit_for(graph)
-        tracker.charge(limit + 1)  # walk + reading advice of walked nodes
-        fwd, fstat = walk_from_edge(graph, v, u, limit)
-        if fstat == "closed":
-            forward = _canonical_cycle_forward(graph, fwd)
-            return (v, u) if forward else (u, v)
-        bwd, bstat = walk_from_edge(graph, u, v, limit)
-        if bstat == "endpoint" and fstat == "endpoint":
-            full = [(b, a) for (a, b) in reversed(bwd[1:])] + fwd
-            # Only short trails decode canonically: on a long trail some
-            # walkers cannot see both endpoints, so all walkers must defer
-            # to the anchors to stay consistent.
-            if len(full) <= limit:
-                forward = _canonical_open_forward(graph, full)
-                return (v, u) if forward else (u, v)
-
-        anchor = self._find_anchor(advice, fwd)
-        if anchor is not None:
-            oriented_edge, walked_as = anchor
-            if self.tracer.enabled:
-                self.tracer.event(
-                    "anchor-read", node=v, anchor=oriented_edge[0], direction="fwd"
-                )
-            # Walk direction A traverses the original edge as (v, u).
-            return (v, u) if oriented_edge == walked_as else (u, v)
-        anchor = self._find_anchor(advice, bwd)
-        if anchor is not None:
-            oriented_edge, walked_as = anchor
-            if self.tracer.enabled:
-                self.tracer.event(
-                    "anchor-read", node=v, anchor=oriented_edge[0], direction="bwd"
-                )
-            # Walk direction B traverses the original edge as (u, v).
-            return (u, v) if oriented_edge == walked_as else (v, u)
-        raise InvalidAdvice(
-            f"edge {{{v!r}, {u!r}}}: no anchor within {limit} trail steps",
-            node=v,
-        )
-
     @staticmethod
-    def _find_anchor(
-        advice: Mapping[Node, str], walked: Sequence[Edge]
-    ) -> Optional[Tuple[Edge, Edge]]:
-        """Scan walked directed edges for an anchor pair.
-
-        Returns ``(oriented_edge, walked_edge)``: the anchor's chosen
-        orientation of its edge, and the directed edge as the walk
-        traversed it.
+    def _anchor_marks(advice: Mapping[Node, str], trail: Trail) -> Marks:
+        """An anchor is a trail edge whose one endpoint holds two bits (the
+        tail: ``"1"`` + direction bit) and whose other holds one; it orients
+        its edge out of the tail iff the direction bit is ``1``.  The rule
+        is symmetric in the endpoints, so both walk directions share it.
         """
-        for (x, y) in walked:
+        nodes = trail.nodes
+        marks: List[Optional[bool]] = []
+        for j in range(trail.length):
+            x, y = nodes[j], nodes[(j + 1) % len(nodes)]
             bits_x = advice.get(x, "")
             bits_y = advice.get(y, "")
             if len(bits_x) == 2 and len(bits_y) == 1:
-                tail, head, dir_bit = x, y, bits_x[1]
+                marks.append(bits_x[1] == "1")
             elif len(bits_y) == 2 and len(bits_x) == 1:
-                tail, head, dir_bit = y, x, bits_y[1]
+                marks.append(bits_y[1] != "1")
             else:
-                continue
-            oriented = (tail, head) if dir_bit == "1" else (head, tail)
-            return oriented, (x, y)
-        return None
+                marks.append(None)
+        return marks, marks
 
 
 # ---------------------------------------------------------------------------
@@ -654,7 +697,8 @@ class OneBitOrientationSchema(AdviceSchema):
         width = self._port_width(graph)
         limit = self.walk_limit_for(graph)
         small = self._small_component_nodes(graph)
-        table = payload_table(graph, advice, window)
+        targets = self._payload_targets(graph, payload_table(graph, advice, window), width)
+        reader = _TrailReader(graph, lambda trail: self._anchor_marks(targets, trail))
         oriented: Set[Edge] = set()
         for v, u in graph.edges():
             if v in small:
@@ -662,18 +706,17 @@ class OneBitOrientationSchema(AdviceSchema):
                 # rounds suffice by the diameter bound it can itself verify)
                 # and orients its trails canonically.
                 tracker.charge(2 * limit)
-                full, status = walk_from_edge(graph, v, u, 2 * graph.m + 2)
-                if status == "closed":
-                    forward = _canonical_cycle_forward(graph, full)
-                else:
-                    back, _ = walk_from_edge(graph, u, v, 2 * graph.m + 2)
-                    whole = [(b, a) for (a, b) in reversed(back[1:])] + full
-                    forward = _canonical_open_forward(graph, whole)
-                oriented.add((v, u) if forward else (u, v))
-            else:
-                oriented.add(
-                    self._orient_edge(tracker, table, v, u, window, width, limit)
+                oriented.add(reader.whole(v, u))
+                continue
+            # Walk to an anchor, then decode its marker-code window.
+            tracker.charge(limit + window)
+            edge, _ = reader.orient(v, u, limit)
+            if edge is None:
+                raise InvalidAdvice(
+                    f"edge {{{v!r}, {u!r}}}: no payload anchor within {limit} steps",
+                    node=v,
                 )
+            oriented.add(edge)
         labels = orientation_to_port_labels(graph, oriented)
         return DecodeResult(
             labeling=labels,
@@ -681,60 +724,43 @@ class OneBitOrientationSchema(AdviceSchema):
             detail={"oriented_edges": oriented},
         )
 
-    def _orient_edge(
-        self,
-        tracker: LocalityTracker,
-        table: Mapping[Node, str],
-        v: Node,
-        u: Node,
-        window: int,
-        width: int,
-        limit: int,
-    ) -> Edge:
-        graph = tracker.graph
-        tracker.charge(limit + window)
-        fwd, fstat = walk_from_edge(graph, v, u, limit)
-        if fstat == "closed":
-            return (v, u) if _canonical_cycle_forward(graph, fwd) else (u, v)
-        bwd, bstat = walk_from_edge(graph, u, v, limit)
-        if fstat == "endpoint" and bstat == "endpoint":
-            full = [(b, a) for (a, b) in reversed(bwd[1:])] + fwd
-            if len(full) <= limit:  # see BalancedOrientationSchema._orient_edge
-                return (v, u) if _canonical_open_forward(graph, full) else (u, v)
-        for walked, along_forward in ((fwd, True), (bwd, False)):
-            found = self._find_payload_anchor(graph, table, walked, width)
-            if found is None:
+    @staticmethod
+    def _payload_targets(
+        graph: LocalGraph, table: Mapping[Node, str], width: int
+    ) -> Dict[Node, Tuple[Node, bool]]:
+        """``node -> (mate, forward)`` for every well-formed payload: the
+        port names an existing neighbor ``mate``, and the edge is oriented
+        ``node -> mate`` iff ``forward``."""
+        targets: Dict[Node, Tuple[Node, bool]] = {}
+        for node, payload in table.items():
+            if len(payload) != width + 1:
                 continue
-            oriented_edge, walked_edge = found
-            matches_walk = oriented_edge == walked_edge
-            if along_forward:
-                return (v, u) if matches_walk else (u, v)
-            return (u, v) if matches_walk else (v, u)
-        raise InvalidAdvice(
-            f"edge {{{v!r}, {u!r}}}: no payload anchor within {limit} steps",
-            node=v,
-        )
+            port = bits_to_int(payload[:width])
+            nbrs = graph.neighbors(node)
+            if port < len(nbrs):
+                targets[node] = (nbrs[port], payload[width] == "1")
+        return targets
 
     @staticmethod
-    def _find_payload_anchor(
-        graph: LocalGraph,
-        table: Mapping[Node, str],
-        walked: Sequence[Edge],
-        width: int,
-    ) -> Optional[Tuple[Edge, Edge]]:
-        for (x, y) in walked:
-            for node, mate, walked_edge in ((x, y, (x, y)), (y, x, (x, y))):
-                payload = table.get(node)
-                if payload is None or len(payload) != width + 1:
-                    continue
-                port = bits_to_int(payload[:width])
-                nbrs = graph.neighbors(node)
-                if port >= len(nbrs) or nbrs[port] != mate:
-                    continue
-                forward = payload[width] == "1"
-                oriented = (node, mate) if forward else (mate, node)
-                return oriented, walked_edge
-        return None
+    def _anchor_marks(
+        targets: Mapping[Node, Tuple[Node, bool]], trail: Trail
+    ) -> Marks:
+        """A trail edge is an anchor when a payload at one of its endpoints
+        points along it.  A walker checks the endpoint it leaves before the
+        one it enters, so when both payloads point at each other the verdict
+        depends on the walk direction."""
+        nodes = trail.nodes
+        along: List[Optional[bool]] = []
+        against: List[Optional[bool]] = []
+        for j in range(trail.length):
+            x, y = nodes[j], nodes[(j + 1) % len(nodes)]
+            from_x = targets.get(x)
+            from_y = targets.get(y)
+            by_x = from_x[1] if from_x is not None and from_x[0] == y else None
+            by_y = not from_y[1] if from_y is not None and from_y[0] == x else None
+            along.append(by_x if by_x is not None else by_y)
+            against.append(by_y if by_y is not None else by_x)
+        return along, against
 
 
 def composable_orientation_schema(

@@ -102,7 +102,8 @@ def decide_edge_orientation(
     advice: Mapping[int, str],
     walk_limit: int,
 ) -> bool:
-    """Mirror of ``BalancedOrientationSchema._orient_edge`` on identifiers.
+    """Mirror of ``BalancedOrientationSchema.decode``'s per-edge rule on
+    identifiers.
 
     Returns whether the edge is oriented ``my_id -> neighbor_id``.
     """

@@ -87,6 +87,35 @@ class TestOneBitTwoColoringSchema:
         assert schema.spacing >= 2 * OneBitTwoColoringSchema.WINDOW + 3
 
 
+class TestNearestSources:
+    """One-bit 2-coloring finds every node's anchor with one multi-source
+    BFS; it must give each node what its own capped BFS gives."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 40),
+        st.integers(0, 9999),
+        st.integers(0, 6),
+        st.data(),
+    )
+    def test_matches_per_node_bfs(self, n, seed, radius, data):
+        import networkx as nx
+
+        from repro.schemas.two_coloring import _nearest_sources
+
+        edges = data.draw(st.integers(0, 2 * n))
+        g = LocalGraph(nx.gnm_random_graph(n, edges, seed=seed), seed=seed)
+        sources = data.draw(st.sets(st.sampled_from(g.nodes()), max_size=n // 2 + 1))
+        expected = {}
+        for v in g.nodes():
+            for distance, layer in enumerate(g.bfs_layers(v, radius)):
+                starts = [u for u in layer if u in sources]
+                if starts:
+                    expected[v] = (min(starts, key=g.id_of), distance)
+                    break
+        assert _nearest_sources(g, sources, radius) == expected
+
+
 class TestMessagePassingDecoder:
     """The explicit synchronous decoder must match the view-based one."""
 
