@@ -8,6 +8,13 @@ asks the second schema for advice relative to that oracle, and merges the
 two advice maps with the self-delimiting packing of
 :func:`repro.advice.bitstream.pack_parts`.
 
+A chain ``compose_chain(s1, o2, ..., ok)`` nests composed schemas.  Each
+level hands its stage labeling to the level above
+(:meth:`ComposedSchema.encode_labeled`), so one encode decodes every stage
+but the last exactly once; the last stage's labeling is the decoder's job.
+Unpacking is lossless, so the labeling handed forward is the one the
+decoder rebuilds from the packed advice.
+
 Composability in the formal sense of Definition 3.4 additionally constrains
 *where* bits may sit (at most ``gamma_0`` holders per alpha-ball, each
 holding ``<= c * alpha / gamma^3`` bits).  :func:`check_composability`
@@ -19,8 +26,9 @@ so benchmarks can sweep them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
+from ..lcl.problem import Label
 from ..local.graph import LocalGraph, Node
 from .bitstream import CodecError, pack_parts, unpack_parts
 from .schema import (
@@ -64,14 +72,29 @@ class ComposedSchema(AdviceSchema):
         )
 
     def encode(self, graph: LocalGraph) -> AdviceMap:
-        advice1 = self.first.encode(graph)
-        oracle = self.first.decode(graph, advice1).labeling
+        """Pack both stages' advice.  The oracle comes from ``first``'s
+        :meth:`~repro.advice.schema.AdviceSchema.encode_labeled`, so each
+        stage inside ``first`` is decoded once and ``second`` not at all."""
+        advice1, oracle = self.first.encode_labeled(graph)
         advice2 = self.second.encode(graph, oracle)
         merged: AdviceMap = {}
         for v in graph.nodes():
             parts = [advice1.get(v, ""), advice2.get(v, "")]
             merged[v] = pack_parts(parts) if any(parts) else ""
         return merged
+
+    def encode_labeled(self, graph: LocalGraph) -> Tuple[AdviceMap, Dict[Node, Label]]:
+        """:meth:`encode`, plus the ``Pi_2`` labeling :meth:`decode` would
+        return: ``second`` decoded once on its own advice and the oracle
+        ``first`` handed forward, instead of both stages decoded again."""
+        advice1, oracle = self.first.encode_labeled(graph)
+        advice2 = self.second.encode(graph, oracle)
+        labeling = self.second.decode(graph, advice2, oracle).labeling
+        merged: AdviceMap = {}
+        for v in graph.nodes():
+            parts = [advice1.get(v, ""), advice2.get(v, "")]
+            merged[v] = pack_parts(parts) if any(parts) else ""
+        return merged, labeling
 
     def decode(self, graph: LocalGraph, advice: Mapping[Node, str]) -> DecodeResult:
         advice1: AdviceMap = {}

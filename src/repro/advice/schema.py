@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..lcl.problem import Label, LCLProblem
 from ..lcl.verify import violations
@@ -256,6 +256,19 @@ class AdviceSchema(abc.ABC):
     @abc.abstractmethod
     def decode(self, graph: LocalGraph, advice: Mapping[Node, str]) -> DecodeResult:
         """Recover a solution from the labeled graph (LOCAL algorithm)."""
+
+    def encode_labeled(
+        self, graph: LocalGraph
+    ) -> Tuple[AdviceMap, Dict[Node, Label]]:
+        """:meth:`encode`, plus the labeling :meth:`decode` recovers from it.
+
+        A composed encoder needs its first stage's solution as the oracle
+        of the next stage (Lemma 9.1).  Composed schemas override this to
+        hand their labeling forward instead of decoding their own output
+        again, so no stage of a chain is decoded twice per encode.
+        """
+        advice = self.encode(graph)
+        return advice, self.decode(graph, advice).labeling
 
     # -- per-view decoding (the serving path) --------------------------------
 

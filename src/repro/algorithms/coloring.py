@@ -128,32 +128,38 @@ def linial_reduction_step(
     assert best is not None
     k, q = best
 
-    def polynomial(color: int) -> List[int]:
-        return _digits_base(color, q, k + 1)
+    import numpy as np
 
-    new_coloring: Dict[Node, int] = {}
-    for v in graph.nodes():
-        p_v = polynomial(coloring[v])
-        neighbor_polys = [polynomial(coloring[u]) for u in graph.neighbors(v)]
-        if any(p_u == p_v for p_u in neighbor_polys):
-            raise ColoringError("Linial step requires a proper input coloring")
-        chosen_x = None
-        for x in range(q):
-            y = _eval_poly(p_v, x, q)
-            if all(_eval_poly(p_u, x, q) != y for p_u in neighbor_polys):
-                chosen_x = x
-                break
-        # q > k * Delta guarantees a good x exists for proper inputs.
-        assert chosen_x is not None
-        new_coloring[v] = q * chosen_x + _eval_poly(p_v, chosen_x, q)
-    return new_coloring
-
-
-def _eval_poly(coeffs: Sequence[int], x: int, q: int) -> int:
-    acc = 0
-    for coef in reversed(coeffs):
-        acc = (acc * x + coef) % q
-    return acc
+    # One coefficient vector per node.  Then the evaluation points go up
+    # one at a time: each p_v(x) is evaluated once, by Horner over all
+    # nodes together (values stay below q^2, so int64 is exact), and only
+    # the ports of nodes still without a good point are compared.
+    compiled = graph.compiled
+    indptr, indices, _ = compiled.np_csr()
+    n = compiled.n
+    coeffs = np.array(
+        [_digits_base(coloring[v], q, k + 1) for v in compiled.nodes], dtype=np.int64
+    ).reshape(n, k + 1)
+    tails = np.repeat(np.arange(n), np.diff(indptr))
+    heads = np.asarray(indices, dtype=np.int64)
+    if np.all(coeffs[tails] == coeffs[heads], axis=1).any():
+        raise ColoringError("Linial step requires a proper input coloring")
+    colors = np.full(n, -1, dtype=np.int64)
+    for x in range(q):
+        at_x = np.zeros(n, dtype=np.int64)
+        for j in range(k, -1, -1):
+            at_x = (at_x * x + coeffs[:, j]) % q
+        clashed = np.zeros(n, dtype=bool)
+        clashed[tails[at_x[tails] == at_x[heads]]] = True
+        good = ~clashed & (colors < 0)
+        colors[good] = q * x + at_x[good]
+        pending = colors[tails] < 0
+        if not pending.any():
+            break
+        tails, heads = tails[pending], heads[pending]
+    # q > k * Delta guarantees a good x exists for proper inputs.
+    assert (colors >= 0).all()
+    return dict(zip(compiled.nodes, colors.tolist()))
 
 
 def linial_coloring(

@@ -97,6 +97,68 @@ class Clustering:
         return contracted
 
 
+def nearest_centers(
+    graph: LocalGraph,
+    centers: Iterable[Node],
+    max_radius: Optional[int] = None,
+    restrict_to: Optional[Iterable[Node]] = None,
+) -> Dict[Node, Tuple[Node, int]]:
+    """``node -> (center, distance)`` for every node within ``max_radius``
+    of a center (``None``: no cap): the nearest center, the smallest
+    identifier among equally near ones.
+
+    One multi-source BFS on the CSR, layer by layer: a node first reached
+    at layer ``d + 1`` takes the smallest-identifier center among its
+    layer-``d`` neighbors' centers.  Those are exactly the centers at
+    distance ``d + 1`` from it, so every node gets the answer a separate
+    BFS from every center would give.  ``restrict_to`` confines the BFS,
+    and so the distances, to the induced subgraph on those nodes; a center
+    outside it raises :class:`ClusteringError`.
+    """
+    compiled = graph.compiled
+    indptr, indices, ids = compiled.indptr, compiled.indices, compiled.ids
+    index_of = compiled.index_of
+    centers = list(centers)
+    # dist: -1 unreached, -2 outside restrict_to (never reached).
+    if restrict_to is None:
+        dist = [-1] * compiled.n
+    else:
+        dist = [-2] * compiled.n
+        for v in restrict_to:
+            if v in index_of:
+                dist[index_of[v]] = -1
+        for center in centers:
+            if dist[index_of[center]] == -2:
+                raise ClusteringError(
+                    f"center {center!r} outside restricted node set"
+                )
+    if max_radius is not None and max_radius < 0:
+        return {}
+    owner = [-1] * compiled.n
+    frontier = [index_of[c] for c in centers]
+    for i in frontier:
+        owner[i], dist[i] = i, 0
+    d = 0
+    while frontier and (max_radius is None or d < max_radius):
+        d += 1
+        reached: List[int] = []
+        for i in frontier:
+            mine = owner[i]
+            for j in indices[indptr[i] : indptr[i + 1]]:
+                if dist[j] == -1:
+                    dist[j], owner[j] = d, mine
+                    reached.append(j)
+                elif dist[j] == d and ids[mine] < ids[owner[j]]:
+                    owner[j] = mine
+        frontier = reached
+    nodes = compiled.nodes
+    return {
+        nodes[i]: (nodes[owner[i]], dist[i])
+        for i in range(compiled.n)
+        if dist[i] >= 0
+    }
+
+
 def voronoi_clustering(
     graph: LocalGraph,
     centers: Sequence[Node],
@@ -110,34 +172,12 @@ def voronoi_clustering(
     With ``max_radius`` given, nodes farther than that from every center stay
     unclustered.  ``restrict_to`` limits both the BFS and the assignable
     nodes to a subgraph (used when clustering proceeds color class by color
-    class as in Section 4).
+    class as in Section 4).  One multi-source BFS decides every node
+    (:func:`nearest_centers`): a node takes the minimum-identifier center
+    among those at its least distance.
     """
-    allowed = set(restrict_to) if restrict_to is not None else None
-    assignment: Dict[Node, Node] = {}
-    best: Dict[Node, Tuple[int, int]] = {}  # node -> (distance, center id)
-    for center in centers:
-        if allowed is not None and center not in allowed:
-            raise ClusteringError(f"center {center!r} outside restricted node set")
-        dist = 0
-        frontier = [center]
-        seen = {center}
-        while frontier and (max_radius is None or dist <= max_radius):
-            for v in frontier:
-                key = (dist, graph.id_of(center))
-                if v not in best or key < best[v]:
-                    best[v] = key
-                    assignment[v] = center
-            nxt = []
-            for v in frontier:
-                for u in graph.graph.neighbors(v):
-                    if u in seen:
-                        continue
-                    if allowed is not None and u not in allowed:
-                        continue
-                    seen.add(u)
-                    nxt.append(u)
-            frontier = nxt
-            dist += 1
+    nearest = nearest_centers(graph, centers, max_radius, restrict_to)
+    assignment = {v: center for v, (center, _) in nearest.items()}
     return Clustering(graph=graph, assignment=assignment, centers=list(centers))
 
 

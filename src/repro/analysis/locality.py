@@ -70,6 +70,7 @@ from .rules import Violation
 
 __all__ = [
     "LocalityCertificate",
+    "SourceChangedError",
     "StaticBounds",
     "certify_all",
     "certify_main",
@@ -102,6 +103,16 @@ class _UnknownType:
 
 
 UNKNOWN = _UnknownType()
+
+
+class SourceChangedError(Exception):
+    """The source file no longer holds the function that was imported.
+
+    The static pass parses ``inspect.getsource``, which reads the file on
+    disk at the imported function's first line.  After the module is
+    edited, those lines belong to other code, and any bound inferred from
+    them would describe that code instead.
+    """
 
 
 class _Abstract:
@@ -376,6 +387,12 @@ class _Analyzer:
         fn_node = tree.body[0]
         if not isinstance(fn_node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             return UNKNOWN
+        if fn_node.name != func.__name__:
+            path, line, name = _fn_location(func)
+            raise SourceChangedError(
+                f"source of {name} changed since import: {path}:{line} now "
+                f"defines {fn_node.name!r}; certify in a fresh process"
+            )
         env: Dict[str, object] = {}
         params = [a.arg for a in fn_node.args.args]
         defaults = fn_node.args.defaults
@@ -911,9 +928,11 @@ class _Analyzer:
                 rounds = _infer_radius(owner, sub_graph, self.memo, self.depth + 1)
                 self.sites.append(rounds)
                 return _ResultAbs(rounds)
-            if name == "encode":
+            if name in ("encode", "encode_labeled"):
                 sub_graph = args[0] if args and isinstance(args[0], LocalGraph) else self.graph
-                return _MapAbs(_infer_bits(owner, sub_graph, self.memo, self.depth + 1))
+                advice = _MapAbs(_infer_bits(owner, sub_graph, self.memo, self.depth + 1))
+                # encode_labeled returns encode's advice plus a labeling.
+                return advice if name == "encode" else (advice, UNKNOWN)
             if all(_is_live(a) for a in args) and all(
                 _is_live(v) for v in kwargs.values()
             ):
@@ -1223,7 +1242,9 @@ def infer_static_bounds(schema: object, graph: LocalGraph) -> StaticBounds:
 
     ``None`` means the interpreter could not bound the quantity — an
     unbounded traversal (``LOC103``) or an unbounded encoder (``LOC102``)
-    unless a :func:`locality_hints` bound closes the gap.
+    unless a :func:`locality_hints` bound closes the gap.  Raises
+    :class:`SourceChangedError` when a function's source was edited after
+    import.
     """
     memo: _Memo = {}
     radius = _infer_radius(schema, graph, memo)
@@ -1363,8 +1384,13 @@ def certify_schema(
             )
         )
 
-    static = infer_static_bounds(schema, graph)
-    if static.radius is None:
+    stale: Optional[str] = None
+    try:
+        static = infer_static_bounds(schema, graph)
+    except SourceChangedError as exc:
+        static, stale = StaticBounds(None, None), str(exc)
+        findings.append(_finding("LOC103", stale, schema, "decode"))
+    if static.radius is None and stale is None:
         findings.append(
             _finding(
                 "LOC103",
@@ -1375,7 +1401,7 @@ def certify_schema(
                 "decode",
             )
         )
-    if static.advice_bits is None:
+    if static.advice_bits is None and stale is None:
         findings.append(
             _finding(
                 "LOC102",

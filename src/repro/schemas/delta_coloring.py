@@ -138,18 +138,15 @@ class ClusterColoringSchema(AdviceSchema):
         delta = graph.max_degree
         block = delta + 2
 
+        clusters: Dict[Node, List[Node]] = {center: [] for center in centers}
+        for v in sorted(clustering.assignment, key=graph.id_of):
+            clusters[clustering.assignment[v]].append(v)
         labeling: Dict[Node, int] = {}
-        for center in centers:
+        for center, members in clusters.items():
             cluster_color = bits_to_int(advice[center])
-            members = sorted(clustering.members(center), key=graph.id_of)
-            member_set = set(members)
             local: Dict[Node, int] = {}
             for v in members:
-                taken = {
-                    local[u]
-                    for u in graph.graph.neighbors(v)
-                    if u in member_set and u in local
-                }
+                taken = {local[u] for u in graph.neighbors(v) if u in local}
                 color = 1
                 while color in taken:
                     color += 1
@@ -307,12 +304,15 @@ class DeltaRepairSchema(OracleSchema):
             (v for v in graph.nodes() if oracle[v] == delta + 1), key=graph.id_of
         )
         radii = self._radii(graph)
+        neighbors = {v: graph.neighbors(v) for v in graph.nodes()}
         for u in bad:
             if working[u] <= delta:
                 continue  # already fixed by an earlier overlapping repair
             repaired = False
             if self.strategy in ("auto", "shift"):
-                repaired = self._repair_by_shift(graph, working, u, radii[-1])
+                repaired = self._repair_by_shift(
+                    graph, neighbors, working, u, radii[-1]
+                )
             if not repaired and self.strategy in ("auto", "ball"):
                 repaired = self._repair_by_ball(graph, working, u, radii)
             if not repaired:
@@ -359,69 +359,75 @@ class DeltaRepairSchema(OracleSchema):
     def _repair_by_shift(
         self,
         graph: LocalGraph,
+        neighbors: Mapping[Node, List[Node]],
         working: Dict[Node, int],
         u: Node,
         max_radius: int,
     ) -> bool:
-        """Lemma 6.7's shift: walk a shortest path from ``u`` to a flexible
-        vertex ``x`` (degree < Delta, or two same-colored neighbors off the
-        path), pull each node's color one step towards ``u``, and give
-        ``x`` a freed color.  The simulation is *checked*: a candidate is
-        applied only when the shifted coloring is proper, so the encoder
-        never relies on the existence argument alone.
+        """Lemma 6.7's shift: take a BFS-tree path ``u = p_0, ..., p_k = x``,
+        pull each node's color one step towards ``u`` (``p_i`` takes
+        ``working[p_{i+1}]``), and give ``x`` a freed color.
+
+        ``working`` is a proper coloring, and on a BFS tree a path node is
+        adjacent to no path node but its path neighbors.  So the shift is
+        proper exactly when
+
+        (a) every tree node ``w`` on the path is *ok*: its parent is ok,
+            ``working[w] <= Delta``, and no neighbor of the parent ``v``
+            other than ``w`` and ``v``'s own parent has color
+            ``working[w]`` (which ``v`` takes); ``u`` is ok;
+        (b) ``x`` has a free color in ``1..Delta``: one that is neither
+            ``working[x]`` (its parent's new color) nor the color of a
+            non-parent neighbor.
+
+        Each node's ok bit is computed once, when the BFS discovers it.
+        Candidates are tried layer by layer, then by identifier, and the
+        first one with (a) and (b) is applied with its smallest free color.
         """
         delta = graph.max_degree
-        # BFS by layers, remembering parents, trying flexible vertices in
-        # the order they are discovered (closest first, then by identifier).
         parents: Dict[Node, Node] = {u: u}
+        ok: Dict[Node, bool] = {u: True}
         frontier = [u]
         depth = 0
         while frontier and depth <= max_radius:
-            for x in sorted(frontier, key=graph.id_of):
-                if x is not u and self._try_shift(graph, working, u, x, parents):
-                    return True
+            if depth > 0:
+                for x in sorted(frontier, key=graph.id_of):
+                    if not ok[x]:
+                        continue
+                    parent = parents[x]
+                    taken = {working[x]}
+                    taken.update(working[w] for w in neighbors[x] if w != parent)
+                    free = next((c for c in range(1, delta + 1) if c not in taken), None)
+                    if free is not None:
+                        # Shift along the tree path, from x back to u.
+                        node, color = x, free
+                        while node != u:
+                            working[node], color = color, working[node]
+                            node = parents[node]
+                        working[u] = color
+                        return True
             nxt = []
             for v in frontier:
-                for w in graph.neighbors(v):
-                    if w not in parents:
-                        parents[w] = v
-                        nxt.append(w)
+                grandparent = parents[v]
+                nbrs = neighbors[v]
+                for w in nbrs:
+                    if w in parents:
+                        continue
+                    parents[w] = v
+                    nxt.append(w)
+                    color = working[w]
+                    ok[w] = (
+                        ok[v]
+                        and color <= delta
+                        and not any(
+                            working[b] == color
+                            for b in nbrs
+                            if b != w and b != grandparent
+                        )
+                    )
             frontier = nxt
             depth += 1
         return False
-
-    def _try_shift(
-        self,
-        graph: LocalGraph,
-        working: Dict[Node, int],
-        u: Node,
-        x: Node,
-        parents: Mapping[Node, Node],
-    ) -> bool:
-        delta = graph.max_degree
-        path = [x]
-        while path[-1] != u:
-            path.append(parents[path[-1]])
-        path.reverse()  # u = p_0, ..., p_k = x
-        if any(working[p] > delta for p in path[1:]):
-            return False  # never route through another uncolored node
-        new: Dict[Node, int] = {}
-        for a, b in zip(path, path[1:]):
-            new[a] = working[b]
-        taken = {
-            new.get(w, working[w]) for w in graph.graph.neighbors(x)
-        }
-        free = [c for c in range(1, delta + 1) if c not in taken]
-        if not free:
-            return False
-        new[x] = free[0]
-        # Properness of every edge touching a changed node.
-        for a in new:
-            for b in graph.graph.neighbors(a):
-                if new.get(a, working[a]) == new.get(b, working[b]):
-                    return False
-        working.update(new)
-        return True
 
     def decode(
         self,

@@ -15,7 +15,7 @@ path — which is what makes even this baby schema interesting.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import networkx as nx
 
@@ -29,6 +29,7 @@ from ..advice.schema import (
     LocalityContract,
     repair_region,
 )
+from ..algorithms.decomposition import nearest_centers
 from ..algorithms.ruling_set import greedy_ruling_set
 from ..local.model import MessagePassingAlgorithm, run_view_algorithm
 from ..local.views import View, mark_order_invariant
@@ -225,45 +226,6 @@ def _nearest_anchor_color(view: View) -> int:
     return color if distance % 2 == 0 else 3 - color
 
 
-def _nearest_sources(
-    graph: LocalGraph, sources: Iterable[Node], radius: int
-) -> Dict[Node, Tuple[Node, int]]:
-    """``node -> (source, distance)`` for every node within ``radius`` of a
-    source: the nearest one, the smallest identifier among equally near.
-
-    One multi-source BFS: a node reached at layer ``d + 1`` takes the
-    smallest-identifier source among its layer-``d`` neighbors' — exactly
-    the sources at distance ``d + 1`` from it — so every node gets the
-    answer its own radius-``radius`` BFS would give.
-    """
-    compiled = graph.compiled
-    indptr, indices, ids = compiled.indptr, compiled.indices, compiled.ids
-    source = [-1] * compiled.n
-    dist = [-1] * compiled.n
-    frontier = [compiled.index_of[s] for s in sources]
-    for i in frontier:
-        source[i], dist[i] = i, 0
-    for d in range(1, radius + 1):
-        reached: List[int] = []
-        for i in frontier:
-            mine = source[i]
-            for j in indices[indptr[i] : indptr[i + 1]]:
-                if dist[j] < 0:
-                    dist[j], source[j] = d, mine
-                    reached.append(j)
-                elif dist[j] == d and ids[mine] < ids[source[j]]:
-                    source[j] = mine
-        if not reached:
-            break
-        frontier = reached
-    nodes = compiled.nodes
-    return {
-        nodes[i]: (nodes[source[i]], dist[i])
-        for i in range(compiled.n)
-        if dist[i] >= 0
-    }
-
-
 class OneBitTwoColoringSchema(AdviceSchema):
     """Uniform 1-bit variant of :class:`TwoColoringSchema` (via Lemma 9.2).
 
@@ -310,7 +272,7 @@ class OneBitTwoColoringSchema(AdviceSchema):
         with tracer.span("gather", radius=radius + self.WINDOW, n=graph.n):
             table = payload_table(graph_, advice, self.WINDOW)
             colors = {u: p for u, p in table.items() if len(p) == 1}
-            nearest = _nearest_sources(graph_, colors, radius)
+            nearest = nearest_centers(graph_, colors, radius)
             for v in graph_.nodes():
                 found = nearest.get(v)
                 if found is None:

@@ -93,6 +93,40 @@ class TestCompose:
         assert run.valid is True
         assert "∘" in chained.name
 
+    def test_chain_encode_decodes_each_stage_once(self):
+        # A k-stage chain nests composed schemas; each level hands its
+        # labeling up, so one encode decodes stages 1..k-1 once each and
+        # stage k not at all.
+        decodes = {"first": 0, "second": 0, "third": 0}
+        anchored = _anchor_two_coloring()
+
+        def counted_decode(graph, advice):
+            decodes["first"] += 1
+            return anchored.decode(graph, advice)
+
+        class _Counted(_ShiftColoring):
+            def __init__(self, key):
+                super().__init__()
+                self.key = key
+
+            def decode(self, graph, advice, oracle):
+                decodes[self.key] += 1
+                return super().decode(graph, advice, oracle)
+
+        first = FunctionSchema(
+            "anchored-2col", anchored.encode, counted_decode, vertex_coloring(2)
+        )
+        chained = compose_chain(first, _Counted("second"), _Counted("third"))
+        g = LocalGraph(cycle(10), seed=5)
+        advice = chained.encode(g)
+        assert decodes == {"first": 1, "second": 1, "third": 0}
+        result = chained.decode(g, advice)
+        assert decodes == {"first": 2, "second": 2, "third": 1}
+        handed, labeling = chained.encode_labeled(g)
+        assert decodes == {"first": 3, "second": 3, "third": 2}
+        assert handed == advice
+        assert labeling == result.labeling
+
     def test_composed_oracle_is_first_schemas_output(self):
         g = LocalGraph(cycle(8), seed=6)
         first = _anchor_two_coloring()

@@ -206,3 +206,32 @@ class TestSharedMemo:
             if got != want[s]:
                 stale.append((s, got))
         assert stale == []
+
+
+class TestSourceChangedSinceImport:
+    """``inspect.getsource`` reads the file on disk; after an edit, the
+    imported function's first line points into other code."""
+
+    @staticmethod
+    def _edited_source(func):
+        # What the lines at a decoder's old position hold after an edit.
+        return "def _moved_here(self, graph, advice):\n    return None\n"
+
+    def test_stale_source_is_reported_as_such(self, monkeypatch):
+        import inspect
+
+        from repro.analysis.locality import SourceChangedError
+        from repro.schemas import TwoColoringSchema
+
+        schema = TwoColoringSchema()
+        graph = LocalGraph(cycle(16), seed=3)
+        monkeypatch.setattr(inspect, "getsource", self._edited_source)
+        with pytest.raises(SourceChangedError, match="changed since import"):
+            infer_static_bounds(schema, graph)
+        cert = certify_schema("two-coloring", schema, graph)
+        messages = [f.message for f in cert.findings]
+        assert not cert.passed
+        assert any("changed since import" in m for m in messages), messages
+        assert any("TwoColoringSchema.decode" in m for m in messages), messages
+        assert not any("not statically bounded" in m for m in messages), messages
+        assert cert.static_radius is None and cert.static_advice_bits is None

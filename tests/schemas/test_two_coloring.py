@@ -101,7 +101,7 @@ class TestNearestSources:
     def test_matches_per_node_bfs(self, n, seed, radius, data):
         import networkx as nx
 
-        from repro.schemas.two_coloring import _nearest_sources
+        from repro.algorithms.decomposition import nearest_centers
 
         edges = data.draw(st.integers(0, 2 * n))
         g = LocalGraph(nx.gnm_random_graph(n, edges, seed=seed), seed=seed)
@@ -113,7 +113,7 @@ class TestNearestSources:
                 if starts:
                     expected[v] = (min(starts, key=g.id_of), distance)
                     break
-        assert _nearest_sources(g, sources, radius) == expected
+        assert nearest_centers(g, sources, radius) == expected
 
 
 class TestMessagePassingDecoder:
