@@ -32,13 +32,43 @@ class ColoringError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+def may_clash(graph: LocalGraph, coloring: Mapping[Node, object]) -> bool:
+    """Could an edge scan of ``coloring`` find a monochromatic edge?
+
+    One vectorized pass over the CSR ports: colours are interned to dense
+    codes and every port's tail and head are compared.  ``False`` proves
+    the colouring proper; ``True`` means some edge is monochromatic or
+    some node has no (hashable) colour, and the caller reruns its
+    ``graph.edges()`` scan to report it exactly as before.
+    """
+    import numpy as np
+
+    compiled = graph.compiled
+    codes: Dict[object, int] = {}
+    try:
+        keys = np.fromiter(
+            (codes.setdefault(coloring[v], len(codes)) for v in compiled.nodes),
+            dtype=np.int64,
+            count=compiled.n,
+        )
+    except (KeyError, TypeError):
+        return True
+    indptr, indices, _ = compiled.np_csr()
+    tails = np.repeat(keys, np.diff(indptr))
+    return bool((tails == keys[indices]).any())
+
+
 def is_proper(graph: LocalGraph, coloring: Mapping[Node, int]) -> bool:
     """No edge is monochromatic."""
+    if not may_clash(graph, coloring):
+        return True
     return all(coloring[u] != coloring[v] for u, v in graph.edges())
 
 
 def assert_proper(graph: LocalGraph, coloring: Mapping[Node, int]) -> None:
     """Raise :class:`ColoringError` on any monochromatic edge."""
+    if not may_clash(graph, coloring):
+        return
     bad = [(u, v) for u, v in graph.edges() if coloring[u] == coloring[v]]
     if bad:
         raise ColoringError(f"coloring not proper on {len(bad)} edges, e.g. {bad[0]!r}")
@@ -83,6 +113,36 @@ def _smallest_prime_at_least(n: int) -> int:
         candidate += 1
 
 
+def _root_ceil(c: int, e: int) -> int:
+    """The least integer ``r >= 1`` with ``r ** e >= c`` (exact, any size)."""
+    lo, hi = 1, 1 << (c.bit_length() // e + 1)  # hi ** e > c
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid**e >= c:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _linial_parameters(c: int, delta: int) -> Tuple[int, int]:
+    """The ``(k, q)`` of a Linial step on a ``c``-colour palette.
+
+    Picks the degree ``k`` minimizing the output palette size ``q^2``,
+    where ``q`` is the smallest prime that both exceeds ``k * Delta`` (so
+    a good evaluation point exists) and satisfies ``q^{k+1} >= c`` (so
+    every colour encodes), i.e. the smallest prime at least
+    ``max(k * Delta + 1, ceil(c^{1/(k+1)}))``.  The first ``k`` wins ties.
+    """
+    best: Optional[Tuple[int, int]] = None
+    for k in range(1, max(2, c.bit_length()) + 1):
+        q = _smallest_prime_at_least(max(k * delta + 1, _root_ceil(c, k + 1)))
+        if best is None or q < best[1]:
+            best = (k, q)
+    assert best is not None
+    return best
+
+
 def _digits_base(value: int, base: int, length: int) -> List[int]:
     digits = []
     for _ in range(length):
@@ -115,18 +175,7 @@ def linial_reduction_step(
         delta = graph.max_degree
     delta = max(delta, 1)
 
-    # Pick the degree k minimizing the output palette size q^2, where q is
-    # the smallest prime that both exceeds k * Delta (so a good evaluation
-    # point exists) and satisfies q^{k+1} >= c (so every color encodes).
-    best: Optional[Tuple[int, int]] = None
-    for k in range(1, max(2, c.bit_length()) + 1):
-        q = _smallest_prime_at_least(k * delta + 1)
-        while q ** (k + 1) < c:
-            q = _smallest_prime_at_least(q + 1)
-        if best is None or q < best[1]:
-            best = (k, q)
-    assert best is not None
-    k, q = best
+    k, q = _linial_parameters(c, delta)
 
     import numpy as np
 

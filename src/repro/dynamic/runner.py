@@ -169,7 +169,7 @@ class ChurnRunner:
         amount of work the locality argument licenses.
         """
         schema, graph, registry = self.schema, self.graph, self.registry
-        record = MutationRecord(index=self.applied, mutation=mutation.describe())
+        record = MutationRecord(index=self.applied, mutation=mutation)
         self.applied += 1
         kind_key = mutation.kind.replace("-", "_")
         registry.counter("mutations_total").inc()

@@ -17,13 +17,21 @@ neighbor behind port ``p``.  A parallel ``nbr_ids`` array makes
 distance scratch array lets thousands of BFS sweeps run without
 reallocating.
 
-:class:`LocalGraph` builds one lazily (first adjacency query) and keeps
+:class:`LocalGraph` compiles one lazily (first adjacency query) and keeps
 its public API unchanged; everything downstream inherits the speedup.
+After that first compile, each mutation derives the next snapshot from
+the current one (``with_edge``, ``without_edge``, ``with_node``,
+``without_node``): a port is spliced in or out at its sorted position
+and the rows past it shift, so no row is re-sorted.  Derivation is
+copy-on-write — the old snapshot is never touched and keeps answering
+for the old topology — and a derived snapshot starts with fresh BFS
+scratch and no numpy sidecars.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import accumulate
 from typing import Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
 Node = Hashable
@@ -90,10 +98,14 @@ class CompiledGraph:
         self.m = len(indices) // 2
         self.degrees: List[int] = [indptr[i + 1] - indptr[i] for i in range(n)]
         self.max_degree: int = max(self.degrees, default=0)
-        # Mutation epoch of the source graph this snapshot was compiled at.
-        # LocalGraph.compiled compares it against its own counter and
-        # recompiles after churn, so holders never see a stale CSR.
+        # Mutation epoch of the source graph this snapshot describes;
+        # LocalGraph stamps each derived snapshot with its new epoch, so a
+        # holder can tell its snapshot from the graph's current one.
         self.epoch: int = 0
+        self._fresh_caches()
+
+    def _fresh_caches(self) -> None:
+        n = self.n
         # BFS scratch: -1 means "unvisited"; reset_scratch restores it.
         # Shared by every scalar sweep, so sweeps must not interleave.
         self._dist: List[int] = [-1] * n
@@ -115,6 +127,118 @@ class CompiledGraph:
         )
         compiled.epoch = graph.epoch
         return compiled
+
+    # -- copy-on-write derivation (one mutation each) --------------------------
+
+    def _derive(
+        self,
+        nodes: List[Node],
+        index_of: Dict[Node, int],
+        ids: List[int],
+        indices: List[int],
+        nbr_ids: List[int],
+        degrees: List[int],
+    ) -> "CompiledGraph":
+        """A new snapshot over the given arrays (``epoch`` left at 0 for the
+        caller to stamp); unchanged arrays may be shared with ``self``."""
+        new = CompiledGraph.__new__(CompiledGraph)
+        new.nodes, new.index_of, new.ids = nodes, index_of, ids
+        new.n = len(nodes)
+        new.indptr = list(accumulate(degrees, initial=0))
+        new.indices, new.nbr_ids = indices, nbr_ids
+        new.m = len(indices) // 2
+        new.degrees = degrees
+        new.max_degree = max(degrees, default=0)
+        new.epoch = 0
+        new._fresh_caches()
+        return new
+
+    def with_edge(self, u: Node, v: Node) -> "CompiledGraph":
+        """This snapshot plus the edge ``{u, v}`` (absent, ``u != v``): each
+        endpoint gains a port at its identifier-sorted position."""
+        i, j = self.index_of[u], self.index_of[v]
+        indptr, ids = self.indptr, self.ids
+        indices, nbr_ids = self.indices.copy(), self.nbr_ids.copy()
+        # Splice the later position first so the earlier one stays valid.
+        # Two rows share a position only where one ends and the next
+        # begins; the higher row's port goes in first there, so the lower
+        # row's lands before it.
+        splices = sorted(
+            (
+                (bisect_left(nbr_ids, ids[j], indptr[i], indptr[i + 1]), i, j),
+                (bisect_left(nbr_ids, ids[i], indptr[j], indptr[j + 1]), j, i),
+            ),
+            reverse=True,
+        )
+        for pos, _, other in splices:
+            indices.insert(pos, other)
+            nbr_ids.insert(pos, ids[other])
+        degrees = self.degrees.copy()
+        degrees[i] += 1
+        degrees[j] += 1
+        return self._derive(self.nodes, self.index_of, ids, indices, nbr_ids, degrees)
+
+    def without_edge(self, u: Node, v: Node) -> "CompiledGraph":
+        """This snapshot minus the edge ``{u, v}`` (present): each endpoint
+        loses that port."""
+        i, j = self.index_of[u], self.index_of[v]
+        indptr, ids = self.indptr, self.ids
+        indices, nbr_ids = self.indices.copy(), self.nbr_ids.copy()
+        cuts = (
+            bisect_left(nbr_ids, ids[j], indptr[i], indptr[i + 1]),
+            bisect_left(nbr_ids, ids[i], indptr[j], indptr[j + 1]),
+        )
+        for pos in sorted(cuts, reverse=True):
+            del indices[pos]
+            del nbr_ids[pos]
+        degrees = self.degrees.copy()
+        degrees[i] -= 1
+        degrees[j] -= 1
+        return self._derive(self.nodes, self.index_of, ids, indices, nbr_ids, degrees)
+
+    def with_node(self, v: Node, ident: int) -> "CompiledGraph":
+        """This snapshot plus the isolated node ``v``, appended as the last
+        (empty) row."""
+        index_of = dict(self.index_of)
+        index_of[v] = self.n
+        return self._derive(
+            self.nodes + [v],
+            index_of,
+            self.ids + [int(ident)],
+            self.indices,
+            self.nbr_ids,
+            self.degrees + [0],
+        )
+
+    def without_node(self, v: Node) -> "CompiledGraph":
+        """This snapshot minus ``v`` and its ports; every index above ``v``'s
+        moves down by one."""
+        i = self.index_of[v]
+        indptr, nbr_ids, indices = self.indptr, self.nbr_ids, self.indices
+        lo, hi = indptr[i], indptr[i + 1]
+        ident = self.ids[i]
+        degrees = self.degrees.copy()
+        # v's own row, plus the port back to v in each neighbour's row.
+        cuts = list(range(lo, hi))
+        for j in indices[lo:hi]:
+            cuts.append(bisect_left(nbr_ids, ident, indptr[j], indptr[j + 1]))
+            degrees[j] -= 1
+        del degrees[i]
+        indices, nbr_ids = indices.copy(), nbr_ids.copy()
+        for pos in sorted(cuts, reverse=True):
+            del indices[pos]
+            del nbr_ids[pos]
+        nodes = self.nodes.copy()
+        del nodes[i]
+        index_of = dict(self.index_of)
+        del index_of[v]
+        for k in range(i, len(nodes)):
+            index_of[nodes[k]] = k
+        ids = self.ids.copy()
+        del ids[i]
+        return self._derive(
+            nodes, index_of, ids, [j - (j > i) for j in indices], nbr_ids, degrees
+        )
 
     # -- index-level primitives (hot paths work on ints only) -----------------
 
@@ -171,23 +295,31 @@ class CompiledGraph:
         :meth:`reset_scratch` with the returned order before the next sweep;
         the scratch is not reentrant.
         """
+        return self.bfs_fill_many((src,), radius)
+
+    def bfs_fill_many(
+        self, sources: Iterable[int], radius: Optional[int] = None
+    ) -> List[int]:
+        """Multi-source :meth:`bfs_fill`: the hop distance to the nearest of
+        ``sources``, with the same scratch contract."""
         dist = self._dist
         indptr, indices = self.indptr, self.indices
-        order = [src]
-        dist[src] = 0
-        head = 0
-        while head < len(order):
-            i = order[head]
-            head += 1
+        order: List[int] = []
+        append = order.append
+        for src in sources:
+            if dist[src] < 0:
+                dist[src] = 0
+                append(src)
+        # The loop walks ``order`` while appending to it: a FIFO queue.
+        for i in order:
             d = dist[i]
             if radius is not None and d >= radius:
                 continue
             d1 = d + 1
-            for k in range(indptr[i], indptr[i + 1]):
-                j = indices[k]
+            for j in indices[indptr[i] : indptr[i + 1]]:
                 if dist[j] < 0:
                     dist[j] = d1
-                    order.append(j)
+                    append(j)
         return order
 
     def reset_scratch(self, order: Iterable[int]) -> None:

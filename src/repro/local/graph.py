@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from collections import OrderedDict
-from typing import Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
+from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
 import networkx as nx
 
@@ -133,15 +133,17 @@ class LocalGraph:
 
     @property
     def compiled(self) -> CompiledGraph:
-        """The CSR backend (built lazily on first adjacency query).
+        """The CSR backend (compiled lazily on first adjacency query).
 
         All hot-path accessors (:meth:`neighbors`, :meth:`port_of`,
         :meth:`ball`, :meth:`bfs_layers`, ...) route through this snapshot.
-        The snapshot is stamped with the graph's mutation :attr:`epoch`; any
-        mutation through the mutator API drops it and a fresh one is compiled
-        on the next adjacency query, so a stale CSR is never served.
+        It is compiled from the networkx graph once; after that every
+        mutation through the mutator API derives the next snapshot from
+        the current one (a port spliced per changed row), stamped with the
+        new :attr:`epoch`.  Derivation is copy-on-write: a snapshot taken
+        before a mutation keeps answering for the old topology.
         """
-        if self._compiled is None or self._compiled.epoch != self._epoch:
+        if self._compiled is None:
             self._compiled = CompiledGraph.from_local(self)
         return self._compiled
 
@@ -184,16 +186,19 @@ class LocalGraph:
 
     # -- mutation (churn) ------------------------------------------------------
 
-    def _invalidate(self) -> None:
-        """Bump the epoch and drop every topology-derived cache.
+    def _invalidate(self, derive: Callable[[CompiledGraph], CompiledGraph]) -> None:
+        """Bump the epoch and move every topology-derived cache past the
+        mutation just made.
 
-        The compiled CSR snapshot is dropped wholesale (its ``_np_csr`` /
-        ``_np_flood`` engine caches die with it) and the
-        bounded-LRU ball cache is cleared; both rebuild lazily on the next
-        query against the post-mutation topology.
+        A compiled snapshot, if one exists, is replaced by ``derive(old)``
+        stamped with the new epoch (no recompile; the old snapshot and its
+        ``_np_csr`` / ``_np_flood`` engine caches stay with their holders).
+        The bounded-LRU ball cache is cleared and refills lazily.
         """
         self._epoch += 1
-        self._compiled = None
+        if self._compiled is not None:
+            self._compiled = derive(self._compiled)
+            self._compiled.epoch = self._epoch
         self._ball_cache.clear()
 
     def add_edge(self, u: Node, v: Node) -> None:
@@ -209,7 +214,7 @@ class LocalGraph:
         self._degrees[u] += 1
         self._degrees[v] += 1
         self._max_degree = max(self._max_degree, self._degrees[u], self._degrees[v])
-        self._invalidate()
+        self._invalidate(lambda compiled: compiled.with_edge(u, v))
 
     def remove_edge(self, u: Node, v: Node) -> None:
         """Delete the edge ``{u, v}``."""
@@ -221,7 +226,7 @@ class LocalGraph:
         self._degrees[v] -= 1
         if max(old_u, old_v) == self._max_degree:
             self._max_degree = max(self._degrees.values(), default=0)
-        self._invalidate()
+        self._invalidate(lambda compiled: compiled.without_edge(u, v))
 
     def add_node(
         self,
@@ -256,7 +261,7 @@ class LocalGraph:
         if input is not None:
             self._inputs[v] = input
         self._ball_cache_limit = max(self._ball_cache_limit, 4 * len(self._nodes))
-        self._invalidate()
+        self._invalidate(lambda compiled: compiled.with_node(v, node_id))
         for u in attach:
             self.add_edge(v, u)
 
@@ -276,7 +281,7 @@ class LocalGraph:
             self._degrees[u] + 1 == self._max_degree for u in dropped
         ):
             self._max_degree = max(self._degrees.values(), default=0)
-        self._invalidate()
+        self._invalidate(lambda compiled: compiled.without_node(v))
         return dropped
 
     # -- ports -----------------------------------------------------------------

@@ -637,8 +637,8 @@ def _flood_cache(graph, compiled):
     """The compiled graph's structure-only flooding arrays.
 
     Nothing here depends on advice or policy, so it is built once per
-    compiled graph (and dies with it on a CSR mutation): the edge tails,
-    heads and identifier keys in key order, the degrees, the
+    compiled graph (the snapshot a mutation derives starts without it):
+    the edge tails, heads and identifier keys in key order, the degrees, the
     base record bits (``id_bits·(1 + deg)`` plus the input payload), and
     the ball arrays of the largest radius swept so far (see
     :func:`_layer_bits`).

@@ -32,9 +32,12 @@ is a fresh re-encode, the one unbounded centralized operation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence
 
 from .metrics import MetricsRegistry
+
+if TYPE_CHECKING:
+    from ..dynamic.plan import Mutation
 
 #: RepairAction kinds, in escalation order.
 BALL_RESOLVE = "ball-resolve"
@@ -197,10 +200,15 @@ class RobustnessReport:
 
 @dataclass
 class MutationRecord:
-    """Outcome record for one applied churn mutation."""
+    """Outcome record for one applied churn mutation.
+
+    ``mutation`` is the applied (frozen) :class:`~repro.dynamic.plan.Mutation`
+    itself; its JSON summary is built only by :meth:`as_dict`, so a
+    record kept in memory costs no more than its actions.
+    """
 
     index: int
-    mutation: Dict[str, object]
+    mutation: "Mutation"
     actions: List[RepairAction] = field(default_factory=list)
     resolved_by: str = RESOLVED_NOOP
     #: post-mutation labeling verified valid (checked every step).
@@ -214,7 +222,7 @@ class MutationRecord:
     def as_dict(self) -> Dict[str, object]:
         return {
             "index": self.index,
-            "mutation": dict(self.mutation),
+            "mutation": self.mutation.describe(),
             "actions": [a.as_dict() for a in self.actions],
             "resolved_by": self.resolved_by,
             "local": self.local,

@@ -50,6 +50,7 @@ from ..algorithms.coloring import (
     assert_proper,
     is_proper,
     linial_reduction_step,
+    may_clash,
     num_colors,
     reduce_to_delta_plus_one,
 )
@@ -166,12 +167,13 @@ class ClusterColoringSchema(AdviceSchema):
         # Corrupted cluster colors can clash across a cluster boundary;
         # reject them as advice errors before Linial, which needs a proper
         # input coloring.
-        for u, v in graph.edges():
-            if labeling[u] == labeling[v]:
-                raise InvalidAdvice(
-                    f"cluster colors clash on edge {(u, v)!r}",
-                    node=min(u, v, key=graph.id_of),
-                )
+        if may_clash(graph, labeling):
+            for u, v in graph.edges():
+                if labeling[u] == labeling[v]:
+                    raise InvalidAdvice(
+                        f"cluster colors clash on edge {(u, v)!r}",
+                        node=min(u, v, key=graph.id_of),
+                    )
 
         # Linial reduction: one round per step, until no further shrinking.
         linial_rounds = 0

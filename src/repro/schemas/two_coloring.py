@@ -162,8 +162,40 @@ class TwoColoringSchema(AdviceSchema):
                     changed = True
             return patched if changed else None
         reach = self.spacing - 1
-        region = repair_region(graph, sites, max(radius, reach))
-        for w in region:
+        compiled = graph.compiled
+        nodes, dist = compiled.nodes, compiled._dist
+        indptr, indices = compiled.indptr, compiled.indices
+        # Seed ball: the region (within R of a site) plus every node within
+        # reach of it, which holds every anchor that covers a region node.
+        big = max(radius, reach)
+        seed = compiled.bfs_fill_many(
+            [compiled.index_of[s] for s in sites], big + reach
+        )
+        region = sorted(
+            (i for i in seed if dist[i] <= big), key=compiled.ids.__getitem__
+        )
+        # Cover from the anchors: a node is covered once an anchor lies
+        # within reach.  Only region nodes are read, and a node ``t`` hops
+        # into a path of at most ``reach`` hops from an anchor to a region
+        # node lies within ``big + reach - t`` of a site, so the sweep
+        # skips every node past that.
+        covered = bytearray(compiled.n)
+        frontier = [i for i in seed if patched.get(nodes[i], "")]
+        for i in frontier:
+            covered[i] = 1
+        limit = big + reach
+        for _ in range(reach):
+            limit -= 1
+            nxt = []
+            for i in frontier:
+                for j in indices[indptr[i] : indptr[i + 1]]:
+                    if not covered[j] and 0 <= dist[j] <= limit:
+                        covered[j] = 1
+                        nxt.append(j)
+            frontier = nxt
+        compiled.reset_scratch(seed)
+        for i in region:
+            w = nodes[i]
             bits = patched.get(w, "")
             if not bits:
                 continue
@@ -171,35 +203,20 @@ class TwoColoringSchema(AdviceSchema):
             if bits != want:
                 patched[w] = want
                 changed = True
-        for w in region:
-            if _sees_anchor(graph, patched, w, reach):
+        # Planting on each uncovered region node in id order and covering
+        # its reach-ball gives the same anchors as asking, node by node,
+        # whether any anchor planted so far is in range.
+        for i in region:
+            if covered[i]:
                 continue
+            w = nodes[i]
             patched[w] = "1" if labeling.get(w) == 1 else "0"
             changed = True
+            swept = compiled.bfs_fill(i, reach)
+            for j in swept:
+                covered[j] = 1
+            compiled.reset_scratch(swept)
         return patched if changed else None
-
-
-def _sees_anchor(
-    graph: LocalGraph, advice: Mapping[Node, str], w: Node, reach: int
-) -> bool:
-    """Early-exit BFS: is any non-empty advice bit within ``reach`` of ``w``?"""
-    if advice.get(w, ""):
-        return True
-    seen = {w}
-    frontier = [w]
-    for _ in range(reach):
-        nxt = []
-        for x in frontier:
-            for y in graph.neighbors(x):
-                if y not in seen:
-                    if advice.get(y, ""):
-                        return True
-                    seen.add(y)
-                    nxt.append(y)
-        if not nxt:
-            return False
-        frontier = nxt
-    return False
 
 
 def _nearest_anchor_color(view: View) -> int:

@@ -109,3 +109,113 @@ class TestReductions:
         palettes = {v: [1, 2, 3] for v in g.nodes()}
         with pytest.raises(ColoringError):
             list_coloring(g, palettes, {v: 1 for v in g.nodes()})
+
+
+def _prime_table(limit):
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[0:2] = b"\x00\x00"
+    for p in range(2, int(limit**0.5) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
+    return [p for p in range(limit + 1) if sieve[p]]
+
+
+# Every q the walk below can reach for c <= 2^40 and Delta <= 8: the k = 1
+# candidate stops at the first prime >= 2^20, and larger k stop sooner.
+_PRIMES = _prime_table((1 << 20) + 1000)
+
+
+def _walked_parameters(c, delta):
+    """Linial's (k, q) search stepping q one prime at a time."""
+    from bisect import bisect_left
+
+    best = None
+    for k in range(1, max(2, c.bit_length()) + 1):
+        at = bisect_left(_PRIMES, k * delta + 1)
+        while _PRIMES[at] ** (k + 1) < c:
+            at += 1
+        q = _PRIMES[at]
+        if best is None or q < best[1]:
+            best = (k, q)
+    return best
+
+
+class TestLinialParameters:
+    """The (k, q) search starts each k at the root bound; it must pick
+    what the prime-by-prime walk picks."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 1 << 40), st.integers(1, 8))
+    def test_matches_prime_walk(self, c, delta):
+        from repro.algorithms.coloring import _linial_parameters
+
+        assert _linial_parameters(c, delta) == _walked_parameters(c, delta)
+
+    @pytest.mark.parametrize("delta", [1, 2, 3, 8])
+    def test_matches_prime_walk_at_root_boundaries(self, delta):
+        from repro.algorithms.coloring import _linial_parameters
+
+        for bits in range(1, 41):
+            for c in {1 << bits, (1 << bits) - 1, (1 << bits) + 1}:
+                assert _linial_parameters(c, delta) == _walked_parameters(c, delta)
+        for p in (2, 3, 31, 1021, 65521, 1048573):
+            for e in (2, 3, 4):
+                if p**e <= 1 << 40:
+                    for c in (p**e - 1, p**e, p**e + 1):
+                        assert _linial_parameters(c, delta) == _walked_parameters(c, delta)
+
+    def test_wide_palette_step_is_proper(self):
+        import random
+
+        g = LocalGraph(cycle(20), seed=7)
+        rng = random.Random(3)
+        coloring = {v: rng.randrange(1 << 36) for v in g.nodes()}
+        assert is_proper(g, coloring)
+        reduced = linial_reduction_step(g, coloring)
+        assert is_proper(g, reduced)
+        assert max(reduced.values()) < max(coloring.values())
+
+
+class TestProperOnCsr:
+    """is_proper / assert_proper decide on the CSR ports and fall back to
+    the edge scan only to report a clash, so verdicts and messages match
+    the plain edge scan."""
+
+    @staticmethod
+    def _scan(graph, coloring):
+        bad = [(u, v) for u, v in graph.edges() if coloring[u] == coloring[v]]
+        if bad:
+            return f"coloring not proper on {len(bad)} edges, e.g. {bad[0]!r}"
+        return None
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 30), st.integers(0, 9999), st.integers(1, 6), st.data())
+    def test_matches_edge_scan(self, n, seed, palette, data):
+        import networkx as nx
+
+        g = LocalGraph(nx.gnm_random_graph(n, data.draw(st.integers(0, 2 * n)), seed=seed), seed=seed)
+        coloring = {
+            v: data.draw(st.sampled_from([*range(1, palette + 1), "a", (1, 2)]))
+            for v in g.nodes()
+        }
+        expected = self._scan(g, coloring)
+        assert is_proper(g, coloring) is (expected is None)
+        if expected is None:
+            assert_proper(g, coloring)
+        else:
+            with pytest.raises(ColoringError) as got:
+                assert_proper(g, coloring)
+            assert str(got.value) == expected
+
+    def test_missing_colour_behaves_like_edge_scan(self):
+        import networkx as nx
+
+        graph = nx.path_graph(3)
+        graph.add_node(9)
+        g = LocalGraph(graph)
+        # An isolated node without a colour is never looked up by the scan.
+        assert is_proper(g, {0: 1, 1: 2, 2: 1})
+        with pytest.raises(KeyError):
+            is_proper(g, {0: 1, 1: 2, 9: 1})
+        with pytest.raises(KeyError):
+            assert_proper(g, {0: 1, 1: 2, 9: 1})

@@ -1,15 +1,24 @@
 """Mutation API of :class:`LocalGraph` and epoch-based cache invalidation.
 
-The churn runtime (PR 9) mutates a live graph in place.  Every
-topology-derived cache — the compiled CSR snapshot with its vectorized
-``_np_csr`` / ``_np_flood`` sidecars, the bounded-LRU ball cache, and
-memoized views gathered from the old topology — must be invalidated the
-moment an edge flips, or the decoder would be served stale neighborhoods.
+The churn runtime mutates a live graph in place.  Every topology-derived
+cache must move past a mutation the moment an edge flips, or the decoder
+would be served stale neighborhoods: the compiled CSR snapshot is derived
+anew per mutation (copy-on-write, with no ``_np_csr`` / ``_np_flood``
+sidecars and fresh BFS scratch), the bounded-LRU ball cache is cleared,
+and memoized views gathered from the old topology no longer match.  A
+derived snapshot must equal a cold compile of the mutated graph field for
+field, and a snapshot taken before the mutation must keep answering for
+the old topology.
 """
 
+import copy
+
+import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.graphs import cycle, grid
+from repro.local.compiled import CompiledGraph
 from repro.local.graph import LocalGraph, LocalGraphError
 from repro.local.views import gather_view
 
@@ -159,3 +168,84 @@ class TestEpochInvalidation:
         assert int(g.compiled._np_flood["node"].size) == int(
             rebuilt.compiled._np_flood["node"].size
         )
+
+
+_SNAPSHOT_FIELDS = (
+    "n",
+    "m",
+    "nodes",
+    "index_of",
+    "ids",
+    "indptr",
+    "indices",
+    "nbr_ids",
+    "degrees",
+    "max_degree",
+    "epoch",
+)
+
+
+def _fields(compiled: CompiledGraph) -> dict:
+    return {name: getattr(compiled, name) for name in _SNAPSHOT_FIELDS}
+
+
+def _mutate(g: LocalGraph, data, fresh_node: int) -> None:
+    """One random mutation through the mutator API (a no-op when the
+    drawn kind does not apply to ``g``)."""
+    nodes = g.nodes()
+    kind = data.draw(st.sampled_from(["add-edge", "remove-edge", "add-node", "remove-node"]))
+    if kind == "add-edge" and len(nodes) >= 2:
+        u, v = data.draw(st.lists(st.sampled_from(nodes), min_size=2, max_size=2, unique=True))
+        if not g.has_edge(u, v):
+            g.add_edge(u, v)
+    elif kind == "remove-edge" and g.m:
+        u, v = data.draw(st.sampled_from(sorted(g.edges())))
+        g.remove_edge(u, v)
+    elif kind == "add-node":
+        attach = data.draw(st.lists(st.sampled_from(nodes), max_size=3, unique=True)) if nodes else []
+        g.add_node(fresh_node, neighbors=attach)
+    elif kind == "remove-node" and nodes:
+        g.remove_node(data.draw(st.sampled_from(nodes)))
+
+
+class TestDerivedSnapshots:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 14), st.floats(0.0, 0.6), st.integers(0, 10_000), st.data())
+    def test_derived_snapshot_equals_cold_compile(self, n, p, seed, data):
+        g = LocalGraph(nx.gnp_random_graph(n, p, seed=seed), seed=seed)
+        g.compiled  # a snapshot exists, so every mutation derives one
+        for step in range(data.draw(st.integers(1, 25))):
+            before = g.compiled
+            old = copy.deepcopy(_fields(before))
+            old_edges = {frozenset(e) for e in g.edges()}
+            view = g.induced(g.nodes())
+            old_components = view.components()
+            _mutate(g, data, 1000 + step)
+            after = g.compiled
+            assert _fields(after) == _fields(CompiledGraph.from_local(g))
+            assert after._dist == [-1] * after.n
+            assert after._np_csr is None and after._np_flood is None
+            # Copy-on-write: the old snapshot and a view over it still
+            # answer for the pre-mutation topology.
+            assert _fields(before) == old
+            assert {
+                frozenset((before.nodes[i], before.nodes[j]))
+                for i in range(before.n)
+                for j in before.neighbors_idx(i)
+            } == old_edges
+            assert view.components() == old_components
+
+    def test_mutations_never_recompile(self, monkeypatch):
+        g = _fresh(8)
+        g.compiled
+
+        def refuse(cls, graph):
+            raise AssertionError("recompiled from networkx")
+
+        monkeypatch.setattr(CompiledGraph, "from_local", classmethod(refuse))
+        g.add_edge(0, 4)
+        g.add_node(99, neighbors=[0, 2])
+        g.remove_edge(0, 1)
+        g.remove_node(3)
+        assert g.neighbors(0) == sorted([7, 4, 99], key=g.id_of)
+        assert g.compiled.epoch == g.epoch

@@ -116,6 +116,91 @@ class TestNearestSources:
         assert nearest_centers(g, sources, radius) == expected
 
 
+def _reference_repair_advice(schema, graph, advice, sites, radius, labeling):
+    """The labeled-path advice patch with one early-exit BFS per region
+    node: resync the anchor bits in the region, then plant an anchor on
+    each region node (in id order) that sees none within ``spacing - 1``
+    hops, counting anchors planted earlier in the sweep."""
+    from repro.advice.schema import repair_region
+
+    def sees_anchor(w, reach):
+        if patched.get(w, ""):
+            return True
+        seen, frontier = {w}, [w]
+        for _ in range(reach):
+            nxt = []
+            for x in frontier:
+                for y in graph.neighbors(x):
+                    if y not in seen:
+                        if patched.get(y, ""):
+                            return True
+                        seen.add(y)
+                        nxt.append(y)
+            if not nxt:
+                return False
+            frontier = nxt
+        return False
+
+    patched, changed = dict(advice), False
+    reach = schema.spacing - 1
+    region = repair_region(graph, sites, max(radius, reach))
+    for w in region:
+        bits = patched.get(w, "")
+        want = "1" if labeling.get(w) == 1 else "0"
+        if bits and bits != want:
+            patched[w] = want
+            changed = True
+    for w in region:
+        if not sees_anchor(w, reach):
+            patched[w] = "1" if labeling.get(w) == 1 else "0"
+            changed = True
+    return patched if changed else None
+
+
+class TestLabeledRepairAdvice:
+    """The labeled advice patch covers the region in one sweep; it must
+    plant exactly the anchors the per-node early-exit BFS plants."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(2, 40),
+        st.integers(0, 9999),
+        st.integers(2, 6),
+        st.integers(0, 5),
+        st.data(),
+    )
+    def test_matches_per_node_bfs(self, n, seed, spacing, radius, data):
+        import networkx as nx
+
+        raw = nx.bipartite.random_graph(n, n, data.draw(st.floats(0.02, 0.3)), seed=seed)
+        g = LocalGraph(raw, seed=seed)
+        labeling = {v: 1 + raw.nodes[v]["bipartite"] for v in g.nodes()}
+        nodes = g.nodes()
+        holders = data.draw(st.sets(st.sampled_from(nodes), max_size=n // 3 + 1))
+        advice = {v: "" for v in nodes}
+        for v in holders:
+            advice[v] = data.draw(st.sampled_from(["0", "1"]))
+        sites = data.draw(st.lists(st.sampled_from(nodes), min_size=1, max_size=4))
+        schema = TwoColoringSchema(spacing=spacing)
+        expected = _reference_repair_advice(schema, g, advice, sites, radius, labeling)
+        assert schema.repair_advice(g, advice, sites, radius, labeling) == expected
+
+    def test_planted_anchor_covers_later_region_nodes(self):
+        g = LocalGraph(path(40), seed=5)
+        labeling = {v: 1 + v % 2 for v in g.nodes()}
+        advice = {v: "" for v in g.nodes()}
+        schema = TwoColoringSchema(spacing=4)
+        sites = [20]
+        expected = _reference_repair_advice(schema, g, advice, sites, 6, labeling)
+        patched = schema.repair_advice(g, advice, sites, 6, labeling)
+        assert patched == expected
+        planted = [v for v in g.nodes() if patched[v]]
+        # 13 region nodes, but each plant covers its neighbours within 3
+        # hops, so far fewer plants are needed than region nodes.
+        assert 1 < len(planted) < 13
+        assert all(patched[v] == ("1" if labeling[v] == 1 else "0") for v in planted)
+
+
 class TestMessagePassingDecoder:
     """The explicit synchronous decoder must match the view-based one."""
 
