@@ -365,7 +365,9 @@ class AdviceSchema(abc.ABC):
         :func:`repair_region` — the union of ``graph.ball(site, radius)``
         — so repair stays a local operation.  Return the patched map, or
         ``None`` when no patch is needed or offered (the runner then keeps
-        the old bits or escalates).
+        the old bits or escalates).  A returned map is a new dict that the
+        caller owns: it may keep and mutate it without copying, so it must
+        never be ``advice`` itself.
         """
         return None
 

@@ -224,7 +224,7 @@ class ChurnRunner:
                         graph, self.advice, sites, hook_radius, self.labeling
                     )
                     if patched is not None:
-                        self.advice = dict(patched)
+                        self.advice = patched
                         seed_node = sites[0] if sites else None
                         record.actions.append(
                             RepairAction(
@@ -257,7 +257,10 @@ class ChurnRunner:
                 elif full_check or record.resolved_by == RESOLVED_REENCODE:
                     record.valid = bool(schema.check_solution(graph, self.labeling))
                 elif problem is not None:
-                    record.valid = not self._region_violations(
+                    # With no bad node nothing was relabelled, so the check
+                    # would rerun the first one verbatim (same sites, radius
+                    # and labeling).
+                    record.valid = not bad or not self._region_violations(
                         problem, sites, max(label_radius, problem.radius)
                     )
                 else:

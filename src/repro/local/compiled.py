@@ -25,7 +25,7 @@ the current one (``with_edge``, ``without_edge``, ``with_node``,
 and the rows past it shift, so no row is re-sorted.  Derivation is
 copy-on-write — the old snapshot is never touched and keeps answering
 for the old topology — and a derived snapshot starts with fresh BFS
-scratch and no numpy sidecars.
+scratch and no numpy sidecars (CSR arrays, flooding cache, ball sweep).
 """
 
 from __future__ import annotations
@@ -67,6 +67,7 @@ class CompiledGraph:
         "_dist",
         "_np_csr",
         "_np_flood",
+        "_np_balls",
     )
 
     def __init__(
@@ -115,6 +116,10 @@ class CompiledGraph:
         # Lazily built flooding ball-sweep cache owned by
         # repro.obs.bandwidth._flood_cache (structure-only, advice-free).
         self._np_flood = None
+        # Flat balls left by an all-roots vectorized gather
+        # (repro.local.vectorized.BallSweep), which the flooding meter
+        # folds instead of sweeping again; None until one runs.
+        self._np_balls = None
 
     @classmethod
     def from_local(cls, graph: "LocalGraph") -> "CompiledGraph":  # noqa: F821

@@ -260,7 +260,10 @@ def gather_ball_batch(
     ``views_gathered`` / ``bfs_node_visits`` the scalar engine would count
     — one view per root, one visit per ball entry — so telemetry and
     perf-history entries stay engine-independent.  Edge extraction is
-    deferred until a view's ``edges`` field is first touched.
+    deferred until a view's ``edges`` field is first touched.  A sweep
+    over every root (``roots=None``) also leaves its arrays on the
+    snapshot as a :class:`BallSweep`, unless the one there covers
+    ``radius``.
     """
     if radius < 0:
         raise ValueError("radius must be non-negative")
@@ -299,6 +302,11 @@ def gather_ball_batch(
     ball_nodes = _concat(node_parts, dtype)
     ball_dists = _concat(dist_parts, dtype)
 
+    if roots is None:
+        held = compiled._np_balls
+        if held is None or not held.covers(radius):
+            compiled._np_balls = BallSweep(radius, ball_indptr, ball_nodes, ball_dists)
+
     if stats is not None:
         stats.views_gathered += int(root_arr.size)
         stats.bfs_node_visits += int(ball_nodes.size)
@@ -313,6 +321,45 @@ def gather_ball_batch(
         ball_dists=ball_dists,
         block=block,
     )
+
+
+class BallSweep:
+    """The flat balls of every node, kept on the snapshot they were swept on.
+
+    An all-roots :func:`gather_ball_batch` stores its arrays here
+    (``CompiledGraph._np_balls``), so a later reader of the same balls —
+    the flooding meter of :mod:`repro.obs.bandwidth` — folds them instead
+    of sweeping again.  The arrays are shared with the batch, not copied.
+    A snapshot derived by a mutation starts without one.
+    """
+
+    __slots__ = ("radius", "depth", "indptr", "nodes", "dists", "_cells")
+
+    def __init__(self, radius: int, indptr, nodes, dists) -> None:
+        self.radius = radius
+        self.indptr, self.nodes, self.dists = indptr, nodes, dists
+        # One past the deepest layer reached.  Balls that stop short of
+        # the radius are whole components, so they are also the balls of
+        # every larger radius.
+        self.depth = int(dists.max()) + 1 if dists.size else 0
+        self._cells = None
+
+    def covers(self, radius: int) -> bool:
+        """Whether the radius-``radius`` balls are these balls' first layers."""
+        return radius <= self.radius or self.depth <= self.radius
+
+    def cells(self):
+        """``root·depth + dist`` of every entry — its cell in a row-major
+        ``(n, depth)`` layer matrix — built on first use."""
+        if self._cells is None:
+            roots = _np.repeat(
+                _np.arange(self.indptr.size - 1, dtype=_np.int64),
+                _np.diff(self.indptr),
+            )
+            roots *= self.depth
+            roots += self.dists
+            self._cells = roots
+        return self._cells
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +451,9 @@ class BallBatch:
         ``id``, ``advice``, ``input`` (``None`` when the graph has no
         inputs).  Edge columns: ``edge_ptr``, ``edge_lo``, ``edge_hi``.
         Center columns (one entry per root): ``center_advice``,
-        ``center_id``, ``center_input``.
+        ``center_id``, ``center_input``.  ``holders`` is ``(ptr,
+        entries)``: the sorted ``(distance, id, node, bits)`` of root
+        ``slot``'s advice holders are ``entries[ptr[slot]:ptr[slot + 1]]``.
         """
         col = self._cols.get(name, _UNBUILT)
         if col is _UNBUILT:
@@ -435,6 +484,39 @@ class BallBatch:
             return [advice.get(nodes[i], "") for i in idx]
         by_idx = [advice.get(v, "") for v in nodes]
         return [by_idx[i] for i in idx]
+
+    def _build_holders(self) -> Tuple[list, list]:
+        compiled = self.graph.compiled
+        nodes, advice, ball = compiled.nodes, self.advice, self.ball_nodes
+        if ball.size < len(nodes):
+            # Roots-subset batch: read the advice of the ball members only,
+            # as _build_advice does.
+            bits = {
+                i: b for i in _np.unique(ball).tolist() if (b := advice.get(nodes[i], ""))
+            }
+            held = _np.isin(ball, _np.fromiter(bits, ball.dtype, len(bits)))
+        else:
+            bits = {i: b for i, v in enumerate(nodes) if (b := advice.get(v, ""))}
+            mask = _np.zeros(len(nodes), dtype=bool)
+            mask[_np.fromiter(bits, _np.intp, len(bits))] = True
+            held = mask[ball]
+        # Only holder entries leave numpy.  Each root's entries are
+        # contiguous, so ordering by (root, distance, id) sorts every
+        # root's holders in place and keeps the roots' ranges.
+        sel = _np.flatnonzero(held)
+        ptr = _np.searchsorted(sel, self.ball_indptr).tolist()
+        owner = _np.searchsorted(self.ball_indptr, sel, side="right")
+        idx = ball[sel]
+        dist = self.ball_dists[sel]
+        ident = compiled.np_csr()[2][idx]
+        order = _np.lexsort((ident, dist, owner))
+        entries = [
+            (d, k, nodes[i], bits[i])
+            for d, k, i in zip(
+                dist[order].tolist(), ident[order].tolist(), idx[order].tolist()
+            )
+        ]
+        return ptr, entries
 
     def _build_input(self) -> Optional[list]:
         inputs = self.graph._inputs
@@ -505,7 +587,8 @@ class BatchView(View):
     built on first access by slicing the batch columns, and the center
     accessors (``advice_of``, ``distance``, ``id_of``, ``input_of`` on
     ``view.center``) answer in O(1) from per-root columns without
-    building any dict.  All ``View`` methods (``order_signature``,
+    building any dict, and :meth:`View.holders` slices the batch's
+    ``holders`` column.  All ``View`` methods (``order_signature``,
     ``canonical``, ``neighbors``, ...) work unchanged on top of the lazy
     fields.
     """
@@ -651,6 +734,10 @@ class BatchView(View):
         if v == self.center:
             return self._batch.column("center_input")[self._slot]
         return self.inputs.get(v)
+
+    def _holders(self) -> list:
+        ptr, entries = self._batch.column("holders")
+        return entries[ptr[self._slot] : ptr[self._slot + 1]]
 
     # -- equality across engines --------------------------------------------
 

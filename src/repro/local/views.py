@@ -173,6 +173,13 @@ class _WitnessRecorder:
         if len(bits) > self.max_advice_bits:
             self.max_advice_bits = len(bits)
 
+    def record_scan(self, view: "View") -> None:
+        """Record what ``view.advice_of(v)`` over every view node records."""
+        advice = view.advice
+        for v in view.nodes:
+            self.record_view(view, v)
+            self.record_advice(advice.get(v, ""))
+
     def witness(self, rounds: int = 0) -> LocalityWitness:
         """The witness so far; ``rounds`` folds in the decoder's honest
         round accounting (tracker charges use actual instance data, so
@@ -280,6 +287,11 @@ class View:
         Advice bit-string of every node in the view (``""`` when absent).
     distances:
         Hop distance from ``center`` for every node in the view.
+
+    Sparse-advice decoders read the few advice holders through
+    :meth:`holders`, which returns them sorted by ``(distance, id)``; a
+    batch-gathered view answers it from one batch column, without
+    building a per-node dict.
     """
 
     center: Node
@@ -358,6 +370,25 @@ class View:
         if LOCALITY_WITNESS_RECORDER._active:
             LOCALITY_WITNESS_RECORDER.record_view(self, v)
         return self.distances[v]
+
+    def holders(self) -> List[Tuple[int, int, Node, str]]:
+        """``(distance, id, node, bits)`` of every view node with non-empty
+        advice, sorted (nearest first, ties to the smaller identifier).
+
+        The witness recorder sees the same reads as an ``advice_of`` scan
+        over the whole view: finding the holders reads every node's advice.
+        """
+        if LOCALITY_WITNESS_RECORDER._active:
+            LOCALITY_WITNESS_RECORDER.record_scan(self)
+        return self._holders()
+
+    def _holders(self) -> List[Tuple[int, int, Node, str]]:
+        distances, ids, advice = self.distances, self.ids, self.advice
+        return sorted(
+            (distances[v], ids[v], v, bits)
+            for v in self.nodes
+            if (bits := advice.get(v, ""))
+        )
 
     def has_edge(self, u: Node, v: Node) -> bool:
         if LOCALITY_WITNESS_RECORDER._active:

@@ -638,10 +638,10 @@ def _flood_cache(graph, compiled):
 
     Nothing here depends on advice or policy, so it is built once per
     compiled graph (the snapshot a mutation derives starts without it):
-    the edge tails, heads and identifier keys in key order, the degrees, the
-    base record bits (``id_bits·(1 + deg)`` plus the input payload), and
-    the ball arrays of the largest radius swept so far (see
-    :func:`_layer_bits`).
+    the edge tails, heads and identifier keys in key order, the degrees,
+    and the base record bits (``id_bits·(1 + deg)`` plus the input
+    payload).  The ball arrays are not kept here: :func:`_layer_bits`
+    reads the snapshot's :class:`~repro.local.vectorized.BallSweep`.
     """
     state = compiled._np_flood
     if state is None:
@@ -677,45 +677,37 @@ def _flood_cache(graph, compiled):
                 ],
                 dtype=np.float64,
             ),
-            "radius": -1,
-            "exhausted": False,
         }
         compiled._np_flood = state
     return state
 
 
-def _layer_bits(graph, state, radius: int, rec):
+def _layer_bits(graph, radius: int, rec):
     """``M[i, d]``: record bits of the nodes at distance exactly ``d`` from ``i``.
 
-    The balls come from the vectorized engine's masked multi-source sweep
-    (:func:`repro.local.vectorized.gather_ball_batch`) and are kept as
-    flat ``(root·depth + dist, node)`` arrays, so one weighted
-    ``bincount`` folds any record-bit vector into ``M`` in
-    ``O(Σ|ball|)``.  A call at a radius the cache already covers reads
-    the first ``radius + 1`` columns (layers do not depend on the radius
-    they were swept at); a larger radius re-sweeps, unless the last sweep
-    ran out of nodes before its radius — then every ball is already its
-    whole component.  ``M`` is never wider than the deepest layer.
+    The balls are the snapshot's
+    :class:`~repro.local.vectorized.BallSweep`: the flat arrays of the
+    vectorized engine's masked multi-source sweep, left there by an
+    all-roots gather — usually the decode's own — so one weighted
+    ``bincount`` over its ``root·depth + dist`` cells folds any
+    record-bit vector into ``M`` in ``O(Σ|ball|)``.  Layers do not depend
+    on the radius they were swept at, so stored balls of at least
+    ``radius`` (or whole components) are read as they are; otherwise
+    this sweeps, and the sweep replaces them.  ``M`` is never wider than
+    the deepest layer.
     """
     import numpy as np
 
-    if radius > state["radius"] and not state["exhausted"]:
+    compiled = graph.compiled
+    sweep = compiled._np_balls
+    if sweep is None or not sweep.covers(radius):
         from ..local.vectorized import gather_ball_batch
 
-        batch = gather_ball_batch(graph, radius)
-        dists = batch.ball_dists.astype(np.int64)
-        depth = int(dists.max()) + 1
-        roots = np.repeat(
-            np.arange(len(batch), dtype=np.int64), np.diff(batch.ball_indptr)
-        )
-        state["key"] = roots * depth + dists
-        state["node"] = batch.ball_nodes
-        state["depth"] = depth
-        state["radius"] = radius
-        state["exhausted"] = depth <= radius
-    depth = state["depth"]
+        gather_ball_batch(graph, radius)
+        sweep = compiled._np_balls
+    depth = sweep.depth
     layers = np.bincount(
-        state["key"], weights=rec[state["node"]], minlength=len(rec) * depth
+        sweep.cells(), weights=rec[sweep.nodes], minlength=len(rec) * depth
     ).reshape(len(rec), depth)
     return layers[:, : radius + 1]
 
@@ -764,7 +756,7 @@ def flooding_bandwidth(
     if advice:
         lengths = map(len, map(advice.get, compiled.nodes, repeat("")))
         rec = rec + np.fromiter(lengths, np.float64, n)
-    layers = _layer_bits(graph, state, min(rounds - 1, n), rec)
+    layers = _layer_bits(graph, min(rounds - 1, n), rec)
 
     # Every round past the deepest ball layer carries nothing.
     round_prefix = (state["deg"] @ layers).astype(np.int64).tolist()

@@ -222,24 +222,18 @@ class TwoColoringSchema(AdviceSchema):
 def _nearest_anchor_color(view: View) -> int:
     """Color the view's center from the nearest advice-holding anchor.
 
-    Anchors at minimal distance tie-break toward the smaller identifier;
-    the color is the anchor's bit, flipped when the distance is odd.
+    Anchors at minimal distance tie-break toward the smaller identifier
+    (the order of :meth:`View.holders`); the color is the anchor's bit,
+    flipped when the distance is odd.
     """
-    best = min(
-        (
-            (view.distance(v), view.id_of(v), v)
-            for v in view.nodes
-            if view.advice_of(v)
-        ),
-        default=None,
-    )
-    if best is None:
+    holders = view.holders()
+    if not holders:
         raise InvalidAdvice(
             f"node {view.center!r}: no anchor within {view.radius} hops",
             node=view.center,
         )
-    distance, _, anchor = best
-    color = 1 if view.advice_of(anchor) == "1" else 2
+    distance, _, _, bits = holders[0]
+    color = 1 if bits == "1" else 2
     return color if distance % 2 == 0 else 3 - color
 
 

@@ -200,3 +200,53 @@ class TestRecords:
                 assert record.actions
                 assert record.as_dict()["repair_radius_hist"]
         assert saw_local
+
+
+class TestRegionCheck:
+    def test_clean_first_check_is_not_repeated(self, monkeypatch):
+        graph = LocalGraph(grid(8, 8), seed=0)
+        plan = generate_mutation_plan(graph, 60, seed=3)
+        runner = ChurnRunner(TwoColoringSchema(), graph)
+        checks = []
+        original = ChurnRunner._region_violations
+
+        def counting(self, problem, sites, radius):
+            bad = original(self, problem, sites, radius)
+            checks.append(bool(bad))
+            return bad
+
+        monkeypatch.setattr(ChurnRunner, "_region_violations", counting)
+        repeated = 0
+        for m in plan.mutations:
+            del checks[:]
+            record = runner.apply(m)
+            assert record.valid == runner.schema.check_solution(runner.graph, runner.labeling)
+            if checks[0]:
+                # Something was bad, so relabelled: the validity check runs.
+                assert len(checks) == 2 or record.resolved_by == RESOLVED_REENCODE
+                repeated += len(checks) == 2
+            else:
+                assert len(checks) == 1
+        assert repeated  # the plan exercises both branches
+
+    def test_patched_advice_is_kept_without_a_copy(self, monkeypatch):
+        # Dense anchors (spacing 2), so mutations often need a patch.
+        runner = ChurnRunner(TwoColoringSchema(spacing=2), LocalGraph(grid(8, 8), seed=0))
+        handed = []
+        original = TwoColoringSchema.repair_advice
+
+        def spying(self, *args, **kwargs):
+            patched = original(self, *args, **kwargs)
+            handed.append(patched)
+            return patched
+
+        monkeypatch.setattr(TwoColoringSchema, "repair_advice", spying)
+        plan = generate_mutation_plan(runner.graph, 30, seed=2)
+        kept = 0
+        for m in plan.mutations:
+            del handed[:]
+            runner.apply(m)
+            if handed and handed[-1] is not None:
+                assert runner.advice is handed[-1]
+                kept += 1
+        assert kept

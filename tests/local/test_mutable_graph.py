@@ -3,8 +3,9 @@
 The churn runtime mutates a live graph in place.  Every topology-derived
 cache must move past a mutation the moment an edge flips, or the decoder
 would be served stale neighborhoods: the compiled CSR snapshot is derived
-anew per mutation (copy-on-write, with no ``_np_csr`` / ``_np_flood``
-sidecars and fresh BFS scratch), the bounded-LRU ball cache is cleared,
+anew per mutation (copy-on-write, with no ``_np_csr`` / ``_np_flood`` /
+``_np_balls`` sidecars and fresh BFS scratch), the bounded-LRU ball cache
+is cleared,
 and memoized views gathered from the old topology no longer match.  A
 derived snapshot must equal a cold compile of the mutated graph field for
 field, and a snapshot taken before the mutation must keep answering for
@@ -157,16 +158,18 @@ class TestEpochInvalidation:
 
         g = _fresh(8)
         before = flooding_bandwidth(g, 3).as_dict()
-        state = g.compiled._np_flood
-        assert state is not None and state["radius"] == 2
+        sweep = g.compiled._np_balls
+        assert g.compiled._np_flood is not None
+        assert sweep is not None and sweep.radius == 2
         g.add_edge(0, 4)
-        assert g.compiled._np_flood is None  # sweep cache died with the stale CSR
+        # Flood cache and ball sweep died with the stale CSR.
+        assert g.compiled._np_flood is None and g.compiled._np_balls is None
         after = flooding_bandwidth(g, 3).as_dict()
         rebuilt = LocalGraph(g.graph, ids=g.ids())
         assert after == flooding_bandwidth(rebuilt, 3).as_dict()
         assert after != before  # the chord shortened the balls' layers
-        assert int(g.compiled._np_flood["node"].size) == int(
-            rebuilt.compiled._np_flood["node"].size
+        assert int(g.compiled._np_balls.nodes.size) == int(
+            rebuilt.compiled._np_balls.nodes.size
         )
 
 
@@ -225,6 +228,7 @@ class TestDerivedSnapshots:
             assert _fields(after) == _fields(CompiledGraph.from_local(g))
             assert after._dist == [-1] * after.n
             assert after._np_csr is None and after._np_flood is None
+            assert after._np_balls is None
             # Copy-on-write: the old snapshot and a view over it still
             # answer for the pre-mutation topology.
             assert _fields(before) == old

@@ -487,3 +487,63 @@ class TestFloodingMatchesReference:
             tracemalloc.stop()
         assert profile.total_bits > 0
         assert peak < 32 * 2**20, f"peak traced memory {peak / 2**20:.1f} MB"
+
+
+class TestSweepReuse:
+    """The meter folds the balls a vectorized decode left on the snapshot.
+
+    Every profile must equal the one metered on a fresh copy of the
+    graph, whichever balls the snapshot held when the meter ran.
+    """
+
+    @staticmethod
+    def _decoded(raw, spacing):
+        from repro.schemas.two_coloring import TwoColoringSchema
+
+        graph = LocalGraph(raw, seed=3)
+        schema = TwoColoringSchema(spacing=spacing)
+        advice = schema.encode(graph)
+        result = schema.decode(graph, advice)
+        assert result.stats.engine == "vectorized"
+        return graph, advice, result.rounds
+
+    @staticmethod
+    def _cold(graph, rounds, advice):
+        return flooding_bandwidth(_fresh_copy(graph), rounds, advice).as_dict()
+
+    def test_stored_radius_above_the_meter_radius_is_folded(self):
+        graph, advice, rounds = self._decoded(grid(10, 10), 6)
+        sweep = graph.compiled._np_balls
+        assert sweep.radius == rounds > rounds - 1
+        got = flooding_bandwidth(graph, rounds, advice).as_dict()
+        assert graph.compiled._np_balls is sweep  # no second sweep
+        assert got == self._cold(graph, rounds, advice)
+
+    def test_stored_radius_below_the_meter_radius_sweeps_again(self):
+        graph, advice, _ = self._decoded(grid(10, 10), 3)
+        sweep = graph.compiled._np_balls
+        assert sweep.radius == 2 and not sweep.covers(8)
+        got = flooding_bandwidth(graph, 9, advice).as_dict()
+        assert graph.compiled._np_balls.radius == 8
+        assert got == self._cold(graph, 9, advice)
+
+    def test_mutated_graph_does_not_see_the_old_balls(self):
+        graph, advice, rounds = self._decoded(cycle(100), 6)
+        assert graph.compiled._np_balls is not None
+        u = min(graph.nodes(), key=graph.id_of)
+        v = max(graph.nodes(), key=lambda w: graph.distance(u, w))
+        graph.add_edge(u, v)  # a chord shortens the balls around it
+        assert graph.compiled._np_balls is None
+        got = flooding_bandwidth(graph, rounds, advice).as_dict()
+        assert got == self._cold(graph, rounds, advice)
+
+    def test_roots_subset_gather_leaves_the_slot_empty(self):
+        from repro.local.vectorized import gather_views_batched
+        from repro.schemas.two_coloring import TwoColoringSchema
+
+        graph = LocalGraph(grid(10, 10), seed=3)
+        advice = TwoColoringSchema(spacing=6).encode(graph)
+        gather_views_batched(graph, 5, advice, roots=list(range(0, 100, 3)))
+        assert graph.compiled._np_balls is None
+        got = flooding_bandwidth(graph, 6, advice).as_dict()
+        assert got == self._cold(graph, 6, advice)
