@@ -12,9 +12,16 @@ BFS frontier sweep** over the :class:`~repro.local.compiled.CompiledGraph`
 CSR arrays for *all* roots at once:
 
 * the frontier is a pair of flat integer arrays ``(owner, node)`` —
-  ``owner`` is the root's slot, ``node`` a dense CSR index; one expansion
+  ``owner`` is the root's slot, ``node`` a dense CSR index; a sparse
   step is ``np.repeat`` over row degrees plus an offset ``np.arange``
-  gather into ``indices`` (the pointer/bin flat-array idiom);
+  gather into ``indices`` (the pointer/bin flat-array idiom), then a
+  sort-dedupe;
+* a dense layer (one whose expansion would cover a good share of the
+  ``block × n`` keys, as in the middle layers of a graph whose balls are
+  the whole graph) is stepped bit-parallel instead, as direction-
+  optimizing BFS does: one ``np.bitwise_or.reduceat`` of packed owner
+  bits over the CSR rows; both steps yield the same sorted keys, so the
+  consumers of the layers cannot tell them apart;
 * visited state is a single flat boolean mask indexed by
   ``owner * n + node`` — no per-root sets, no dicts; roots are processed
   in blocks sized so the mask stays cache-resident (see ``_MASK_BUDGET``),
@@ -60,7 +67,7 @@ import numpy as _np
 from ..obs.trace import as_tracer
 from ..perf import SimStats
 from .graph import LocalGraph, Node
-from .views import View
+from .views import LOCALITY_WITNESS_RECORDER, View
 
 #: soft budget for the visited mask: roots are processed in blocks of
 #: ``max(1, _MASK_BUDGET // n)`` so the mask stays ~4 MB of bools — small
@@ -78,18 +85,14 @@ _EXPANSION_LIMIT = (1 << 31) - 1
 # ---------------------------------------------------------------------------
 
 
-def _expand(indptr, indices, node):
-    """One frontier expansion: per-entry degrees and all neighbors, flat.
+def _expand(indptr, indices, node, degs):
+    """One frontier expansion: all neighbors of the ``node`` entries, flat.
 
-    Callers repeat any per-entry column (owner, source) by the returned
-    ``degs``; ``nbr`` holds the neighbor indices gathered straight from
-    the CSR ``indices`` array.
+    ``degs`` are the entries' degrees; callers repeat any per-entry
+    column (owner, source) by them.  The neighbor indices are gathered
+    straight from the CSR ``indices`` array.
     """
-    starts = indptr[node]
-    degs = indptr[node + 1] - starts
     total = int(degs.sum(dtype=_np.int64))
-    if total == 0:
-        return degs, _np.empty(0, dtype=indices.dtype)
     if total > _EXPANSION_LIMIT:  # pragma: no cover - needs a >2^31 frontier
         raise ValueError(
             "frontier expansion exceeds 2^31 entries; "
@@ -97,11 +100,12 @@ def _expand(indptr, indices, node):
         )
     # Entry k's ports start at position cum[k] - degs[k] of the flat
     # output, so position p reads indices[p + starts[k] - cum[k] + degs[k]].
-    shift = starts + degs
+    shift = indptr[node]
+    shift += degs
     shift -= degs.cumsum(dtype=indices.dtype)
     offsets = _np.arange(total, dtype=indices.dtype)
     offsets += shift.repeat(degs)
-    return degs, indices[offsets]
+    return indices[offsets]
 
 
 def _dedupe_sorted(key):
@@ -113,48 +117,144 @@ def _dedupe_sorted(key):
     return key[keep]
 
 
-def _sweep_block(indptr, indices, n, roots_block, radius, visited):
-    """Masked multi-source BFS for one block of roots.
+def _sparse_step(indptr, indices, n, f_owner, f_node, degs, visited):
+    """The next layer's keys by expansion: every ``(owner, neighbor)`` of
+    the frontier (of degrees ``degs``) minus the visited ones, sorted,
+    deduplicated and marked visited."""
+    key = (f_owner * n).repeat(degs)
+    key += _expand(indptr, indices, f_node, degs)
+    key = key[~visited[key]]
+    if key.size:
+        key = _dedupe_sorted(key)
+        visited[key] = True
+    return key
+
+
+def _dense_step(indptr, indices, rows, n, block, f_owner, f_node, visited):
+    """The next layer's keys by bit-parallel OR over the CSR rows.
+
+    The frontier becomes a node-major bit matrix, one bit per owner
+    (``block`` bits per row, packed into bytes).  A node's row of
+    the next layer is the OR of its neighbors' rows — one
+    ``bitwise_or.reduceat`` over the CSR.  Unpacked to ``block`` bits (so
+    padding bits never become keys), read owner-major and stripped of the
+    visited keys, its set bits are the sorted keys :func:`_sparse_step`
+    returns, and are marked visited the same way.  ``rows`` are the nodes
+    of nonzero degree: ``reduceat`` returns the row itself for an empty
+    segment and rejects a start past the end, so empty rows are left out
+    and stay zero.
+    """
+    front = _np.zeros(n * block, dtype=bool)
+    front[f_node * block + f_owner] = True
+    packed = _np.packbits(front.reshape(n, block), axis=1)
+    if packed.shape[1] >= 8:
+        # Pad rows to whole 64-bit words (at most 7 bytes a row, so the
+        # matrix stays within a quarter of the mask) and OR word-wise:
+        # OR is bytewise, so any byte order reads the same.
+        words = _np.zeros((n, -(-packed.shape[1] // 8) * 8), dtype=_np.uint8)
+        words[:, : packed.shape[1]] = packed
+        packed = words.view(_np.uint64)
+    reach = _np.zeros_like(packed)
+    # Chunk the gathered neighbor rows so they stay within the mask budget.
+    starts = indptr[rows]
+    chunk = max(1, _MASK_BUDGET // packed[0].nbytes)
+    lo = 0
+    while lo < rows.size:
+        hi = int(_np.searchsorted(starts, int(starts[lo]) + chunk, "right"))
+        hi = max(lo + 1, hi)
+        first, last = int(starts[lo]), int(indptr[rows[hi - 1] + 1])
+        reach[rows[lo:hi]] = _np.bitwise_or.reduceat(
+            packed[indices[first:last]], starts[lo:hi] - first, axis=0
+        )
+        lo = hi
+    reached = _np.unpackbits(reach.view(_np.uint8), axis=1, count=block)
+    fresh = _np.ascontiguousarray(reached.T).view(bool)
+    seen = visited[: block * n].reshape(block, n)
+    _np.greater(fresh, seen, out=fresh)
+    _np.logical_or(seen, fresh, out=seen)
+    return _np.flatnonzero(fresh).astype(indices.dtype)
+
+
+#: a layer is expanded with :func:`_dense_step` when its frontier's
+#: expansion count ``Σ deg(frontier)`` exceeds this fraction of the
+#: block's ``block·n`` key space; below it, sorting the expansion is
+#: cheaper than the passes over the whole bit matrix.
+_DENSE_FRACTION = 1 / 8
+
+
+def _sweep_layers(indptr, indices, n, roots_block, radius, visited, degree):
+    """Masked multi-source BFS for one block of roots, one layer at a time.
+
+    Yields layer ``d`` (``d = 0`` is the roots) as ``(owner, node)``:
+    the block slot of each entry's root and its dense node index, sorted
+    by owner, then node.  Each layer is expanded by :func:`_dense_step`
+    when its frontier is dense (see :data:`_DENSE_FRACTION`), else by
+    :func:`_sparse_step`; both give the same keys.
 
     ``visited`` is a reusable flat boolean mask of at least
-    ``roots_block.size * n`` entries, all ``False`` on entry and restored
-    to ``False`` on return (cleared via the touched keys only — rezeroing
-    the whole mask per block costs more than the sweep).
+    ``roots_block.size * n`` entries, indexed ``owner * n + node``, all
+    ``False`` on entry and restored to ``False`` when the iterator ends
+    or is closed: through the touched keys while they are few (rezeroing
+    the whole mask per block would cost more than a sparse sweep), by
+    one fill once they exceed 1/64 of it.  ``degree`` is
+    ``np.diff(indptr)``, computed once per sweep, not per block.
+    """
+    block = roots_block.size
+    dtype = indices.dtype
+    span = block * n
+    rows = None
+    stride = _np.asarray(n, dtype=dtype)
+    owner = _np.arange(block, dtype=dtype)
+    node = roots_block
+    key = owner * stride + node
+    touched = [key]
+    size = key.size
+    visited[key] = True
+    try:
+        yield owner, node
+        for _depth in range(radius):
+            degs = degree[node]
+            if degs.sum(dtype=_np.int64) > _DENSE_FRACTION * span:
+                if rows is None:
+                    rows = _np.flatnonzero(degree)
+                key = _dense_step(
+                    indptr, indices, rows, n, block, owner, node, visited
+                )
+            else:
+                key = _sparse_step(
+                    indptr, indices, n, owner, node, degs, visited
+                )
+            if key.size == 0:
+                return
+            touched.append(key)
+            size += key.size
+            owner = key // stride
+            node = key - owner * stride
+            yield owner, node
+    finally:
+        if size * 64 > span:
+            visited[:span] = False
+        else:
+            for key in touched:
+                visited[key] = False
+
+
+def _sweep_block(indptr, indices, n, roots_block, radius, visited, degree):
+    """The balls of one block of roots: its layers, grouped per owner.
 
     Returns ``(sizes, g_node, g_dist)``: per-owner ball sizes and the
     ball entries grouped per owner, distance-ordered within each owner.
     """
     block = roots_block.size
     dtype = indices.dtype
-    owner0 = _np.arange(block, dtype=dtype)
-    key0 = owner0 * n + roots_block
-    visited[key0] = True
+    layers = list(
+        _sweep_layers(indptr, indices, n, roots_block, radius, visited, degree)
+    )
 
-    layers: List[Tuple] = [(owner0, roots_block)]
-    layer_keys = [key0]
-    f_owner, f_node = owner0, roots_block
-    for _depth in range(radius):
-        degs, nbr = _expand(indptr, indices, f_node)
-        if nbr.size == 0:
-            break
-        key = (f_owner * n).repeat(degs)
-        key += nbr
-        fresh = visited[key]
-        _np.logical_not(fresh, out=fresh)
-        key = key[fresh]
-        if key.size == 0:
-            break
-        key = _dedupe_sorted(key)  # dedupe within the layer
-        visited[key] = True
-        layer_keys.append(key)
-        own, nbr = _np.divmod(key, _np.asarray(n, dtype=dtype))
-        layers.append((own, nbr))
-        f_owner, f_node = own, nbr
-
-    # Counting scatter: each layer is owner-sorted (keys were sorted), so
-    # an entry's rank within its (layer, owner) group is its position
-    # minus the group start, and its final slot is the owner's base plus
-    # the entries of earlier layers plus that rank.  No argsort needed.
+    # Counting scatter: each layer is owner-sorted, so an entry's rank
+    # within its (layer, owner) group is its position minus the group
+    # start, and its final slot is the owner's base plus the entries of
+    # earlier layers plus that rank.  No argsort needed.
     counts = [
         _np.bincount(own, minlength=block).astype(dtype) for own, _ in layers
     ]
@@ -171,11 +271,6 @@ def _sweep_block(indptr, indices, n, roots_block, radius, visited):
         g_node[dest] = node
         g_dist[dest] = depth
         fill += bc
-
-    # Restore the mask for the next block (touched keys only).
-    for key in layer_keys:
-        visited[key] = False
-
     return sizes, g_node, g_dist
 
 
@@ -210,7 +305,8 @@ def _extract_edges(compiled, roots, ball_indptr, ball_nodes, ball_dists, radius,
             i_owner, i_node = g_owner[interior], g_node[interior]
             ikey = i_owner * n + i_node
             interior_flat[ikey] = True
-            degs, nbr = _expand(indptr, indices, i_node)
+            degs = indptr[i_node + 1] - indptr[i_node]
+            nbr = _expand(indptr, indices, i_node, degs)
             if nbr.size:
                 own = i_owner.repeat(degs)
                 src = i_node.repeat(degs)
@@ -284,6 +380,7 @@ def gather_ball_batch(
     dist_parts: List = []
     if root_arr.size:
         visited = _np.zeros(min(block, root_arr.size) * n, dtype=bool)
+        degree = _np.diff(indptr)
         for start in range(0, root_arr.size, block):
             sizes, g_node, g_dist = _sweep_block(
                 indptr,
@@ -292,6 +389,7 @@ def gather_ball_batch(
                 root_arr[start : start + block],
                 radius,
                 visited,
+                degree,
             )
             size_parts.append(sizes)
             node_parts.append(g_node)
@@ -348,18 +446,87 @@ class BallSweep:
         """Whether the radius-``radius`` balls are these balls' first layers."""
         return radius <= self.radius or self.depth <= self.radius
 
-    def cells(self):
-        """``root·depth + dist`` of every entry — its cell in a row-major
-        ``(n, depth)`` layer matrix — built on first use."""
+    def fold(self, weights):
+        """``M[i, d]``: the summed ``weights`` (one per node) of the nodes
+        at distance exactly ``d`` from node ``i``, shape ``(n, depth)``.
+
+        One weighted ``bincount`` over each entry's ``root·depth + dist``
+        cell; a ``BallSweep`` builds its cells on first use.
+        """
+        n = weights.size
         if self._cells is None:
-            roots = _np.repeat(
-                _np.arange(self.indptr.size - 1, dtype=_np.int64),
-                _np.diff(self.indptr),
+            cells = _np.repeat(
+                _np.arange(n, dtype=_np.int64), _np.diff(self.indptr)
             )
-            roots *= self.depth
-            roots += self.dists
-            self._cells = roots
-        return self._cells
+            cells *= self.depth
+            cells += self.dists
+            self._cells = cells
+        return _np.bincount(
+            self._cells, weights=weights[self.nodes], minlength=n * self.depth
+        ).reshape(n, self.depth)
+
+
+class LayerSweep(BallSweep):
+    """The BFS layers of every node, as :func:`sweep_layers` yielded them.
+
+    The flooding meter needs per-distance sums, not per-root balls, so the
+    layers are kept in the order the sweep yields them, with each entry's
+    ``root·depth + dist`` cell computed from its owner as it comes out.
+    There are no per-root arrays (``indptr``, ``dists``): stored on the
+    snapshot like a :class:`BallSweep`, a ``LayerSweep`` is read by the
+    same rule and folded the same way.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, radius: int, depth: int, nodes, cells) -> None:
+        self.radius, self.depth = radius, depth
+        self.nodes, self._cells = nodes, cells
+
+
+def sweep_layers(graph: LocalGraph, radius: int) -> LayerSweep:
+    """The radius-``radius`` BFS layers of every node, in one sweep.
+
+    The same masked multi-source sweep as :func:`gather_ball_batch`, over
+    the same root blocks, but the layers are kept as they are yielded:
+    no per-root grouping.
+    """
+    compiled = graph.compiled
+    n = compiled.n
+    indptr, indices, _ids = compiled.np_csr()
+    dtype = indices.dtype
+    roots = _np.arange(n, dtype=dtype)
+    block = max(1, _MASK_BUDGET // max(n, 1))
+    layers: List[Tuple[int, int, object, object]] = []
+    if n:
+        visited = _np.zeros(min(block, n) * n, dtype=bool)
+        degree = _np.diff(indptr)
+        for start in range(0, n, block):
+            block_layers = _sweep_layers(
+                indptr,
+                indices,
+                n,
+                roots[start : start + block],
+                radius,
+                visited,
+                degree,
+            )
+            for d, (owner, node) in enumerate(block_layers):
+                layers.append((start, d, owner, node))
+    depth = 1 + max((d for _, d, _, _ in layers), default=-1)
+    cells = []
+    for start, d, owner, _node in layers:
+        cell = owner.astype(_np.int64)
+        cell += start
+        cell *= depth
+        cell += d
+        cells.append(cell)
+    return LayerSweep(
+        radius,
+        depth,
+        _concat([node for *_, node in layers], dtype),
+        _concat(cells, _np.int64),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -701,17 +868,25 @@ class BatchView(View):
     # Decoders overwhelmingly query their own center; answering those from
     # the per-root columns keeps a center-only decoder allocation-free.
     # Each override defers to the materialized dict once it exists so the
-    # two code paths cannot diverge.
+    # two code paths cannot diverge, and reports to the witness recorder
+    # what View's accessor reports.
 
     def advice_of(self, v: Node) -> str:
         cached = self.__dict__.get("_advice_c")
         if cached is not None:
-            return cached.get(v, "")
-        if v == self.center:
-            return self._batch.column("center_advice")[self._slot]
-        return self.advice.get(v, "")
+            bits = cached.get(v, "")
+        elif v == self.center:
+            bits = self._batch.column("center_advice")[self._slot]
+        else:
+            bits = self.advice.get(v, "")
+        if LOCALITY_WITNESS_RECORDER._active:
+            LOCALITY_WITNESS_RECORDER.record_view(self, v)
+            LOCALITY_WITNESS_RECORDER.record_advice(bits)
+        return bits
 
     def distance(self, v: Node) -> int:
+        if LOCALITY_WITNESS_RECORDER._active:
+            LOCALITY_WITNESS_RECORDER.record_view(self, v)
         cached = self.__dict__.get("_distances_c")
         if cached is not None:
             return cached[v]
@@ -720,6 +895,8 @@ class BatchView(View):
         return self.distances[v]
 
     def id_of(self, v: Node) -> int:
+        if LOCALITY_WITNESS_RECORDER._active:
+            LOCALITY_WITNESS_RECORDER.record_view(self, v)
         cached = self.__dict__.get("_ids_c")
         if cached is not None:
             return cached[v]
@@ -728,6 +905,8 @@ class BatchView(View):
         return self.ids[v]
 
     def input_of(self, v: Node) -> object:
+        if LOCALITY_WITNESS_RECORDER._active:
+            LOCALITY_WITNESS_RECORDER.record_view(self, v)
         cached = self.__dict__.get("_inputs_c")
         if cached is not None:
             return cached.get(v)

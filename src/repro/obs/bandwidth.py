@@ -640,8 +640,8 @@ def _flood_cache(graph, compiled):
     compiled graph (the snapshot a mutation derives starts without it):
     the edge tails, heads and identifier keys in key order, the degrees,
     and the base record bits (``id_bits·(1 + deg)`` plus the input
-    payload).  The ball arrays are not kept here: :func:`_layer_bits`
-    reads the snapshot's :class:`~repro.local.vectorized.BallSweep`.
+    payload).  The balls or layers are not kept here: :func:`_layer_bits`
+    reads them from the snapshot's ``_np_balls`` slot.
     """
     state = compiled._np_flood
     if state is None:
@@ -685,31 +685,26 @@ def _flood_cache(graph, compiled):
 def _layer_bits(graph, radius: int, rec):
     """``M[i, d]``: record bits of the nodes at distance exactly ``d`` from ``i``.
 
-    The balls are the snapshot's
-    :class:`~repro.local.vectorized.BallSweep`: the flat arrays of the
-    vectorized engine's masked multi-source sweep, left there by an
-    all-roots gather — usually the decode's own — so one weighted
-    ``bincount`` over its ``root·depth + dist`` cells folds any
-    record-bit vector into ``M`` in ``O(Σ|ball|)``.  Layers do not depend
-    on the radius they were swept at, so stored balls of at least
-    ``radius`` (or whole components) are read as they are; otherwise
-    this sweeps, and the sweep replaces them.  ``M`` is never wider than
-    the deepest layer.
+    Layers do not depend on the radius they were swept at, so the
+    snapshot's stored balls of at least ``radius`` (or whole components)
+    are folded as they are: a
+    :class:`~repro.local.vectorized.BallSweep` that an all-roots gather
+    left there (usually the decode's own), or the
+    :class:`~repro.local.vectorized.LayerSweep` of an earlier meter call.
+    Otherwise this sweeps the BFS layers of every node
+    (:func:`~repro.local.vectorized.sweep_layers`), folds the layers
+    straight into ``M`` without grouping them into per-root balls, and
+    stores them in place of the balls.  Either fold is ``O(Σ|ball|)``.
+    ``M`` is never wider than the deepest layer.
     """
-    import numpy as np
-
     compiled = graph.compiled
     sweep = compiled._np_balls
     if sweep is None or not sweep.covers(radius):
-        from ..local.vectorized import gather_ball_batch
+        from ..local.vectorized import sweep_layers
 
-        gather_ball_batch(graph, radius)
-        sweep = compiled._np_balls
-    depth = sweep.depth
-    layers = np.bincount(
-        sweep.cells(), weights=rec[sweep.nodes], minlength=len(rec) * depth
-    ).reshape(len(rec), depth)
-    return layers[:, : radius + 1]
+        sweep = sweep_layers(graph, radius)
+        compiled._np_balls = sweep
+    return sweep.fold(rec)[:, : radius + 1]
 
 
 def flooding_bandwidth(

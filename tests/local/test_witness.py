@@ -106,3 +106,54 @@ class TestWitnessSemantics:
             witness = rec.witness()
         assert witness.advice_bits == 0
         assert witness.advice_reads == 0
+
+
+class TestBatchViewShadowing:
+    """A :class:`BatchView` (the gather on >= 64 roots) reports what the
+    equal plain :class:`View` reports, through its center fast paths, its
+    lazily built dicts and its materialized ones alike."""
+
+    @staticmethod
+    def _reads(view, center, far, outside):
+        return [
+            lambda: view.advice_of(center),
+            lambda: view.id_of(center),
+            lambda: view.distance(center),
+            lambda: view.input_of(center),
+            lambda: view.advice_of(far),
+            lambda: view.distance(far),
+            lambda: view.id_of(far),
+            lambda: view.input_of(far),
+            lambda: view.advice_of(outside),
+            lambda: view.input_of(outside),
+            lambda: view.advice_of(center),
+            lambda: view.distance(center),
+        ]
+
+    @staticmethod
+    def _witness(reads, order):
+        with record_locality_witness() as rec:
+            results = [reads[i]() for i in order]
+            return results, rec.witness()
+
+    def test_equal_counters_to_the_plain_view(self):
+        from repro.local.vectorized import gather_ball_batch
+
+        graph = LocalGraph(
+            cycle(80), inputs={v: v % 5 for v in range(0, 80, 3)}, seed=1
+        )
+        advice = {v: "10"[: v % 3] for v in graph.nodes()}
+        batch = gather_ball_batch(graph, 3, advice=advice)
+        for slot in (0, 41):
+            center = graph.compiled.nodes[slot]
+            plain = gather_view(graph, center, 3, advice)
+            far = max(plain.nodes, key=plain.distances.__getitem__)
+            outside = next(v for v in graph.nodes() if v not in plain.nodes)
+            for order in (range(12), range(11, -1, -1), [4, 0, 5, 1, 2, 6, 3, 7]):
+                # A fresh BatchView each time: its dicts start unbuilt.
+                got = self._witness(
+                    self._reads(batch.view(slot), center, far, outside), order
+                )
+                want = self._witness(self._reads(plain, center, far, outside), order)
+                assert got == want
+                assert got[1].view_accesses == len(list(order))

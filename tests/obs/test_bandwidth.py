@@ -547,3 +547,39 @@ class TestSweepReuse:
         assert graph.compiled._np_balls is None
         got = flooding_bandwidth(graph, 6, advice).as_dict()
         assert got == self._cold(graph, 6, advice)
+
+
+class TestLayerReuse:
+    """A meter-only cold call keeps the layers it folded on the snapshot,
+    so a later call on the same snapshot folds them without sweeping."""
+
+    @pytest.mark.parametrize(
+        "raw",
+        [nx.gnp_random_graph(40, 0.4, seed=2), cycle(30), grid(6, 7)],
+        ids=["gnp", "cycle", "grid"],
+    )
+    def test_warm_call_folds_without_a_sweep(self, monkeypatch, raw):
+        from repro.local import vectorized
+
+        graph = LocalGraph(raw, seed=4)
+        advice = {v: "1" * (graph.id_of(v) % 3) for v in graph.nodes()}
+        cases = [(9, advice), (9, None), (4, advice)]
+        expected = [
+            flooding_bandwidth(_fresh_copy(graph), t, a).as_dict() for t, a in cases
+        ]
+        sweeps = []
+        real = vectorized._sweep_layers
+
+        def spy(*args):
+            sweeps.append(args[4])  # the radius
+            return real(*args)
+
+        monkeypatch.setattr(vectorized, "_sweep_layers", spy)
+        assert flooding_bandwidth(graph, 9, advice).as_dict() == expected[0]
+        assert sweeps and set(sweeps) == {8}
+        held = graph.compiled._np_balls
+        del sweeps[:]
+        for (rounds, bits), cold in zip(cases, expected):
+            assert flooding_bandwidth(graph, rounds, bits).as_dict() == cold
+        assert sweeps == []
+        assert graph.compiled._np_balls is held
