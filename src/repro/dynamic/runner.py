@@ -68,7 +68,8 @@ class ChurnRunner:
     max_ball_radius:
         Largest label-repair ball radius before escalating to re-encode.
     max_solver_steps:
-        Backtracking budget per ball re-solve.
+        Backtracking budget per ball re-solve.  Exhausting it stops the
+        ball re-solve after that radius, leaving the re-encode fallback.
     escalate_budget / backoff_base:
         The re-encode fallback retries at most ``escalate_budget`` times
         per mutation; failed attempt ``k`` records a deterministic

@@ -17,6 +17,8 @@ short drivers over the same stages:
    the surrounding annulus pinned (:func:`repro.lcl.solve.solve_exact` —
    the same primitive the Section 4 encoder uses, and the generic form of
    the Section 6 Delta-repair ball recoloring), at escalating radii.
+   Escalation stops at the first radius where a search exhausts its step
+   budget: a larger ball is a harder search.
 3. **Escalate** (:func:`escalate`) — only when every radius-bounded
    strategy is exhausted: a global re-solve (a fresh decode of the clean
    advice, or a full re-encode under churn), retried within a budget with
@@ -176,9 +178,12 @@ def resolve_balls(
     Radii run ``r0 + (0, 1, 2, 4, 8)`` for the LCL radius ``r0``, capped
     at ``max(max_radius, r0)``.  At each radius the bad nodes are
     clustered and every cluster's ball is re-solved with a width-``2 r0``
-    annulus held fixed (``max_steps`` bounds each backtracking search;
-    exhausting it counts as a failed attempt at that radius).  Each
-    attempt appends a :data:`BALL_RESOLVE` action to ``actions``.
+    annulus held fixed.  ``max_steps`` bounds each backtracking search;
+    exhausting it fails that attempt and ends the escalation once the
+    radius is finished.  A larger ball is a harder search, so an exhausted
+    budget (unlike a proven ``None``) says a larger radius will not help;
+    the residual goes straight back to the caller's advice-level stages.
+    Each attempt appends a :data:`BALL_RESOLVE` action to ``actions``.
 
     Returns the patched copy of ``labeling``, the residual violations
     (a subset of ``bad``; see the module docstring for why no other node
@@ -191,8 +196,9 @@ def resolve_balls(
     cap = max(max_radius, r0)
     radii = sorted({min(cap, r0 + step) for step in (0, 1, 2, 4, 8)} | {cap})
     used = 0
+    exhausted = False
     for radius in radii:
-        if not bad:
+        if not bad or exhausted:
             break
         threshold = 2 * (radius + 2 * r0) + 1
         for cluster in _clusters(graph, bad, threshold):
@@ -214,6 +220,7 @@ def resolve_balls(
                     )
             except SearchBudgetExceeded:
                 solution = None
+                exhausted = True
             seed_node = min(cluster, key=graph.id_of)
             if solution is None:
                 actions.append(RepairAction(BALL_RESOLVE, seed_node, radius, False))
@@ -311,8 +318,9 @@ class RobustRunner:
     max_decode_attempts:
         Bound on re-decode attempts during advice-level healing.
     max_solver_steps:
-        Backtracking budget per ball re-solve (budget exhaustion counts
-        as a failed attempt at that radius, not an error).
+        Backtracking budget per ball re-solve.  Exhausting it is a
+        failed attempt, not an error, and stops the ball re-solve after
+        that radius: the run moves on to the advice refetch.
     escalate_budget / backoff_base:
         The global fallback retries at most ``escalate_budget`` times; a
         failed attempt ``k`` records a deterministic logical backoff of

@@ -16,7 +16,7 @@ from .catalog import (
     weak_coloring,
 )
 from .problem import Label, Labeling, LCLError, LCLProblem, port_label, require_complete
-from .solve import SearchBudgetExceeded, count_solutions, solve_component, solve_exact
+from .solve import SearchBudgetExceeded, count_solutions, solve_exact
 from .verify import accept_map, assert_valid, is_valid, violations
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "port_label",
     "require_complete",
     "sinkless_orientation",
-    "solve_component",
     "solve_exact",
     "splitting",
     "vertex_coloring",

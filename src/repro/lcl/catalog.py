@@ -24,10 +24,6 @@ OUT = 1
 IN = -1
 
 
-def _all_labeled(graph: LocalGraph, labeling: Labeling, nodes) -> bool:
-    return all(labeling.get(v) is not None for v in nodes)
-
-
 # ---------------------------------------------------------------------------
 # Vertex coloring
 # ---------------------------------------------------------------------------

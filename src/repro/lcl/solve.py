@@ -15,7 +15,8 @@ pruning sound.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from collections import deque
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
 
 from ..local.graph import LocalGraph, Node
 from .problem import Label, LCLProblem
@@ -31,10 +32,10 @@ def _bfs_order(graph: LocalGraph, nodes: Sequence[Node]) -> List[Node]:
     order: List[Node] = []
     while todo:
         start = min(todo, key=graph.id_of)
-        queue = [start]
+        queue = deque([start])
         seen = {start}
         while queue:
-            v = queue.pop(0)
+            v = queue.popleft()
             if v in todo:
                 order.append(v)
                 todo.discard(v)
@@ -42,10 +43,68 @@ def _bfs_order(graph: LocalGraph, nodes: Sequence[Node]) -> List[Node]:
                 if u not in seen and (u in todo or any(w in todo for w in graph.neighbors(u))):
                     seen.add(u)
                     queue.append(u)
-        # Defensive: disconnected leftovers.
-        if todo and not queue:
-            continue
     return order
+
+
+def _assignments(
+    problem: LCLProblem,
+    graph: LocalGraph,
+    labeling: Dict[Node, Label],
+    order: Sequence[Node],
+    max_steps: int,
+) -> Iterator[Dict[Node, Label]]:
+    """Yield ``labeling`` each time the backtracking search completes it.
+
+    ``order`` is labeled in turn; every candidate tried is one step of the
+    ``max_steps`` budget.  A candidate stays only if every labeled node
+    whose ``r``-ball contains it still passes its check.  ``labeling`` is
+    extended in place, so a caller that keeps a yielded labeling must stop
+    iterating.  Iterative, so regions may exceed Python's recursion limit.
+    """
+    radius, is_valid_at = problem.radius, problem.is_valid_at
+    compiled = graph.compiled
+    # One search re-checks the same balls at every step; the table lives
+    # as long as the search, so it never outlives a topology change.
+    balls: Dict[Node, List[Node]] = {}
+
+    def consistent_after(v: Node) -> bool:
+        ball = balls.get(v)
+        if ball is None:
+            ball = balls[v] = compiled.ball(v, radius)
+        for u in ball:
+            if u in labeling and not is_valid_at(graph, labeling, u):
+                return False
+        return True
+
+    if not order:
+        yield labeling
+        return
+    steps = 0
+    # One candidate iterator per labeled position: the search's stack.
+    stack: List[Iterator[Label]] = [iter(problem.candidate_labels(graph, order[0]))]
+    while stack:
+        v = order[len(stack) - 1]
+        for label in stack[-1]:
+            steps += 1
+            if steps > max_steps:
+                raise SearchBudgetExceeded(
+                    f"{problem.name}: exceeded {max_steps} backtracking steps"
+                )
+            labeling[v] = label
+            if consistent_after(v):
+                break
+            del labeling[v]
+        else:
+            # No candidate fits v: retract the previous node's label.
+            stack.pop()
+            if stack:
+                del labeling[order[len(stack) - 1]]
+            continue
+        if len(stack) == len(order):
+            yield labeling
+            del labeling[v]
+        else:
+            stack.append(iter(problem.candidate_labels(graph, order[len(stack)])))
 
 
 def solve_exact(
@@ -66,7 +125,11 @@ def solve_exact(
         ``fixed`` nodes outside ``restrict_to`` constrain the solution).
     fixed:
         Pre-assigned labels that must be respected (the advice-decoded
-        border labels in the Section 4 schema).
+        border labels in the Section 4 schema).  Every fixed label is
+        copied and checked before the search starts, so callers pass only
+        the labels the search's checks can read: those within ``2 r`` of
+        ``restrict_to`` for the LCL radius ``r``.  A fixed label further
+        out costs time, and a fault there is blamed on this search.
     restrict_to:
         The nodes to label.  Defaults to all unlabeled nodes.  Local checks
         are run at every labeled node; nodes that remain unlabeled are
@@ -81,69 +144,17 @@ def solve_exact(
     The combined labeling (``fixed`` plus assignments), or ``None`` when no
     completion exists.
     """
-    fixed = dict(fixed or {})
+    labeling: Dict[Node, Label] = dict(fixed or {})
     if restrict_to is None:
-        targets = [v for v in graph.nodes() if v not in fixed]
+        targets = [v for v in graph.nodes() if v not in labeling]
     else:
-        targets = [v for v in restrict_to if v not in fixed]
-    order = _bfs_order(graph, targets)
-    labeling: Dict[Node, Label] = dict(fixed)
-    radius = problem.radius
-    steps = 0
-
-    def consistent_after(v: Node) -> bool:
-        # Re-check every labeled node whose r-ball contains v.
-        for u in graph.ball(v, radius):
-            if u in labeling and not problem.is_valid_at(graph, labeling, u):
-                return False
-        return True
-
+        targets = [v for v in restrict_to if v not in labeling]
     # Fixed labels must themselves be consistent before we search.
-    for v in fixed:
+    for v in labeling:
         if not problem.is_valid_at(graph, labeling, v):
             return None
-
-    # Iterative backtracking (regions can exceed Python's recursion limit).
-    iterators = [iter(problem.candidate_labels(graph, v)) for v in order]
-    index = 0
-    while index < len(order):
-        v = order[index]
-        advanced = False
-        for label in iterators[index]:
-            steps += 1
-            if steps > max_steps:
-                raise SearchBudgetExceeded(
-                    f"{problem.name}: exceeded {max_steps} backtracking steps"
-                )
-            labeling[v] = label
-            if consistent_after(v):
-                advanced = True
-                break
-            del labeling[v]
-        if advanced:
-            index += 1
-            if index < len(order):
-                iterators[index] = iter(problem.candidate_labels(graph, order[index]))
-        else:
-            labeling.pop(v, None)
-            index -= 1
-            if index < 0:
-                return None
-            labeling.pop(order[index], None)
-    return labeling
-
-
-def solve_component(
-    problem: LCLProblem,
-    graph: LocalGraph,
-    component: Iterable[Node],
-    fixed: Optional[Mapping[Node, Label]] = None,
-    max_steps: int = 2_000_000,
-) -> Optional[Dict[Node, Label]]:
-    """Solve the problem on one connected component (convenience wrapper)."""
-    return solve_exact(
-        problem, graph, fixed=fixed, restrict_to=component, max_steps=max_steps
-    )
+    order = _bfs_order(graph, targets)
+    return next(_assignments(problem, graph, labeling, order, max_steps), None)
 
 
 def count_solutions(
@@ -152,54 +163,11 @@ def count_solutions(
     max_steps: int = 2_000_000,
 ) -> int:
     """Count complete valid labelings (for tiny graphs / tests only)."""
-    order = _bfs_order(graph, graph.nodes())
-    labeling: Dict[Node, Label] = {}
-    radius = problem.radius
-    count = 0
-    steps = 0
-
-    def consistent_after(v: Node) -> bool:
-        for u in graph.ball(v, radius):
-            if u in labeling and not problem.is_valid_at(graph, labeling, u):
-                return False
-        return True
-
-    # Iterative enumeration (mirrors solve_exact's stack discipline).
-    iterators = [iter(problem.candidate_labels(graph, v)) for v in order]
-    index = 0
-    while index >= 0:
-        if index == len(order):
-            # Full labeling: confirm global validity (handles maximality).
-            if all(
-                problem.is_valid_at(graph, labeling, v) for v in graph.nodes()
-            ):
-                count += 1
-            index -= 1
-            if index >= 0:
-                labeling.pop(order[index], None)
-            continue
-        v = order[index]
-        advanced = False
-        for label in iterators[index]:
-            steps += 1
-            if steps > max_steps:
-                raise SearchBudgetExceeded(
-                    f"{problem.name}: exceeded {max_steps} steps while counting"
-                )
-            labeling[v] = label
-            if consistent_after(v):
-                advanced = True
-                break
-            del labeling[v]
-        if advanced:
-            index += 1
-            if index < len(order):
-                iterators[index] = iter(
-                    problem.candidate_labels(graph, order[index])
-                )
-        else:
-            labeling.pop(v, None)
-            index -= 1
-            if index >= 0:
-                labeling.pop(order[index], None)
-    return count
+    nodes = graph.nodes()
+    # A complete labeling still gets the global check (handles maximality).
+    return sum(
+        all(problem.is_valid_at(graph, labeling, v) for v in nodes)
+        for labeling in _assignments(
+            problem, graph, {}, _bfs_order(graph, nodes), max_steps
+        )
+    )

@@ -14,7 +14,6 @@ sorted by neighbor identifier), ball extraction, and distance queries.
 from __future__ import annotations
 
 import random
-from collections import OrderedDict
 from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
 import networkx as nx
@@ -81,13 +80,6 @@ class LocalGraph:
         self._degrees: Dict[Node, int] = {v: graph.degree(v) for v in self._nodes}
         self._max_degree: int = max(self._degrees.values(), default=0)
         self._compiled: Optional[CompiledGraph] = None
-        # LRU ball cache: bounded, evicts one-at-a-time (never wholesale).
-        # It stays because the tracker-based decoders re-ask for the same
-        # balls: on the default_instance(name, 500, 0) solves lcl-subexp
-        # hits it 1399 times in 2399 ball() calls, one-bit-lcl 168 in 264,
-        # and delta-coloring 23 in 67.
-        self._ball_cache: "OrderedDict[Tuple[Node, int], Tuple[Node, ...]]" = OrderedDict()
-        self._ball_cache_limit: int = max(64, 4 * len(self._nodes))
 
     # -- construction helpers -------------------------------------------------
 
@@ -193,13 +185,11 @@ class LocalGraph:
         A compiled snapshot, if one exists, is replaced by ``derive(old)``
         stamped with the new epoch (no recompile; the old snapshot and its
         ``_np_csr`` / ``_np_flood`` engine caches stay with their holders).
-        The bounded-LRU ball cache is cleared and refills lazily.
         """
         self._epoch += 1
         if self._compiled is not None:
             self._compiled = derive(self._compiled)
             self._compiled.epoch = self._epoch
-        self._ball_cache.clear()
 
     def add_edge(self, u: Node, v: Node) -> None:
         """Insert the edge ``{u, v}`` between two existing nodes."""
@@ -260,7 +250,6 @@ class LocalGraph:
         self._degrees[v] = 0
         if input is not None:
             self._inputs[v] = input
-        self._ball_cache_limit = max(self._ball_cache_limit, 4 * len(self._nodes))
         self._invalidate(lambda compiled: compiled.with_node(v, node_id))
         for u in attach:
             self.add_edge(v, u)
@@ -314,20 +303,7 @@ class LocalGraph:
 
     def ball(self, v: Node, radius: int) -> List[Node]:
         """``N_{<= radius}(v)``: all nodes within distance ``radius`` of ``v``."""
-        if radius < 0:
-            return []
-        key = (v, radius)
-        cached = self._ball_cache.get(key)
-        if cached is None:
-            cached = tuple(self.compiled.ball(v, radius))
-            # Bounded LRU: evict the stalest entry, never the whole cache
-            # (a wholesale clear() mid-sweep rebuilt every ball from scratch).
-            while len(self._ball_cache) >= self._ball_cache_limit:
-                self._ball_cache.popitem(last=False)
-            self._ball_cache[key] = cached
-        else:
-            self._ball_cache.move_to_end(key)
-        return list(cached)
+        return self.compiled.ball(v, radius)
 
     def sphere(self, v: Node, radius: int) -> List[Node]:
         """``N_{= radius}(v)``: nodes at distance exactly ``radius`` from ``v``."""

@@ -246,16 +246,28 @@ def _complete_regions(
     fixed: Dict[Node, Label],
     max_steps: int,
 ) -> Dict[Node, Label]:
-    """Solve every region interior consistently with the pinned labels."""
+    """Solve every region interior consistently with the pinned labels.
+
+    Each region's search sees only the labels within ``2 r`` of its
+    interior (``r`` the LCL radius): it checks nodes within ``r`` of the
+    interior, and their checks read nothing further out.  So a region
+    costs time in its own size, and a bad label is blamed on a region
+    near it.
+    """
     labeling: Dict[Node, Label] = dict(fixed)
+    compiled = graph.compiled
+    nodes, index_of = compiled.nodes, compiled.index_of
+    reach = 2 * problem.radius
     for region in clustering.regions():
         interior = [v for v in region if v not in fixed]
         if not interior:
             continue
+        near = compiled.bfs_fill_many([index_of[v] for v in interior], reach)
+        compiled.reset_scratch(near)
         solved = solve_exact(
             problem,
             graph,
-            fixed=labeling,
+            fixed={nodes[i]: labeling[nodes[i]] for i in near if nodes[i] in labeling},
             restrict_to=interior,
             max_steps=max_steps,
         )

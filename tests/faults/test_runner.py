@@ -8,9 +8,12 @@ from repro.advice.schema import InvalidAdvice
 from repro.core.api import default_instance, make_schema, solve_with_advice
 from repro.faults import FaultPlan, RobustRunner
 from repro.faults.runner import escalate, resolve_balls
+from repro.graphs import cycle
+from repro.lcl import vertex_coloring
 from repro.lcl.verify import violations
+from repro.local import LocalGraph
 from repro.obs import MetricsRegistry
-from repro.obs.robustness import GLOBAL_RESOLVE, LOCAL_KINDS
+from repro.obs.robustness import BALL_RESOLVE, GLOBAL_RESOLVE, LOCAL_KINDS
 
 
 def _setup(name="2-coloring", n=32, seed=0):
@@ -229,6 +232,45 @@ class TestResolveBalls:
         assert not residual  # the pass succeeded
         assert corrupted != repaired  # the input map is left untouched
         assert any(a.success for a in actions) and used >= problem.radius
+
+    def test_exhausted_budget_stops_the_escalation(self):
+        # A larger ball is a harder search: once a search runs out of
+        # steps at a radius, no larger radius is tried.
+        graph = LocalGraph(cycle(30), seed=1)
+        problem = vertex_coloring(3)
+        labeling = {v: 1 + v % 3 for v in graph.nodes()}  # 30 % 3 == 0: proper
+        labeling[4] = labeling[5]
+        labeling[20] = labeling[21]
+        bad = sorted(violations(problem, graph, labeling), key=graph.id_of)
+        assert bad
+
+        actions = []
+        repaired, residual, used = resolve_balls(
+            graph,
+            problem,
+            labeling,
+            bad,
+            max_radius=10,
+            max_steps=1,
+            actions=actions,
+        )
+        assert actions and all(a.kind == BALL_RESOLVE for a in actions)
+        assert {a.radius for a in actions} == {problem.radius}
+        assert not any(a.success for a in actions)
+        assert residual == bad and used == 0
+        assert repaired == labeling
+
+    def test_three_coloring_repair_skips_the_hopeless_radii(self):
+        # Seed 1 exhausts the budget at a small radius; the refetch that
+        # heals it used to wait for six ball re-solves, one per radius.
+        graph, schema = _setup("3-coloring", n=400, seed=0)
+        run = RobustRunner(schema).run(
+            graph, plan=FaultPlan(seed=1, advice_flips=4)
+        )
+        report = run.robustness
+        attempts = [a for a in report.actions if a.kind == BALL_RESOLVE]
+        assert report.final_valid
+        assert 0 < len(attempts) < 6
 
 
 class TestEscalate:

@@ -1,5 +1,8 @@
 """Tests for the exact LCL solver (backtracking)."""
 
+import itertools
+
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,7 +13,6 @@ from repro.lcl import (
     count_solutions,
     is_valid,
     maximal_independent_set,
-    solve_component,
     solve_exact,
     vertex_coloring,
 )
@@ -74,10 +76,10 @@ class TestSolveExact:
         labeling = solve_exact(vertex_coloring(2), g)
         assert labeling is not None
 
-    def test_solve_component(self):
+    def test_restrict_to_one_component(self):
         g = LocalGraph.from_edges([(0, 1), (2, 3), (3, 4)])
         problem = vertex_coloring(2)
-        labeling = solve_component(problem, g, [2, 3, 4])
+        labeling = solve_exact(problem, g, restrict_to=[2, 3, 4])
         assert set(labeling) == {2, 3, 4}
 
     @settings(max_examples=15, deadline=None)
@@ -107,3 +109,17 @@ class TestCountSolutions:
         # MIS's of a path a-b-c: {a, c} and {b}.
         g = LocalGraph(path(3))
         assert count_solutions(maximal_independent_set(), g) == 2
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=99))
+    def test_matches_brute_force_enumeration(self, n, seed):
+        # The search yields every solution exactly once: compare against
+        # checking all k^n labelings of a small random graph.
+        g = LocalGraph(nx.gnp_random_graph(n, 0.5, seed=seed), seed=seed)
+        problem = vertex_coloring(3)
+        nodes = g.nodes()
+        brute = sum(
+            is_valid(problem, g, dict(zip(nodes, labels)))
+            for labels in itertools.product((1, 2, 3), repeat=n)
+        )
+        assert count_solutions(problem, g) == brute

@@ -102,39 +102,3 @@ class TestCompiledEdgeCases:
         assert compiled.n == g.n
         assert compiled.m == g.m
         assert compiled.max_degree == g.max_degree
-
-
-class TestBallCacheEviction:
-    def test_cache_bounded_and_correct_after_eviction(self):
-        g = LocalGraph(cycle(12))
-        limit = g._ball_cache_limit
-        # Touch far more (node, radius) pairs than the cache may hold.
-        for radius in range(10):
-            for v in g.nodes():
-                g.ball(v, radius)
-        assert len(g._ball_cache) <= limit
-        # Evicted entries recompute correctly (and re-enter the cache).
-        assert set(g.ball(0, 1)) == {11, 0, 1}
-        assert g.ball(0, 0) == [0]
-
-    def test_eviction_is_incremental_not_wholesale(self):
-        g = LocalGraph(cycle(6))
-        g._ball_cache_limit = 4
-        for radius in range(4):
-            g.ball(0, radius)
-        before = dict(g._ball_cache)
-        assert len(before) == 4
-        g.ball(1, 0)  # one insert evicts exactly one stale entry
-        assert len(g._ball_cache) == 4
-        assert sum(1 for k in before if k in g._ball_cache) == 3
-
-    def test_lru_keeps_recently_used(self):
-        g = LocalGraph(cycle(6))
-        g._ball_cache_limit = 2
-        g.ball(0, 1)
-        g.ball(1, 1)
-        g.ball(0, 1)  # refresh (0, 1): it is now most-recently-used
-        g.ball(2, 1)  # evicts (1, 1), not (0, 1)
-        assert (0, 1) in g._ball_cache
-        assert (1, 1) not in g._ball_cache
-

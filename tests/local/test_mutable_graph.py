@@ -4,9 +4,8 @@ The churn runtime mutates a live graph in place.  Every topology-derived
 cache must move past a mutation the moment an edge flips, or the decoder
 would be served stale neighborhoods: the compiled CSR snapshot is derived
 anew per mutation (copy-on-write, with no ``_np_csr`` / ``_np_flood`` /
-``_np_balls`` sidecars and fresh BFS scratch), the bounded-LRU ball cache
-is cleared,
-and memoized views gathered from the old topology no longer match.  A
+``_np_balls`` sidecars and fresh BFS scratch), and memoized views
+gathered from the old topology no longer match.  A
 derived snapshot must equal a cold compile of the mutated graph field for
 field, and a snapshot taken before the mutation must keep answering for
 the old topology.
@@ -123,7 +122,7 @@ class TestEpochInvalidation:
 
     def test_stale_ball_cache_never_served_after_edge_flip(self):
         g = _fresh(8)
-        assert sorted(g.ball(0, 1)) == [0, 1, 7]  # populate the LRU
+        assert sorted(g.ball(0, 1)) == [0, 1, 7]  # read before the flip
         g.add_edge(0, 4)
         assert sorted(g.ball(0, 1)) == [0, 1, 4, 7]
         g.remove_edge(0, 4)

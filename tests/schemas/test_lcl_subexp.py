@@ -1,8 +1,12 @@
 """Tests for the Section 4 LCL schemas on sub-exponential growth."""
 
+import random
+
 import pytest
 
 from repro.advice import AdviceError, ones_density
+from repro.advice.schema import InvalidAdvice
+from repro.core.api import default_instance, make_schema
 from repro.graphs import cycle, grid
 from repro.lcl import (
     is_valid,
@@ -109,6 +113,29 @@ class TestVariableLengthSchema:
             run = LCLSubexpSchema(vertex_coloring(3), x=x).run(g)
             assert run.valid
             assert run.rounds <= bound
+
+    def test_neighbour_swap_blamed_within_rounds(self):
+        # A T-round decode may blame only nodes within T of a fault.  Each
+        # probed holder gets its first neighbour's advice; node 171 was
+        # once blamed on node 419, 248 hops away, when every region's
+        # search re-checked the whole labeling built so far.
+        graph, kwargs = default_instance("lcl-subexp", 500, 0)
+        schema = make_schema("lcl-subexp", **kwargs)
+        advice = schema.encode(graph)
+        rounds = schema.decode(graph, advice).rounds
+        holders = sorted((v for v in graph.nodes() if advice[v]), key=graph.id_of)
+        probed = {171} | set(random.Random(0).sample(holders, 12))
+        assert 171 in holders
+        blamed = 0
+        for v in sorted(probed, key=graph.id_of):
+            corrupted = dict(advice)
+            corrupted[v] = advice[graph.neighbors(v)[0]]
+            try:
+                schema.decode(graph, corrupted)
+            except InvalidAdvice as exc:
+                blamed += 1
+                assert graph.distance(v, exc.node) <= rounds, (v, exc.node)
+        assert blamed
 
 
 class TestOneBitSchema:
