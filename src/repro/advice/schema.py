@@ -147,12 +147,13 @@ def validate_advice_map(
 def repair_region(
     graph: LocalGraph, sites: Sequence[Node], radius: int
 ) -> List[Node]:
-    """The nodes an advice-repair hook may rewrite, in id order: the union
-    of ``graph.ball(site, radius)`` over ``sites``."""
-    region = set()
-    for site in sites:
-        region.update(graph.ball(site, radius))
-    return sorted(region, key=graph.id_of)
+    """The nodes an advice-repair hook may rewrite, in id order: every node
+    within ``radius`` of a site (one multi-source sweep)."""
+    compiled = graph.compiled
+    region = compiled.bfs_fill_many([compiled.index_of[s] for s in sites], radius)
+    compiled.reset_scratch(region)
+    nodes = compiled.nodes
+    return [nodes[i] for i in sorted(region, key=compiled.ids.__getitem__)]
 
 
 def classify_schema_type(graph: LocalGraph, advice: Mapping[Node, str]) -> str:

@@ -122,9 +122,7 @@ def solve_with_advice(
     check: bool = True,
     tracer: Optional[Tracer] = None,
     registry: Optional[MetricsRegistry] = None,
-    robust: bool = False,
     fault_plan: Optional[object] = None,
-    robust_options: Optional[Dict[str, object]] = None,
     **kwargs: object,
 ) -> SchemaRun:
     """Encode, decode, and verify a schema on ``graph`` in one call.
@@ -138,30 +136,22 @@ def solve_with_advice(
     the graph size (``docs/performance.md``, "Which gather runs"); the
     gather that ran lands in ``SchemaRun.telemetry["engine"]``.
 
-    With ``robust=True`` (implied by passing a ``fault_plan``) the run goes
-    through the self-healing :class:`repro.faults.RobustRunner` instead:
-    the plan's faults are injected after encoding, decode errors and
-    verifier violations are repaired locally with escalating radius, and
-    the returned run carries a ``robustness`` report.  ``robust_options``
-    are forwarded to the :class:`~repro.faults.RobustRunner` constructor
-    (e.g. ``max_ball_radius``, ``max_solver_steps``).
+    With a ``fault_plan`` the run goes through the self-healing
+    :class:`repro.faults.RobustRunner` instead: the plan's faults are
+    injected after encoding, decode errors and verifier violations are
+    repaired locally with escalating radius, and the returned run carries
+    a ``robustness`` report.  Build a :class:`~repro.faults.RobustRunner`
+    directly to set its options (e.g. ``max_ball_radius``).
     """
     if isinstance(schema, str):
         schema = make_schema(schema, **kwargs)
     elif kwargs:
         raise TypeError("kwargs are only accepted with a schema name")
-    if robust or fault_plan is not None:
+    if fault_plan is not None:
         from ..faults.runner import RobustRunner
 
-        runner = RobustRunner(
-            schema,
-            tracer=tracer,
-            registry=registry,
-            **(robust_options or {}),
-        )
+        runner = RobustRunner(schema, tracer=tracer, registry=registry)
         return runner.run(graph, plan=fault_plan, check=check)
-    if robust_options:
-        raise TypeError("robust_options require robust=True or a fault_plan")
     return schema.run(graph, check=check, tracer=tracer, registry=registry)
 
 

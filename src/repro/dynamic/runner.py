@@ -144,13 +144,17 @@ class ChurnRunner:
     ) -> List[Node]:
         """Violating/unlabeled nodes within ``radius + r`` of any site."""
         graph = self.graph
-        region = set()
-        for s in sites:
-            region.update(graph.ball(s, radius + problem.radius))
-        return sorted(
-            (v for v in region if not valid_at(problem, graph, self.labeling, v)),
-            key=graph.id_of,
+        compiled = graph.compiled
+        region = compiled.bfs_fill_many(
+            [compiled.index_of[s] for s in sites], radius + problem.radius
         )
+        compiled.reset_scratch(region)
+        nodes = compiled.nodes
+        return [
+            nodes[i]
+            for i in sorted(region, key=compiled.ids.__getitem__)
+            if not valid_at(problem, graph, self.labeling, nodes[i])
+        ]
 
     def _fresh_state(self) -> Tuple[Tuple[AdviceMap, Dict[Node, Label]], bool]:
         """One re-encode attempt for :func:`escalate`: a full encode and

@@ -48,7 +48,6 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
-    Set,
     Tuple,
     TypeVar,
 )
@@ -96,7 +95,8 @@ def _clusters(
     repair annulus can never contain another cluster's violations.
     """
     bad = sorted(bad, key=graph.id_of)
-    index = {v: i for i, v in enumerate(bad)}
+    compiled = graph.compiled
+    index = {compiled.index_of[v]: i for i, v in enumerate(bad)}
     parent = list(range(len(bad)))
 
     def find(i: int) -> int:
@@ -110,40 +110,16 @@ def _clusters(
         if ri != rj:
             parent[max(ri, rj)] = min(ri, rj)
 
-    for v in bad:
-        seen = {v}
-        frontier = [v]
-        for _ in range(threshold):
-            nxt = []
-            for x in frontier:
-                for y in graph.neighbors(x):
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-                        if y in index:
-                            union(index[v], index[y])
-            frontier = nxt
+    for i, v in enumerate(bad):
+        reached = compiled.bfs_fill(compiled.index_of[v], threshold)
+        compiled.reset_scratch(reached)
+        for j in reached:
+            if j in index:
+                union(i, index[j])
     groups: Dict[int, List[Node]] = {}
     for i, v in enumerate(bad):
         groups.setdefault(find(i), []).append(v)
     return [groups[r] for r in sorted(groups)]
-
-
-def _annulus(graph: LocalGraph, interior: Set[Node], width: int) -> List[Node]:
-    """The ``width`` BFS layers immediately surrounding ``interior``."""
-    ring: List[Node] = []
-    seen = set(interior)
-    frontier = list(interior)
-    for _ in range(width):
-        nxt = []
-        for x in frontier:
-            for y in graph.neighbors(x):
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-                    ring.append(y)
-        frontier = nxt
-    return ring
 
 
 def valid_at(
@@ -192,6 +168,8 @@ def resolve_balls(
     """
     labeling = dict(labeling)
     bad = list(bad)
+    compiled = graph.compiled
+    nodes, dist = compiled.nodes, compiled._dist
     r0 = problem.radius
     cap = max(max_radius, r0)
     radii = sorted({min(cap, r0 + step) for step in (0, 1, 2, 4, 8)} | {cap})
@@ -202,11 +180,19 @@ def resolve_balls(
             break
         threshold = 2 * (radius + 2 * r0) + 1
         for cluster in _clusters(graph, bad, threshold):
-            interior: Set[Node] = set()
-            for v in cluster:
-                interior.update(graph.ball(v, radius))
-            annulus = _annulus(graph, interior, 2 * r0)
-            fixed = {u: labeling[u] for u in annulus if u in labeling}
+            # One sweep from the cluster: the interior is every node within
+            # ``radius`` of it, the annulus held fixed the next ``2 r0``
+            # layers.
+            swept = compiled.bfs_fill_many(
+                [compiled.index_of[v] for v in cluster], radius + 2 * r0
+            )
+            interior = [nodes[i] for i in swept if dist[i] <= radius]
+            fixed = {
+                nodes[i]: labeling[nodes[i]]
+                for i in swept
+                if dist[i] > radius and nodes[i] in labeling
+            }
+            compiled.reset_scratch(swept)
             try:
                 with tracer.span(
                     "repair", kind=BALL_RESOLVE, radius=radius, cluster=len(cluster)

@@ -328,15 +328,6 @@ class LocalGraph:
         """Hop distance between ``u`` and ``v`` (``inf`` if disconnected)."""
         return self.compiled.distance(u, v)
 
-    def eccentricity_bounded(self, v: Node, bound: int) -> int:
-        """Eccentricity of ``v`` within its component, capped at ``bound + 1``.
-
-        Returns the true eccentricity if it is ``<= bound``; otherwise
-        ``bound + 1``.  Useful for diameter thresholds without full BFS.
-        """
-        layers = list(self.bfs_layers(v, bound + 1))
-        return len(layers) - 1
-
     def power_graph(self, k: int) -> nx.Graph:
         """The ``k``-th power graph ``G^k`` (edges between nodes at distance 1..k)."""
         if k < 1:

@@ -36,6 +36,15 @@ Two schemas realize this:
   phase graph ``G_i``, which is what keeps different clusters' codes from
   interfering.
 
+Encoder and decoders share one phase loop, :func:`_cluster_phase`: each
+phase sweeps its candidates once in ``G_i`` and turns the accepted ones
+into clusters.  :func:`build_clustering` takes a phase's color class and
+keeps the candidates that reach ``2x``; the variable-length decoder keeps
+every advised center; the 1-bit decoder keeps the run-one nodes whose
+spheres parse to the phase's color, and stops at the first phase with no
+candidate reaching ``2x``.  Each cluster carries its phase distances, so
+nothing after the phase loop sweeps ``G_i`` again.
+
 The paper's ``x`` is astronomical; ours is a parameter, and the encoder
 *verifies* every geometric property the decoder relies on (raising
 :class:`AdviceError` when ``x`` is too small for the instance) — so a
@@ -44,14 +53,12 @@ successful encode certifies decodability.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set
 
 from ..advice.bitstream import (
     CodecError,
     bits_to_int,
-    decode_stream,
     encode_payload,
     int_to_bits,
     pack_parts,
@@ -68,12 +75,12 @@ from ..advice.schema import (
     locality_hints,
     repair_region,
 )
-from ..analysis.waivers import lint_waiver
 from ..algorithms.ruling_set import distance_coloring
-from ..lcl.problem import Label, Labeling, LCLProblem
+from ..lcl.problem import Label, LCLProblem
 from ..lcl.solve import solve_exact
 from ..lcl.verify import is_valid
 from ..local.algorithm import LocalityTracker
+from ..local.compiled import InducedSubgraph
 from ..local.graph import LocalGraph, Node
 
 
@@ -84,10 +91,15 @@ from ..local.graph import LocalGraph, Node
 
 @dataclass
 class Cluster:
+    """A phase-``color`` cluster: the nodes within ``alpha + r`` of
+    ``center`` in its phase graph ``G_i``, whose distances from the center
+    (cut at ``2x + r + 1``) are ``dist``."""
+
     center: Node
     color: int
     alpha: int
     members: Set[Node] = field(default_factory=set)
+    dist: Dict[Node, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -96,7 +108,6 @@ class SubexpClustering:
 
     clusters: List[Cluster]
     unclustered: List[Set[Node]]
-    num_phase_colors: int
 
     def regions(self) -> List[Set[Node]]:
         return [c.members for c in self.clusters] + [
@@ -137,6 +148,46 @@ def _lemma43_alpha(
     return best_alpha
 
 
+def _reaches_2x(dist: Mapping[Node, int], x: int) -> bool:
+    """Eligibility: the phase graph holds a node at distance exactly ``2x``."""
+    return any(d == 2 * x for d in dist.values())
+
+
+def _cluster_phase(
+    graph: LocalGraph,
+    sub: InducedSubgraph,
+    swept: Dict[Node, Dict[Node, int]],
+    candidates: Sequence[Node],
+    color: int,
+    x: int,
+    r: int,
+    accept: Callable[[Node, Dict[Node, int]], bool],
+) -> List[Cluster]:
+    """One phase of the clustering, shared by the encoder and both decoders.
+
+    Each candidate (in identifier order) is swept in the phase graph
+    ``sub``, out to ``2x + r + 1``; every candidate ``accept(v, dist)``
+    keeps becomes a phase-``color`` cluster with its Lemma 4.3 radius.
+    ``swept`` holds the sweeps already made in ``sub`` and gains this
+    phase's: a phase that keeps no candidate removes nothing, so its
+    caller runs the next phase on the same ``sub`` and ``swept``, and no
+    candidate is swept twice in one phase graph.  The callers differ only
+    in their candidates, their acceptance rule and when they stop.
+    """
+    delta = graph.max_degree
+    clusters: List[Cluster] = []
+    for v in candidates:
+        dist = swept.get(v)
+        if dist is None:
+            dist = swept[v] = sub.distances(v, cutoff=2 * x + r + 1)
+        if not accept(v, dist):
+            continue
+        alpha = _lemma43_alpha(dist, x, r, delta)
+        members = {u for u, d in dist.items() if d <= alpha + r}
+        clusters.append(Cluster(v, color, alpha, members, dist))
+    return clusters
+
+
 def build_clustering(
     graph: LocalGraph,
     x: int,
@@ -147,7 +198,9 @@ def build_clustering(
 
     ``phase_colors`` is the distance-``5x`` coloring; when omitted it is
     recomputed (the greedy coloring is a function of the identifiers, so
-    encoder and any caller agree).
+    encoder and any caller agree).  Phase ``i``'s candidates are its
+    color class; a candidate is kept when it reaches ``2x`` (otherwise it
+    joins the unclustered leftovers).
     """
     if x < 4 * r:
         raise AdviceError(
@@ -156,44 +209,31 @@ def build_clustering(
         )
     if phase_colors is None:
         phase_colors = distance_coloring(graph, 5 * x)
-    max_color = max(phase_colors.values(), default=0)
-    delta = graph.max_degree
 
     remaining: Set[Node] = set(graph.nodes())
     clusters: List[Cluster] = []
-    for color in range(1, max_color + 1):
-        sub = graph.induced(remaining)
-        phase_centers = sorted(
-            (
-                v
-                for v in remaining
-                if phase_colors[v] == color
-            ),
-            key=graph.id_of,
+    for color in range(1, max(phase_colors.values(), default=0) + 1):
+        phase = _cluster_phase(
+            graph,
+            graph.induced(remaining),
+            {},
+            sorted((v for v in remaining if phase_colors[v] == color), key=graph.id_of),
+            color,
+            x,
+            r,
+            lambda v, dist: _reaches_2x(dist, x),
         )
         new_members: Set[Node] = set()
-        for v in phase_centers:
-            dist = sub.distances(v, cutoff=2 * x + r + 1)
-            if not any(d == 2 * x for d in dist.values()):
-                continue  # not eligible: would join the unclustered leftovers
-            alpha = _lemma43_alpha(dist, x, r, delta)
-            members = {u for u, d in dist.items() if d <= alpha + r}
-            if members & new_members:
+        for cluster in phase:
+            if cluster.members & new_members:
                 raise AdviceError(
                     "same-phase clusters overlap — distance coloring too "
                     "weak for these parameters"
                 )
-            clusters.append(
-                Cluster(center=v, color=color, alpha=alpha, members=members)
-            )
-            new_members |= members
+            new_members |= cluster.members
+        clusters += phase
         remaining -= new_members
-
-    return SubexpClustering(
-        clusters=clusters,
-        unclustered=graph.induced(remaining).components(),
-        num_phase_colors=max_color,
-    )
+    return SubexpClustering(clusters, graph.induced(remaining).components())
 
 
 def pinned_nodes(graph: LocalGraph, clustering: SubexpClustering, r_bar: int) -> Set[Node]:
@@ -280,6 +320,26 @@ def _complete_regions(
     return labeling
 
 
+def _global_solution(
+    problem: LCLProblem,
+    graph: LocalGraph,
+    supplied: Optional[Mapping[Node, Label]],
+    max_steps: int,
+) -> Dict[Node, Label]:
+    """The solution ``l`` the encoders pin: ``supplied`` if given, else an
+    exhaustive search's; either way checked valid."""
+    if supplied is not None:
+        solution = dict(supplied)
+    else:
+        solved = solve_exact(problem, graph, max_steps=max_steps)
+        if solved is None:
+            raise AdviceError(f"{problem.name} has no solution on this graph")
+        solution = solved
+    if not is_valid(problem, graph, solution):
+        raise AdviceError("supplied solution is invalid")
+    return solution
+
+
 # ---------------------------------------------------------------------------
 # Variable-length schema
 # ---------------------------------------------------------------------------
@@ -306,16 +366,6 @@ class LCLSubexpSchema(AdviceSchema):
         self._solution = dict(solution) if solution is not None else None
         self.max_solver_steps = max_solver_steps
 
-    def _global_solution(self, graph: LocalGraph) -> Dict[Node, Label]:
-        if self._solution is not None:
-            return dict(self._solution)
-        solved = solve_exact(
-            self.problem, graph, max_steps=self.max_solver_steps
-        )
-        if solved is None:
-            raise AdviceError(f"{self.problem.name} has no solution on this graph")
-        return solved
-
     def _phase_bound(self, graph: LocalGraph) -> int:
         # Cluster colors come from the distance-5x coloring; its palette
         # bounds the decoder's phase count.
@@ -341,9 +391,9 @@ class LCLSubexpSchema(AdviceSchema):
 
     @locality_hints(advice_bits="_advice_bits_bound")
     def encode(self, graph: LocalGraph) -> AdviceMap:
-        solution = self._global_solution(graph)
-        if not is_valid(self.problem, graph, solution):
-            raise AdviceError("supplied solution is invalid")
+        solution = _global_solution(
+            self.problem, graph, self._solution, self.max_solver_steps
+        )
         clustering = build_clustering(graph, self.x, self.r)
         strip = pinned_nodes(graph, clustering, self.problem.radius)
         advice: AdviceMap = {v: "" for v in graph.nodes()}
@@ -402,7 +452,30 @@ class LCLSubexpSchema(AdviceSchema):
                 centers[v] = bits_to_int(color_part)
             if label_part:
                 labels[v] = _bits_to_label(self.problem, graph, v, label_part)
-        clustering = self._rebuild_clustering(graph, centers)
+        # Rebuild the encoder's clustering: a center is whoever the advice
+        # says is one, so every candidate is kept.
+        remaining: Set[Node] = set(graph.nodes())
+        clusters: List[Cluster] = []
+        for color in range(1, max(centers.values(), default=0) + 1):
+            phase = _cluster_phase(
+                graph,
+                graph.induced(remaining),
+                {},
+                sorted(
+                    (v for v, c in centers.items() if c == color and v in remaining),
+                    key=graph.id_of,
+                ),
+                color,
+                self.x,
+                self.r,
+                lambda v, dist: True,
+            )
+            clusters += phase
+            for cluster in phase:
+                remaining -= cluster.members
+        clustering = SubexpClustering(
+            clusters, graph.induced(remaining).components()
+        )
         labeling = _complete_regions(
             self.problem, graph, clustering, labels, self.max_solver_steps
         )
@@ -410,41 +483,6 @@ class LCLSubexpSchema(AdviceSchema):
         phases = max((c.color for c in clustering.clusters), default=1)
         tracker.charge(phases * (2 * self.x + self.r + 2) + 2 * (2 * self.x))
         return DecodeResult(labeling=labeling, rounds=tracker.rounds)
-
-    def _rebuild_clustering(
-        self, graph: LocalGraph, centers: Mapping[Node, int]
-    ) -> SubexpClustering:
-        """Reconstruct the clustering from advised centers/colors only.
-
-        Mirrors :func:`build_clustering` but takes eligibility from the
-        advice (a center is whoever says so), which is exactly what the
-        encoder computed.
-        """
-        delta = graph.max_degree
-        remaining: Set[Node] = set(graph.nodes())
-        clusters: List[Cluster] = []
-        max_color = max(centers.values(), default=0)
-        for color in range(1, max_color + 1):
-            sub = graph.induced(remaining)
-            phase_centers = sorted(
-                (v for v, c in centers.items() if c == color and v in remaining),
-                key=graph.id_of,
-            )
-            new_members: Set[Node] = set()
-            for v in phase_centers:
-                dist = sub.distances(v, cutoff=2 * self.x + self.r + 1)
-                alpha = _lemma43_alpha(dist, self.x, self.r, delta)
-                members = {u for u, d in dist.items() if d <= alpha + self.r}
-                clusters.append(
-                    Cluster(center=v, color=color, alpha=alpha, members=members)
-                )
-                new_members |= members
-            remaining -= new_members
-        return SubexpClustering(
-            clusters=clusters,
-            unclustered=graph.induced(remaining).components(),
-            num_phase_colors=max_color,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -492,14 +530,6 @@ class OneBitLCLSchema(AdviceSchema):
 
     # -- shared helpers -------------------------------------------------------
 
-    def _global_solution(self, graph: LocalGraph) -> Dict[Node, Label]:
-        if self._solution is not None:
-            return dict(self._solution)
-        solved = solve_exact(self.problem, graph, max_steps=self.max_solver_steps)
-        if solved is None:
-            raise AdviceError(f"{self.problem.name} has no solution on this graph")
-        return solved
-
     @staticmethod
     def _run_ones(graph: LocalGraph, bits: Mapping[Node, str]) -> Set[Node]:
         """One-bit nodes with an adjacent one-bit node (path bits)."""
@@ -510,13 +540,9 @@ class OneBitLCLSchema(AdviceSchema):
             and any(bits.get(u) == "1" for u in graph.graph.neighbors(v))
         }
 
-    def _strip_bits_for_cluster(
-        self,
-        graph: LocalGraph,
-        cluster: Cluster,
-        phase_dist: Mapping[Node, int],
-        bits: Mapping[Node, str],
-    ) -> Tuple[List[Node], Set[Node]]:
+    def _carriers(
+        self, graph: LocalGraph, cluster: Cluster, bits: Mapping[Node, str]
+    ) -> List[Node]:
         """The ordered carrier set ``Z'`` for a cluster.
 
         ``Z`` = nodes within ``alpha`` of the center (phase-graph distance)
@@ -524,7 +550,7 @@ class OneBitLCLSchema(AdviceSchema):
         independent set of ``Z`` in identifier order (independence in G).
         """
         run_ones = self._run_ones(graph, bits)
-        inner = {v for v, d in phase_dist.items() if d <= cluster.alpha}
+        inner = {v for v, d in cluster.dist.items() if d <= cluster.alpha}
         blocked: Set[Node] = set()
         for v in sorted(inner, key=graph.id_of):
             if v in run_ones:
@@ -539,32 +565,16 @@ class OneBitLCLSchema(AdviceSchema):
             z_prime.append(v)
             taken.add(v)
             taken.update(graph.graph.neighbors(v))
-        return z_prime, inner
-
-    def _strip_of(
-        self, graph: LocalGraph, cluster_members: Set[Node], region_owner: Mapping[Node, int], index: int
-    ) -> List[Node]:
-        r_bar = self.problem.radius
-        strip = []
-        for v in sorted(cluster_members, key=graph.id_of):
-            if any(
-                region_owner.get(u) != index for u in graph.ball(v, r_bar)
-            ):
-                strip.append(v)
-        return strip
+        return z_prime
 
     # -- encoding ------------------------------------------------------------
 
     def encode(self, graph: LocalGraph) -> AdviceMap:
-        solution = self._global_solution(graph)
-        if not is_valid(self.problem, graph, solution):
-            raise AdviceError("supplied solution is invalid")
+        solution = _global_solution(
+            self.problem, graph, self._solution, self.max_solver_steps
+        )
         clustering = build_clustering(graph, self.x, self.r)
         bits: AdviceMap = {v: "0" for v in graph.nodes()}
-
-        # Phase-graph distances per cluster (recomputed the same way during
-        # decoding).
-        phase_dists = self._phase_distances(graph, clustering)
 
         # 1. marker-coded cluster colors on paths.
         for cluster in clustering.clusters:
@@ -574,25 +584,19 @@ class OneBitLCLSchema(AdviceSchema):
                     f"x={self.x} too small: color code needs {len(code)} "
                     f"nodes but y={self.y}"
                 )
-            path = self._sphere_path(
-                graph, cluster, phase_dists[cluster.center], len(code)
-            )
+            path = self._sphere_path(graph, cluster, len(code))
             for node, bit in zip(path, code):
                 if bit == "1":
                     bits[node] = "1"
 
         # 2. pinned-strip labels on independent interior sets.
-        regions = clustering.regions()
-        owner = clustering.region_of()
-        for index, cluster in enumerate(clustering.clusters):
-            strip = self._strip_of(graph, cluster.members, owner, index)
+        pinned = pinned_nodes(graph, clustering, self.problem.radius)
+        for cluster in clustering.clusters:
             payload = "".join(
                 _label_to_bits(self.problem, graph, w, solution[w])
-                for w in strip
+                for w in sorted(cluster.members & pinned, key=graph.id_of)
             )
-            carriers, _ = self._strip_bits_for_cluster(
-                graph, cluster, phase_dists[cluster.center], bits
-            )
+            carriers = self._carriers(graph, cluster, bits)
             if len(carriers) < len(payload):
                 raise AdviceError(
                     f"cluster at {cluster.center!r}: {len(carriers)} carrier "
@@ -603,38 +607,15 @@ class OneBitLCLSchema(AdviceSchema):
                 if bit == "1":
                     bits[node] = "1"
 
-        self._verify(graph, clustering, phase_dists, bits, solution)
+        self._verify(graph, clustering, bits)
         return bits
 
-    def _phase_distances(
-        self, graph: LocalGraph, clustering: SubexpClustering
-    ) -> Dict[Node, Dict[Node, int]]:
-        """Distances from each center within its phase graph ``G_i``."""
-        out: Dict[Node, Dict[Node, int]] = {}
-        remaining: Set[Node] = set(graph.nodes())
-        max_color = clustering.num_phase_colors
-        by_color: Dict[int, List[Cluster]] = {}
-        for c in clustering.clusters:
-            by_color.setdefault(c.color, []).append(c)
-        for color in range(1, max_color + 1):
-            sub = graph.induced(remaining)
-            for cluster in by_color.get(color, []):
-                out[cluster.center] = sub.distances(
-                    cluster.center, cutoff=2 * self.x + self.r + 1
-                )
-            for cluster in by_color.get(color, []):
-                remaining -= cluster.members
-        return out
-
     def _sphere_path(
-        self,
-        graph: LocalGraph,
-        cluster: Cluster,
-        dist: Mapping[Node, int],
-        length: int,
+        self, graph: LocalGraph, cluster: Cluster, length: int
     ) -> List[Node]:
         """A path ``v_1..v_length`` with ``v_j`` at phase-distance ``j-1``
         from the center, inside ``N_{<= y}``."""
+        dist = cluster.dist
         target_d = length - 1
         candidates = [w for w, d in dist.items() if d == target_d]
         if not candidates:
@@ -664,88 +645,75 @@ class OneBitLCLSchema(AdviceSchema):
         self,
         graph: LocalGraph,
         clustering: SubexpClustering,
-        phase_dists: Dict[Node, Dict[Node, int]],
         bits: Mapping[Node, str],
-        solution: Mapping[Node, Label],
     ) -> None:
-        decoded_centers = self._detect_centers(graph, bits)
+        detected = self._detect_clustering(graph, bits)
+        decoded = {(c.center, c.color) for c in detected.clusters}
         expected = {(c.center, c.color) for c in clustering.clusters}
-        if set(decoded_centers.items()) != expected:
+        if decoded != expected:
             raise AdviceError(
                 "center detection mismatch: "
-                f"decoded {sorted(decoded_centers.items())!r} vs "
+                f"decoded {sorted(decoded)!r} vs "
                 f"expected {sorted(expected)!r}; increase x"
             )
-        result = self._decode_bits(graph, bits)
+        result = self._decode_bits(graph, bits, detected)
         if not is_valid(self.problem, graph, result):
             raise AdviceError("self-check decode produced an invalid solution")
 
     # -- decoding ------------------------------------------------------------
 
-    def _detect_centers(
+    def _detect_clustering(
         self, graph: LocalGraph, bits: Mapping[Node, str]
-    ) -> Dict[Node, int]:
-        """Phase-by-phase center detection from the raw bits (paper's S')."""
+    ) -> SubexpClustering:
+        """Rebuild the clustering phase by phase from the raw bits (the
+        paper's S').
+
+        Phase ``i``'s candidates are the remaining run-one nodes; one is a
+        center when it reaches ``2x`` and its spheres parse to ``i``.  A
+        phase that finds no center leaves the phase graph as it was, so the
+        next phase reuses its graph and sweeps; the loop stops at a phase
+        where no candidate even reached ``2x``, since every later phase
+        would find none either.
+        """
         run_ones = self._run_ones(graph, bits)
-        centers: Dict[Node, int] = {}
         remaining: Set[Node] = set(graph.nodes())
+        sub, swept = graph.induced(remaining), {}
+        candidates = sorted(run_ones, key=graph.id_of)
+        clusters: List[Cluster] = []
         color = 0
+        eligible = False
+
+        def accept(v: Node, dist: Dict[Node, int]) -> bool:
+            nonlocal eligible
+            if not _reaches_2x(dist, self.x):
+                return False
+            eligible = True
+            return self._parse_center(dist, run_ones) == color
+
         while True:
             color += 1
-            sub = graph.induced(remaining)
-            found: List[Tuple[Node, Dict[Node, int]]] = []
-            for v in sorted(remaining, key=graph.id_of):
-                if v not in run_ones:
-                    continue
-                dist = sub.distances(v, cutoff=2 * self.x + self.r + 1)
-                if not any(d == 2 * self.x for d in dist.values()):
-                    continue
-                parsed = self._parse_center(graph, dist, run_ones)
-                if parsed == color:
-                    found.append((v, dist))
-            if not found:
-                # No centers of this color; stop once no run-ones remain
-                # in any eligible position (all further phases empty).
-                if not self._any_candidate_left(graph, remaining, run_ones):
-                    break
-                if color > graph.n + 1:
-                    raise InvalidAdvice(
-                        "runaway phase loop — corrupt advice",
-                        node=min(remaining, key=graph.id_of)
-                        if remaining
-                        else None,
-                    )
+            eligible = False
+            found = _cluster_phase(
+                graph, sub, swept, candidates, color, self.x, self.r, accept
+            )
+            if found:
+                clusters += found
+                for cluster in found:
+                    remaining -= cluster.members
+                sub, swept = graph.induced(remaining), {}
+                candidates = sorted(remaining & run_ones, key=graph.id_of)
                 continue
-            delta = graph.max_degree
-            for v, dist in found:
-                alpha = _lemma43_alpha(dist, self.x, self.r, delta)
-                members = {u for u, d in dist.items() if d <= alpha + self.r}
-                centers[v] = color
-                remaining -= members
-        return centers
-
-    @lint_waiver(
-        "LOC002",
-        "existential scan: returns whether ANY candidate reaches the 2x "
-        "phase-graph limit, so the set iteration order cannot affect it",
-    )
-    def _any_candidate_left(
-        self, graph: LocalGraph, remaining: Set[Node], run_ones: Set[Node]
-    ) -> bool:
-        sub = graph.induced(remaining)
-        for v in remaining:
-            if v not in run_ones:
-                continue
-            dist = sub.distances(v, cutoff=2 * self.x)
-            if any(d == 2 * self.x for d in dist.values()):
-                return True
-        return False
+            if not eligible:
+                break
+            if color > graph.n + 1:
+                raise InvalidAdvice(
+                    "runaway phase loop — corrupt advice",
+                    node=min(remaining, key=graph.id_of),
+                )
+        return SubexpClustering(clusters, graph.induced(remaining).components())
 
     def _parse_center(
-        self,
-        graph: LocalGraph,
-        dist: Mapping[Node, int],
-        run_ones: Set[Node],
+        self, dist: Mapping[Node, int], run_ones: Set[Node]
     ) -> Optional[int]:
         """Parse a color code off the phase-graph spheres of a candidate.
 
@@ -765,44 +733,18 @@ class OneBitLCLSchema(AdviceSchema):
         return bits_to_int(payload)
 
     def _decode_bits(
-        self, graph: LocalGraph, bits: Mapping[Node, str]
+        self,
+        graph: LocalGraph,
+        bits: Mapping[Node, str],
+        clustering: SubexpClustering,
     ) -> Dict[Node, Label]:
-        centers = self._detect_centers(graph, bits)
-        delta = graph.max_degree
-        # Rebuild clustering from detected centers (same as encoder's).
-        remaining: Set[Node] = set(graph.nodes())
-        clusters: List[Cluster] = []
-        max_color = max(centers.values(), default=0)
-        phase_dists: Dict[Node, Dict[Node, int]] = {}
-        for color in range(1, max_color + 1):
-            sub = graph.induced(remaining)
-            for v in sorted(
-                (w for w, c in centers.items() if c == color), key=graph.id_of
-            ):
-                dist = sub.distances(v, cutoff=2 * self.x + self.r + 1)
-                alpha = _lemma43_alpha(dist, self.x, self.r, delta)
-                members = {u for u, d in dist.items() if d <= alpha + self.r}
-                clusters.append(
-                    Cluster(center=v, color=color, alpha=alpha, members=members)
-                )
-                phase_dists[v] = dist
-            for cluster in clusters:
-                if cluster.color == color:
-                    remaining -= cluster.members
-        clustering = SubexpClustering(
-            clusters=clusters,
-            unclustered=graph.induced(remaining).components(),
-            num_phase_colors=max_color,
-        )
-
-        # Read strips back off the carrier sets.
-        owner = clustering.region_of()
+        """Read the strips back off the carrier sets of the detected
+        clustering, then complete every region."""
+        pinned = pinned_nodes(graph, clustering, self.problem.radius)
         fixed: Dict[Node, Label] = {}
-        for index, cluster in enumerate(clustering.clusters):
-            strip = self._strip_of(graph, cluster.members, owner, index)
-            carriers, _ = self._strip_bits_for_cluster(
-                graph, cluster, phase_dists[cluster.center], bits
-            )
+        for cluster in clustering.clusters:
+            strip = sorted(cluster.members & pinned, key=graph.id_of)
+            carriers = self._carriers(graph, cluster, bits)
             widths = [_label_width(self.problem, graph, w) for w in strip]
             needed = sum(widths)
             if len(carriers) < needed:
@@ -829,7 +771,9 @@ class OneBitLCLSchema(AdviceSchema):
                 raise InvalidAdvice(
                     f"node {v!r} lacks its single advice bit", node=v
                 )
-        labeling = self._decode_bits(graph, advice)
+        labeling = self._decode_bits(
+            graph, advice, self._detect_clustering(graph, advice)
+        )
         # Locality: the paper's 2^{O(x)} = O(1) bound; we report the
         # per-phase cost times a degree-scale phase count.
         tracker.charge((graph.max_degree + 2) * (2 * self.x + self.r + 2))

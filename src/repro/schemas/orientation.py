@@ -655,15 +655,12 @@ class OneBitOrientationSchema(AdviceSchema):
         trails and agree on the canonical orientation.  This mirrors the
         paper's "small components are gathered whole" fallbacks and is what
         makes the schema well-defined when ``n`` is comparable to the
-        marker-code window.  An ``s``-node component has diameter at most
-        ``s - 1``, so only larger ones run a capped BFS per node.
+        marker-code window.
         """
         limit = self.walk_limit_for(graph)
         small: Set[Node] = set()
         for component in graph.components():
-            if len(component) - 1 <= limit or all(
-                graph.eccentricity_bounded(v, limit) <= limit for v in component
-            ):
+            if graph.induced(component).diameter_at_most(limit):
                 small |= component
         return small
 

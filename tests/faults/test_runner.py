@@ -177,7 +177,7 @@ class TestApiIntegration:
     def test_solve_with_advice_robust_path(self):
         graph, _ = _setup()
         plan = FaultPlan(seed=0, advice_flips=2)
-        run = solve_with_advice("2-coloring", graph, robust=True, fault_plan=plan)
+        run = solve_with_advice("2-coloring", graph, fault_plan=plan)
         assert run.valid
         assert run.robustness.detected
         assert run.robustness.repaired_locally
@@ -189,13 +189,6 @@ class TestApiIntegration:
         )
         assert hasattr(run, "robustness")
         assert run.valid
-
-    def test_robust_options_require_robust_path(self):
-        graph, _ = _setup()
-        with pytest.raises(TypeError):
-            solve_with_advice(
-                "2-coloring", graph, robust_options={"max_ball_radius": 4}
-            )
 
 
 class TestResolveBalls:

@@ -155,11 +155,6 @@ class TestBallsAndDistances:
         assert sorted(flattened, key=str) == sorted(g.ball(0, 3), key=str)
         assert len(set(flattened)) == len(flattened)
 
-    def test_eccentricity_bounded(self):
-        g = LocalGraph(path(10))
-        assert g.eccentricity_bounded(0, 20) == 9
-        assert g.eccentricity_bounded(0, 4) == 5  # capped at bound + 1
-
     def test_ball_matches_networkx(self):
         g = LocalGraph(grid(5, 5), seed=9)
         lengths = nx.single_source_shortest_path_length(g.graph, 7, cutoff=3)

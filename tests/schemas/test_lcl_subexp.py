@@ -1,6 +1,7 @@
 """Tests for the Section 4 LCL schemas on sub-exponential growth."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -14,12 +15,65 @@ from repro.lcl import (
     vertex_coloring,
 )
 from repro.local import LocalGraph
+from repro.local.compiled import InducedSubgraph
 from repro.schemas import (
     LCLSubexpSchema,
     OneBitLCLSchema,
     build_clustering,
+    lcl_subexp,
     pinned_nodes,
 )
+
+# The smallest clustered 1-bit instance we know of: three clusters (phase
+# colors 1, 3 and 4), so phase 3 runs on the graph phase 2 left unchanged.
+ONE_BIT_X = 40
+
+
+def _one_bit_instance():
+    return LocalGraph(cycle(300), seed=1), OneBitLCLSchema(
+        vertex_coloring(3), x=ONE_BIT_X
+    )
+
+
+def _phase_clusters(monkeypatch, call):
+    """The clusters every phase of the clustering returns while ``call()``
+    runs."""
+    found = []
+    original = lcl_subexp._cluster_phase
+
+    def spy(*args):
+        clusters = original(*args)
+        found.extend(clusters)
+        return clusters
+
+    with monkeypatch.context() as patch:
+        patch.setattr(lcl_subexp, "_cluster_phase", spy)
+        call()
+    return found
+
+
+def _phase_graphs(graph, clusters):
+    """Each cluster's phase graph: the nodes no earlier phase took."""
+    return {
+        c.center: frozenset(graph.nodes()).difference(
+            *(k.members for k in clusters if k.color < c.color)
+        )
+        for c in clusters
+    }
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """Phase-graph sweeps, counted by (source, phase-graph members)."""
+    counts = Counter()
+    original = InducedSubgraph.distances
+
+    def spy(self, source, cutoff=None):
+        counts[source, frozenset(self.nodes())] += 1
+        return original(self, source, cutoff)
+
+    monkeypatch.setattr(InducedSubgraph, "distances", spy)
+    return counts
 
 
 class TestClustering:
@@ -59,6 +113,62 @@ class TestClustering:
             assert any(
                 owner[u] != owner[v] for u in g.ball(v, 1)
             )
+
+
+class TestSharedPhaseLoop:
+    """Encoder and decoders rebuild one clustering, each phase swept once."""
+
+    @pytest.mark.parametrize("n, seed", [(120, 1), (10, 2), (200, 3), (120, 5)])
+    def test_variable_length_decode_rebuilds_the_encoders_clusters(
+        self, n, seed, monkeypatch
+    ):
+        g = LocalGraph(cycle(n), seed=seed)
+        expected = build_clustering(g, x=6, r=1).clusters
+        schema = LCLSubexpSchema(vertex_coloring(3), x=6)
+        advice = schema.encode(g)
+        rebuilt = _phase_clusters(monkeypatch, lambda: schema.decode(g, advice))
+        assert rebuilt == expected
+
+    def test_both_decoders_rebuild_the_clustered_one_bit_instance(
+        self, monkeypatch
+    ):
+        g, schema = _one_bit_instance()
+        expected = build_clustering(g, x=ONE_BIT_X, r=1).clusters
+        assert len(expected) == 3
+        advice = schema.encode(g)
+        assert _phase_clusters(monkeypatch, lambda: schema.decode(g, advice)) == expected
+        variable = LCLSubexpSchema(vertex_coloring(3), x=ONE_BIT_X)
+        packed = variable.encode(g)
+        assert _phase_clusters(monkeypatch, lambda: variable.decode(g, packed)) == expected
+
+    def test_one_bit_encode_sweeps_one_clustering_and_one_detection(self, sweeps):
+        g, schema = _one_bit_instance()
+        build_clustering(g, x=ONE_BIT_X, r=1)
+        clustering = Counter(sweeps)
+        sweeps.clear()
+        advice = schema.encode(g)
+        encode = Counter(sweeps)
+        sweeps.clear()
+        schema.decode(g, advice)
+        # The self-check is one center detection, and no sweep is repeated
+        # after the clustering is built.
+        assert encode == clustering + sweeps
+
+    @pytest.mark.parametrize("one_bit", [True, False])
+    def test_decode_sweeps_each_candidate_once_per_phase_graph(self, one_bit, sweeps):
+        g, schema = _one_bit_instance()
+        if not one_bit:
+            schema = LCLSubexpSchema(vertex_coloring(3), x=ONE_BIT_X)
+        clusters = build_clustering(g, x=ONE_BIT_X, r=1).clusters
+        advice = schema.encode(g)
+        sweeps.clear()
+        schema.decode(g, advice)
+        # Each center's phase distances are computed once ...
+        for center, phase_graph in _phase_graphs(g, clusters).items():
+            assert sweeps[center, phase_graph] == 1
+        # ... and no candidate is swept twice in one phase graph, although
+        # the 1-bit decoder runs phases 2 and 3 on one graph.
+        assert max(sweeps.values()) == 1
 
 
 class TestVariableLengthSchema:
