@@ -32,6 +32,7 @@ from ..lcl.problem import Label
 from ..local.graph import LocalGraph, Node
 from .bitstream import CodecError, pack_parts, unpack_parts
 from .schema import (
+    AdvicePatch,
     AdviceMap,
     AdviceSchema,
     DecodeResult,
@@ -146,8 +147,7 @@ class ComposedSchema(AdviceSchema):
         downstream.  Nodes outside the balls keep their bytes verbatim.
         """
         region = repair_region(graph, sites, radius)
-        patched = dict(advice)
-        changed = False
+        patched = AdvicePatch(advice)
         parts = {}
         for v in region:
             packed = advice.get(v, "")
@@ -156,7 +156,6 @@ class ComposedSchema(AdviceSchema):
             except CodecError:
                 parts[v] = ["", ""]
                 patched[v] = ""
-                changed = True
         advice1 = {v: part1 for v, (part1, _) in parts.items()}
         patched1 = self.first.repair_advice(graph, advice1, sites, radius)
         if patched1 is not None:
@@ -164,8 +163,7 @@ class ComposedSchema(AdviceSchema):
                 part1, part2 = patched1.get(v, ""), parts[v][1]
                 if part1 != advice1[v]:
                     patched[v] = pack_parts([part1, part2]) if part1 or part2 else ""
-                    changed = True
-        return patched if changed else None
+        return patched.result()
 
 
 def compose(first: AdviceSchema, second: OracleSchema) -> ComposedSchema:

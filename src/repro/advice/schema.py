@@ -156,6 +156,34 @@ def repair_region(
     return [nodes[i] for i in sorted(region, key=compiled.ids.__getitem__)]
 
 
+class AdvicePatch:
+    """The edits of one :meth:`AdviceSchema.repair_advice` call.
+
+    Reads (:meth:`get`) see the edits made so far; the advice map is
+    copied on the first write only, since most calls write nothing.
+    :meth:`result` is the patched map, a new dict the caller owns, or
+    ``None`` when nothing was written.
+    """
+
+    __slots__ = ("_advice", "_copy")
+
+    def __init__(self, advice: Mapping[Node, str]) -> None:
+        self._advice = advice
+        self._copy: Optional[AdviceMap] = None
+
+    def get(self, v: Node, default: Optional[str] = None) -> Optional[str]:
+        current = self._advice if self._copy is None else self._copy
+        return current.get(v, default)
+
+    def __setitem__(self, v: Node, bits: str) -> None:
+        if self._copy is None:
+            self._copy = dict(self._advice)
+        self._copy[v] = bits
+
+    def result(self) -> Optional[AdviceMap]:
+        return self._copy
+
+
 def classify_schema_type(graph: LocalGraph, advice: Mapping[Node, str]) -> str:
     """One of ``"uniform-fixed"``, ``"subset-fixed"``, ``"variable"``."""
     lengths = {len(advice.get(v, "")) for v in graph.nodes()}

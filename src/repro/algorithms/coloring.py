@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from ..lcl.compiled import proper_by_ports
 from ..local.graph import LocalGraph, Node
 
 
@@ -32,42 +33,21 @@ class ColoringError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def may_clash(graph: LocalGraph, coloring: Mapping[Node, object]) -> bool:
-    """Could an edge scan of ``coloring`` find a monochromatic edge?
-
-    One vectorized pass over the CSR ports: colours are interned to dense
-    codes and every port's tail and head are compared.  ``False`` proves
-    the colouring proper; ``True`` means some edge is monochromatic or
-    some node has no (hashable) colour, and the caller reruns its
-    ``graph.edges()`` scan to report it exactly as before.
-    """
-    import numpy as np
-
-    compiled = graph.compiled
-    codes: Dict[object, int] = {}
-    try:
-        keys = np.fromiter(
-            (codes.setdefault(coloring[v], len(codes)) for v in compiled.nodes),
-            dtype=np.int64,
-            count=compiled.n,
-        )
-    except (KeyError, TypeError):
-        return True
-    indptr, indices, _ = compiled.np_csr()
-    tails = np.repeat(keys, np.diff(indptr))
-    return bool((tails == keys[indices]).any())
-
-
 def is_proper(graph: LocalGraph, coloring: Mapping[Node, int]) -> bool:
-    """No edge is monochromatic."""
-    if not may_clash(graph, coloring):
+    """No edge is monochromatic.
+
+    One port comparison (:func:`repro.lcl.compiled.proper_by_ports`)
+    settles a proper colouring; anything else reruns the edge scan, which
+    decides and reports exactly as before.
+    """
+    if proper_by_ports(graph, coloring):
         return True
     return all(coloring[u] != coloring[v] for u, v in graph.edges())
 
 
 def assert_proper(graph: LocalGraph, coloring: Mapping[Node, int]) -> None:
     """Raise :class:`ColoringError` on any monochromatic edge."""
-    if not may_clash(graph, coloring):
+    if proper_by_ports(graph, coloring):
         return
     bad = [(u, v) for u, v in graph.edges() if coloring[u] == coloring[v]]
     if bad:

@@ -31,8 +31,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..advice.schema import AdviceMap, AdviceSchema, validate_advice_map
-from ..faults.runner import escalate, resolve_balls, valid_at
+from ..faults.runner import escalate, resolve_balls
 from ..lcl.problem import Label, LCLProblem
+from ..lcl.verify import violations
 from ..local.graph import LocalGraph, Node
 from ..obs.metrics import MetricsRegistry
 from ..obs.robustness import (
@@ -150,11 +151,12 @@ class ChurnRunner:
         )
         compiled.reset_scratch(region)
         nodes = compiled.nodes
-        return [
-            nodes[i]
-            for i in sorted(region, key=compiled.ids.__getitem__)
-            if not valid_at(problem, graph, self.labeling, nodes[i])
-        ]
+        return violations(
+            problem,
+            graph,
+            self.labeling,
+            nodes=[nodes[i] for i in sorted(region, key=compiled.ids.__getitem__)],
+        )
 
     def _fresh_state(self) -> Tuple[Tuple[AdviceMap, Dict[Node, Label]], bool]:
         """One re-encode attempt for :func:`escalate`: a full encode and
@@ -195,11 +197,7 @@ class ChurnRunner:
                         # palette shrank): region checks are no longer sound,
                         # fall back to a whole-graph sweep.
                         bad = sorted(
-                            (
-                                v
-                                for v in graph.nodes()
-                                if not valid_at(problem, graph, self.labeling, v)
-                            ),
+                            violations(problem, graph, self.labeling, nodes=graph.nodes()),
                             key=graph.id_of,
                         )
                     else:

@@ -122,22 +122,6 @@ def _clusters(
     return [groups[r] for r in sorted(groups)]
 
 
-def valid_at(
-    problem: LCLProblem,
-    graph: LocalGraph,
-    labeling: Mapping[Node, Label],
-    v: Node,
-) -> bool:
-    """Is ``v`` labeled and its LCL check satisfied?  An unlabeled node
-    (a fresh insert) inside the checked ball counts as a violation."""
-    if v not in labeling:
-        return False
-    try:
-        return problem.is_valid_at(graph, labeling, v)
-    except KeyError:
-        return False
-
-
 def resolve_balls(
     graph: LocalGraph,
     problem: LCLProblem,
@@ -215,7 +199,7 @@ def resolve_balls(
                 labeling[w] = solution[w]
             used = max(used, radius)
             actions.append(RepairAction(BALL_RESOLVE, seed_node, radius, True))
-        bad = [v for v in bad if not valid_at(problem, graph, labeling, v)]
+        bad = violations(problem, graph, labeling, nodes=bad)
     return labeling, bad, used
 
 

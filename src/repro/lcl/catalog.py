@@ -10,6 +10,10 @@ Per-port conventions: for problems whose outputs live on node-edge pairs
 with one entry per port of ``v`` (ports sorted by neighbor identifier).
 Orientations use ``+1`` for "outgoing from v" and ``-1`` for "incoming";
 edge consistency demands the two endpoints disagree in sign.
+
+Proper vertex coloring, (almost-)balanced orientation, edge coloring and
+splitting also carry a compiled form of their check
+(:mod:`repro.lcl.compiled`); the predicates here stay their definition.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import itertools
 from typing import List, Sequence, Tuple
 
 from ..local.graph import LocalGraph, Node
+from .compiled import PortCheck, ProperColoringCheck
 from .problem import Label, Labeling, LCLProblem, port_label
 
 OUT = 1
@@ -44,7 +49,13 @@ def vertex_coloring(k: int) -> LCLProblem:
     def candidates(graph: LocalGraph, v: Node) -> Sequence[Label]:
         return colors
 
-    return LCLProblem(name=f"{k}-coloring", radius=1, check=check, candidates=candidates)
+    return LCLProblem(
+        name=f"{k}-coloring",
+        radius=1,
+        check=check,
+        candidates=candidates,
+        compiled=ProperColoringCheck(colors),
+    )
 
 
 def list_coloring_from_input() -> LCLProblem:
@@ -211,7 +222,16 @@ def balanced_orientation(strict: bool = False) -> LCLProblem:
         ]
 
     name = "balanced-orientation" if strict else "almost-balanced-orientation"
-    return LCLProblem(name=name, radius=1, check=check, candidates=candidates)
+    # ``strict`` changes nothing the check can see: ``out - inn`` has the
+    # parity of the degree, so ``|out - inn| <= 1`` already forces
+    # ``out == inn`` at even degree.  Both forms compile to one balance test.
+    return LCLProblem(
+        name=name,
+        radius=1,
+        check=check,
+        candidates=candidates,
+        compiled=PortCheck((OUT, IN), agree=False, distinct=False, own_first=False),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +262,11 @@ def edge_coloring(k: int) -> LCLProblem:
         return list(itertools.permutations(colors, graph.degree(v)))
 
     return LCLProblem(
-        name=f"{k}-edge-coloring", radius=1, check=check, candidates=candidates
+        name=f"{k}-edge-coloring",
+        radius=1,
+        check=check,
+        candidates=candidates,
+        compiled=PortCheck(colors, agree=True, distinct=True, own_first=True),
     )
 
 
@@ -285,7 +309,13 @@ def splitting() -> LCLProblem:
                 out.append(tuple(label))
         return out
 
-    return LCLProblem(name="splitting", radius=1, check=check, candidates=candidates)
+    return LCLProblem(
+        name="splitting",
+        radius=1,
+        check=check,
+        candidates=candidates,
+        compiled=PortCheck((RED, BLUE), agree=True, distinct=False, own_first=True),
+    )
 
 
 def weak_coloring(k: int) -> LCLProblem:

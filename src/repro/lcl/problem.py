@@ -17,8 +17,17 @@ Representation choices
   predicate ``check(graph, labeling, center)`` that inspects only the
   radius-``r`` ball of ``center``.  For the bounded-degree graphs the paper
   considers, such a predicate and an explicit finite set are
-  interchangeable; the predicate form is what the verifier and the
-  brute-force solver consume.
+  interchangeable.  The predicate is the definition of the problem and
+  the oracle every faster form is tested against.
+* A problem may also carry a ``compiled`` form of the same check over a
+  snapshot's dense CSR indices (:mod:`repro.lcl.compiled`): one numpy pass
+  for a whole-graph verify, and a per-node walk of the CSR row for region
+  checks and the brute-force search.  The catalog builds one for proper
+  vertex coloring, (almost-)balanced orientation, edge coloring and
+  splitting.  The entry points of :mod:`repro.lcl.verify` and
+  :mod:`repro.lcl.solve` choose it when present and fall back to the
+  predicate wherever it cannot read a label exactly, so a verdict never
+  depends on which form answered.
 * ``candidates(graph, v)`` enumerates the finite set of labels node ``v``
   could output, enabling exhaustive solving of small clusters — exactly the
   "complete the solution inside the cluster by brute force" step of the
@@ -27,10 +36,22 @@ Representation choices
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, List, Mapping, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Hashable,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+)
 
 from ..local.graph import LocalGraph, Node
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .compiled import CompiledCheck
 
 Label = Hashable
 Labeling = Mapping[Node, Label]
@@ -61,19 +82,30 @@ class LCLProblem:
     candidates:
         Enumerator of the finite label set a node may output.  The set may
         depend on the node's degree and input (e.g. per-port tuples).
+    compiled:
+        Optional :class:`~repro.lcl.compiled.CompiledCheck` deciding the
+        same constraint over CSR indices.  It must agree with ``check``
+        wherever it answers; it is radius 1 by construction.
     """
 
     name: str
     radius: int
     check: CheckFn
     candidates: CandidatesFn
+    compiled: Optional["CompiledCheck"] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.radius < 1:
             raise LCLError("checkability radius must be >= 1")
+        if self.compiled is not None and self.radius != 1:
+            raise LCLError("a compiled check has radius 1")
 
     def is_valid_at(self, graph: LocalGraph, labeling: Labeling, v: Node) -> bool:
-        """Is the radius-``r`` neighborhood of ``v`` validly labeled?"""
+        """Is the radius-``r`` neighborhood of ``v`` validly labeled?
+
+        Always the predicate, never the compiled form: this is the oracle.
+        Callers that check many nodes go through :mod:`repro.lcl.verify`.
+        """
         return self.check(graph, labeling, v)
 
     def candidate_labels(self, graph: LocalGraph, v: Node) -> List[Label]:

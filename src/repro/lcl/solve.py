@@ -10,7 +10,11 @@ The solver relies on the catalog predicates being *monotone under
 refinement*: a predicate may only report a violation that no completion of
 the partial labeling could fix (unlabeled neighbors are treated
 optimistically).  All catalog problems satisfy this, which makes incremental
-pruning sound.
+pruning sound.  For a problem with a compiled form
+(:mod:`repro.lcl.compiled`) the search goes further: such a check is a
+test of a node's own label plus one symmetric test per edge, so labeling
+``v`` can only make ``v``'s own check fail, and each step runs that one
+check over ``v``'s labeled neighbours instead of re-checking ``v``'s ball.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
 
 from ..local.graph import LocalGraph, Node
 from .problem import Label, LCLProblem
+from .verify import check_at, is_valid
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -57,9 +62,11 @@ def _assignments(
 
     ``order`` is labeled in turn; every candidate tried is one step of the
     ``max_steps`` budget.  A candidate stays only if every labeled node
-    whose ``r``-ball contains it still passes its check.  ``labeling`` is
-    extended in place, so a caller that keeps a yielded labeling must stop
-    iterating.  Iterative, so regions may exceed Python's recursion limit.
+    whose ``r``-ball contains it still passes its check; with a compiled
+    form that is ``v``'s own check (see the module docstring), since every
+    label in the search already passed one.  ``labeling`` is extended in
+    place, so a caller that keeps a yielded labeling must stop iterating.
+    Iterative, so regions may exceed Python's recursion limit.
     """
     radius, is_valid_at = problem.radius, problem.is_valid_at
     compiled = graph.compiled
@@ -68,6 +75,8 @@ def _assignments(
     balls: Dict[Node, List[Node]] = {}
 
     def consistent_after(v: Node) -> bool:
+        if problem.compiled is not None:
+            return check_at(problem, graph, labeling, v)
         ball = balls.get(v)
         if ball is None:
             ball = balls[v] = compiled.ball(v, radius)
@@ -151,7 +160,7 @@ def solve_exact(
         targets = [v for v in restrict_to if v not in labeling]
     # Fixed labels must themselves be consistent before we search.
     for v in labeling:
-        if not problem.is_valid_at(graph, labeling, v):
+        if not check_at(problem, graph, labeling, v):
             return None
     order = _bfs_order(graph, targets)
     return next(_assignments(problem, graph, labeling, order, max_steps), None)
@@ -166,7 +175,7 @@ def count_solutions(
     nodes = graph.nodes()
     # A complete labeling still gets the global check (handles maximality).
     return sum(
-        all(problem.is_valid_at(graph, labeling, v) for v in nodes)
+        is_valid(problem, graph, labeling)
         for labeling in _assignments(
             problem, graph, {}, _bfs_order(graph, nodes), max_steps
         )

@@ -25,7 +25,8 @@ the current one (``with_edge``, ``without_edge``, ``with_node``,
 and the rows past it shift, so no row is re-sorted.  Derivation is
 copy-on-write — the old snapshot is never touched and keeps answering
 for the old topology — and a derived snapshot starts with fresh BFS
-scratch and no numpy sidecars (CSR arrays, flooding cache, ball sweep).
+scratch and no numpy sidecars (CSR arrays, reverse slots, flooding
+cache, ball sweep).
 """
 
 from __future__ import annotations
@@ -66,6 +67,7 @@ class CompiledGraph:
         "epoch",
         "_dist",
         "_np_csr",
+        "_np_rev",
         "_np_flood",
         "_np_balls",
     )
@@ -113,6 +115,9 @@ class CompiledGraph:
         # Lazily built numpy snapshot of (indptr, indices, ids) for the
         # vectorized engine; None until first np_csr() call.
         self._np_csr = None
+        # Lazily built reverse-slot array (reverse_slots()) for the
+        # compiled LCL checks of repro.lcl.compiled.
+        self._np_rev = None
         # Lazily built flooding ball-sweep cache owned by
         # repro.obs.bandwidth._flood_cache (structure-only, advice-free).
         self._np_flood = None
@@ -291,6 +296,28 @@ class CompiledGraph:
                 np.asarray(self.ids, dtype=dtype),
             )
         return self._np_csr
+
+    def reverse_slots(self):
+        """The reverse of every CSR slot, as a cached numpy vector.
+
+        Slot ``s`` holds the port from ``i`` to ``j = indices[s]``;
+        ``reverse_slots()[s]`` is the slot of the port from ``j`` back to
+        ``i``.  Ranking the slots by ``(tail, head)`` and by ``(head, tail)``
+        pairs each slot with its reverse, so it is two sorts and no Python
+        loop.  Built once on first use, like :meth:`np_csr`.
+        """
+        if self._np_rev is None:
+            import numpy as np
+
+            indptr, indices, _ = self.np_csr()
+            tails = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(indptr))
+            heads = indices.astype(np.int64)
+            by_tail = np.argsort(tails * self.n + heads, kind="stable")
+            by_head = np.argsort(heads * self.n + tails, kind="stable")
+            rev = np.empty_like(indices)
+            rev[by_head] = by_tail
+            self._np_rev = rev
+        return self._np_rev
 
     def bfs_fill(self, src: int, radius: Optional[int] = None) -> List[int]:
         """BFS from ``src``; returns the visit order (non-decreasing distance).

@@ -50,13 +50,13 @@ from ..algorithms.coloring import (
     assert_proper,
     is_proper,
     linial_reduction_step,
-    may_clash,
     num_colors,
     reduce_to_delta_plus_one,
 )
 from ..algorithms.decomposition import color_cluster_graph, voronoi_clustering
 from ..algorithms.ruling_set import greedy_ruling_set
 from ..lcl.catalog import vertex_coloring
+from ..lcl.compiled import proper_by_ports
 from ..lcl.problem import Labeling
 from ..lcl.solve import solve_exact
 from ..lcl.verify import is_valid
@@ -167,7 +167,7 @@ class ClusterColoringSchema(AdviceSchema):
         # Corrupted cluster colors can clash across a cluster boundary;
         # reject them as advice errors before Linial, which needs a proper
         # input coloring.
-        if may_clash(graph, labeling):
+        if not proper_by_ports(graph, labeling):
             for u, v in graph.edges():
                 if labeling[u] == labeling[v]:
                     raise InvalidAdvice(

@@ -66,6 +66,7 @@ from ..advice.bitstream import (
     unpack_parts,
 )
 from ..advice.schema import (
+    AdvicePatch,
     AdviceError,
     AdviceMap,
     AdviceSchema,
@@ -420,8 +421,7 @@ class LCLSubexpSchema(AdviceSchema):
         """Blank unparseable packed strings in the balls; the decoder
         treats a blank as "no center / no pinned label here" and the
         region completion re-derives the lost labels by brute force."""
-        patched = dict(advice)
-        changed = False
+        patched = AdvicePatch(advice)
         for u in repair_region(graph, sites, radius):
             packed = patched.get(u, "")
             if not packed:
@@ -430,8 +430,7 @@ class LCLSubexpSchema(AdviceSchema):
                 unpack_parts(packed, 2)
             except CodecError:
                 patched[u] = ""
-                changed = True
-        return patched if changed else None
+        return patched.result()
 
     @locality_hints(phases="_phase_bound")
     def decode(self, graph: LocalGraph, advice: Mapping[Node, str]) -> DecodeResult:
@@ -453,18 +452,23 @@ class LCLSubexpSchema(AdviceSchema):
             if label_part:
                 labels[v] = _bits_to_label(self.problem, graph, v, label_part)
         # Rebuild the encoder's clustering: a center is whoever the advice
-        # says is one, so every candidate is kept.
+        # says is one, so every candidate is kept.  A phase with no
+        # remaining center removes nothing, so only the colours some
+        # remaining center holds get a phase (and a phase graph).
         remaining: Set[Node] = set(graph.nodes())
         clusters: List[Cluster] = []
-        for color in range(1, max(centers.values(), default=0) + 1):
+        for color in sorted({c for c in centers.values() if c >= 1}):
+            held = sorted(
+                (v for v, c in centers.items() if c == color and v in remaining),
+                key=graph.id_of,
+            )
+            if not held:
+                continue
             phase = _cluster_phase(
                 graph,
                 graph.induced(remaining),
                 {},
-                sorted(
-                    (v for v, c in centers.items() if c == color and v in remaining),
-                    key=graph.id_of,
-                ),
+                held,
                 color,
                 self.x,
                 self.r,
@@ -673,7 +677,9 @@ class OneBitLCLSchema(AdviceSchema):
         phase that finds no center leaves the phase graph as it was, so the
         next phase reuses its graph and sweeps; the loop stops at a phase
         where no candidate even reached ``2x``, since every later phase
-        would find none either.
+        would find none either.  Two clusters of one phase that overlap
+        (the encoder's never do) raise :class:`InvalidAdvice` at the later
+        center.
         """
         run_ones = self._run_ones(graph, bits)
         remaining: Set[Node] = set(graph.nodes())
@@ -697,9 +703,18 @@ class OneBitLCLSchema(AdviceSchema):
                 graph, sub, swept, candidates, color, self.x, self.r, accept
             )
             if found:
-                clusters += found
+                taken: Set[Node] = set()
                 for cluster in found:
-                    remaining -= cluster.members
+                    # The encoder's clusters of one phase are disjoint;
+                    # overlapping ones can only come from corrupted bits.
+                    if not cluster.members.isdisjoint(taken):
+                        raise InvalidAdvice(
+                            f"phase-{color} clusters overlap — corrupt advice",
+                            node=cluster.center,
+                        )
+                    taken |= cluster.members
+                clusters += found
+                remaining -= taken
                 sub, swept = graph.induced(remaining), {}
                 candidates = sorted(remaining & run_ones, key=graph.id_of)
                 continue

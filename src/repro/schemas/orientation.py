@@ -40,6 +40,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 from ..advice.bitstream import bits_to_int, int_to_bits
 from ..advice.onebit import encode_paths, payload_table
 from ..advice.schema import (
+    AdvicePatch,
     AdviceError,
     AdviceMap,
     AdviceSchema,
@@ -555,13 +556,11 @@ class BalancedOrientationSchema(AdviceSchema):
         verifier and healed by the ball re-solve, so ``labeling`` is not
         needed.
         """
-        patched = dict(advice)
-        changed = False
+        patched = AdvicePatch(advice)
         for u in repair_region(graph, sites, radius):
             bits = patched.get(u, "")
             if len(bits) > 2 or any(b not in "01" for b in bits):
                 patched[u] = ""
-                changed = True
         for site in sites:
             neighbors = graph.neighbors(site)
             if neighbors and len(patched.get(site, "")) != 2:
@@ -569,8 +568,7 @@ class BalancedOrientationSchema(AdviceSchema):
                 patched[site] = "11"
                 if patched.get(head, "") != "1":
                     patched[head] = "1"
-                changed = True
-        return patched if changed else None
+        return patched.result()
 
     @staticmethod
     def _anchor_marks(advice: Mapping[Node, str], trail: Trail) -> Marks:

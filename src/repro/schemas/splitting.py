@@ -23,6 +23,7 @@ import networkx as nx
 from ..advice.bitstream import CodecError, pack_parts, unpack_parts
 from ..advice.compose import ComposedSchema, compose
 from ..advice.schema import (
+    AdvicePatch,
     AdviceError,
     AdviceMap,
     AdviceSchema,
@@ -228,8 +229,7 @@ class DeltaEdgeColoringSchema(AdviceSchema):
         delta = graph.max_degree
         levels = self._levels(delta)
         total_parts = 1 + (2**levels - 1)
-        patched = dict(advice)
-        changed = False
+        patched = AdvicePatch(advice)
         for u in repair_region(graph, sites, radius):
             packed = patched.get(u, "")
             if not packed:
@@ -238,8 +238,7 @@ class DeltaEdgeColoringSchema(AdviceSchema):
                 unpack_parts(packed, total_parts)
             except CodecError:
                 patched[u] = ""
-                changed = True
-        return patched if changed else None
+        return patched.result()
 
     def decode(self, graph: LocalGraph, advice: Mapping[Node, str]) -> DecodeResult:
         delta = graph.max_degree

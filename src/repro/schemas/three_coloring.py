@@ -41,6 +41,7 @@ import math
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..advice.schema import (
+    AdvicePatch,
     AdviceError,
     AdviceMap,
     AdviceSchema,
@@ -425,8 +426,7 @@ class ThreeColoringSchema(AdviceSchema):
         therefore only requires rewriting bits inside the repaired balls;
         everything else decodes verbatim (the Section 6 shift argument).
         """
-        patched = dict(advice)
-        changed = False
+        patched = AdvicePatch(advice)
         for u in repair_region(graph, sites, radius):
             bits = patched.get(u)
             if labeling is not None:
@@ -437,8 +437,7 @@ class ThreeColoringSchema(AdviceSchema):
                 want = bits[0] if bits and bits[0] in "01" else "0"
             if bits != want:
                 patched[u] = want
-                changed = True
-        return patched if changed else None
+        return patched.result()
 
     def decode(self, graph: LocalGraph, advice: Mapping[Node, str]) -> DecodeResult:
         tracker = LocalityTracker(graph)

@@ -21,6 +21,7 @@ import networkx as nx
 
 from ..advice.onebit import encode_paths, payload_table
 from ..advice.schema import (
+    AdvicePatch,
     AdviceError,
     AdviceMap,
     AdviceSchema,
@@ -148,19 +149,16 @@ class TwoColoringSchema(AdviceSchema):
            node affected lies within ``spacing - 1`` of a site and both
            passes stay radius-bounded.
         """
-        patched = dict(advice)
-        changed = False
+        patched = AdvicePatch(advice)
         if labeling is None:
             for u in repair_region(graph, sites, radius):
                 bits = patched.get(u, "")
                 if bits not in ("", "0", "1"):
                     patched[u] = bits[0] if bits[0] in "01" else ""
-                    changed = True
             for site in sites:
                 if not patched.get(site, ""):
                     patched[site] = "0"
-                    changed = True
-            return patched if changed else None
+            return patched.result()
         reach = self.spacing - 1
         compiled = graph.compiled
         nodes, dist = compiled.nodes, compiled._dist
@@ -202,7 +200,6 @@ class TwoColoringSchema(AdviceSchema):
             want = "1" if labeling.get(w) == 1 else "0"
             if bits != want:
                 patched[w] = want
-                changed = True
         # Planting on each uncovered region node in id order and covering
         # its reach-ball gives the same anchors as asking, node by node,
         # whether any anchor planted so far is in range.
@@ -211,12 +208,11 @@ class TwoColoringSchema(AdviceSchema):
                 continue
             w = nodes[i]
             patched[w] = "1" if labeling.get(w) == 1 else "0"
-            changed = True
             swept = compiled.bfs_fill(i, reach)
             for j in swept:
                 covered[j] = 1
             compiled.reset_scratch(swept)
-        return patched if changed else None
+        return patched.result()
 
 
 def _nearest_anchor_color(view: View) -> int:

@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 from repro.advice import AdviceError, ones_density
+from repro.advice.bitstream import bits_to_int, int_to_bits, pack_parts, unpack_parts
 from repro.advice.schema import InvalidAdvice
 from repro.core.api import default_instance, make_schema
 from repro.graphs import cycle, grid
@@ -248,6 +249,41 @@ class TestVariableLengthSchema:
         assert blamed
 
 
+    def test_decode_runs_a_phase_only_for_held_colours(self, monkeypatch):
+        # Rewriting the first center's colour to 65,536 once cost a phase
+        # graph for every colour up to it (~1 s instead of ~5 ms).  A phase
+        # with no remaining center removes nothing, so the decode must equal
+        # the one with that colour moved just past the largest real one.
+        graph, kwargs = default_instance("lcl-subexp", 500, 0)
+        schema = make_schema("lcl-subexp", **kwargs)
+        advice = schema.encode(graph)
+        parts = {v: unpack_parts(advice[v], 2) for v in graph.nodes() if advice[v]}
+        centers = {v: bits_to_int(c) for v, (c, _) in parts.items() if c}
+        first = min(centers, key=graph.id_of)
+
+        def recolored(color):
+            corrupted = dict(advice)
+            corrupted[first] = pack_parts([int_to_bits(color), parts[first][1]])
+            return corrupted
+
+        far = recolored(65_536)
+        calls = []
+        original = graph.induced
+
+        def spy(nodes):
+            calls.append(1)
+            return original(nodes)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(graph, "induced", spy)
+            result = schema.decode(graph, far)
+        held = {c for v, c in centers.items() if v != first} | {65_536}
+        # One phase graph per held colour, plus the leftover components.
+        assert len(calls) == len(held) + 1
+        near = schema.decode(graph, recolored(max(centers.values()) + 1))
+        assert result.labeling == near.labeling
+
+
 class TestOneBitSchema:
     def test_unclustered_regime(self):
         g = LocalGraph(cycle(40), seed=12)
@@ -269,6 +305,21 @@ class TestOneBitSchema:
         g = LocalGraph(cycle(1300), seed=14)
         run = OneBitLCLSchema(maximal_independent_set(), x=100).run(g)
         assert run.valid is True
+
+    @pytest.mark.slow
+    def test_overlapping_phase_clusters_rejected_near_the_flip(self):
+        # Flipping node 1277's bit makes detection find phase-1 centers 1115
+        # and 1290, sharing 28 nodes; the encoder never emits that.
+        g = LocalGraph(cycle(1400), seed=13)
+        schema = OneBitLCLSchema(vertex_coloring(3), x=100)
+        advice = schema.encode(g)
+        rounds = schema.decode(g, advice).rounds
+        flipped = dict(advice)
+        flipped[1277] = "1" if advice[1277] == "0" else "0"
+        with pytest.raises(InvalidAdvice, match="overlap") as exc:
+            schema.decode(g, flipped)
+        assert exc.value.node == 1290
+        assert g.distance(1277, exc.value.node) <= rounds
 
     def test_x_too_small_for_code_rejected(self):
         g = LocalGraph(cycle(400), seed=15)
