@@ -453,26 +453,15 @@ class AdviceSchema(abc.ABC):
                     finally:
                         GLOBAL_KNOWLEDGE_RECORDER.owner = previous_owner
                     decode_span.set(rounds=result.rounds)
-                run = SchemaRun(
-                    schema_name=self.name,
-                    advice=advice,
-                    result=result,
-                    schema_type=classify_schema_type(graph, advice),
-                    beta=beta_of(graph, advice),
-                    total_advice_bits=total_bits(graph, advice),
-                    n=graph.n,
-                    max_degree=graph.max_degree,
-                )
-                run.bandwidth = self._account_bandwidth(
-                    graph, run, registry, tracer
-                )
-                violations_total = registry.counter("violations_total")
-                if check:
+
+                def verify(run: SchemaRun) -> int:
+                    if not check:
+                        return 0
                     with tracer.span("verify", schema=self.name) as verify_span:
                         run.valid = self.check_solution(graph, result.labeling)
+                        bad: List[Node] = []
                         if not run.valid:
                             bad = self.find_violations(graph, result.labeling)
-                            violations_total.inc(len(bad))
                             run.failures = build_violation_reports(
                                 self.name,
                                 graph,
@@ -486,7 +475,11 @@ class AdviceSchema(abc.ABC):
                         verify_span.set(
                             valid=run.valid, violations=len(run.failures)
                         )
-                run.telemetry = self._build_telemetry(run, registry)
+                    return len(bad)
+
+                run = self._finish_run(
+                    graph, advice, result, registry, tracer, verify
+                )
                 if tracer.enabled:
                     run_span.set(
                         valid=run.valid,
@@ -497,6 +490,39 @@ class AdviceSchema(abc.ABC):
             return run
         finally:
             self._active_tracer = previous
+
+    def _finish_run(
+        self,
+        graph: LocalGraph,
+        advice: AdviceMap,
+        result: DecodeResult,
+        registry: MetricsRegistry,
+        tracer: Tracer,
+        verify: Callable[[SchemaRun], int],
+    ) -> SchemaRun:
+        """The tail every run finishes through, plain or fault-injected.
+
+        Builds the record of ``advice`` and the decode ``result`` it gave,
+        meters it under the ambient policy (:meth:`_account_bandwidth`),
+        lets ``verify(run)`` fill in ``valid``, ``failures`` and any
+        robustness report, counts the violations it returns into
+        ``violations_total`` and snapshots the telemetry.
+        """
+        run = SchemaRun(
+            schema_name=self.name,
+            advice=advice,
+            result=result,
+            schema_type=classify_schema_type(graph, advice),
+            beta=beta_of(graph, advice),
+            total_advice_bits=total_bits(graph, advice),
+            n=graph.n,
+            max_degree=graph.max_degree,
+        )
+        run.bandwidth = self._account_bandwidth(graph, run, registry, tracer)
+        violations_total = registry.counter("violations_total")
+        violations_total.inc(verify(run))
+        run.telemetry = self._build_telemetry(run, registry)
+        return run
 
     def _account_bandwidth(
         self,

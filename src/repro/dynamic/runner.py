@@ -15,10 +15,9 @@ the Section 6 ball/shift sense, and healed by the repair stages of
    :meth:`~repro.advice.schema.AdviceSchema.repair_advice` hook, handed
    the maintained labeling, re-derives fresh bits for the affected balls
    from it, leaving every other node's advice verbatim.
-3. **Escalate** — only when locality fails: a full re-encode through
-   :func:`~repro.faults.runner.escalate`, bounded by a retry budget with
-   deterministic logical backoff; an exhausted budget is a clean recorded
-   failure, never a loop.
+3. **Escalate** — only when locality fails: one full re-encode through
+   :func:`~repro.faults.runner.escalate`; a failed re-encode is a clean
+   recorded failure, never a loop.
 
 Every step emits :class:`~repro.obs.robustness.RepairAction` /
 :class:`~repro.obs.robustness.MutationRecord` records and the churn metrics
@@ -28,9 +27,14 @@ Every step emits :class:`~repro.obs.robustness.RepairAction` /
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from ..advice.schema import AdviceMap, AdviceSchema, validate_advice_map
+from ..advice.schema import (
+    AdviceMap,
+    AdviceSchema,
+    repair_region,
+    validate_advice_map,
+)
 from ..faults.runner import escalate, resolve_balls
 from ..lcl.problem import Label, LCLProblem
 from ..lcl.verify import violations
@@ -70,12 +74,9 @@ class ChurnRunner:
         Largest label-repair ball radius before escalating to re-encode.
     max_solver_steps:
         Backtracking budget per ball re-solve.  Exhausting it stops the
-        ball re-solve after that radius, leaving the re-encode fallback.
-    escalate_budget / backoff_base:
-        The re-encode fallback retries at most ``escalate_budget`` times
-        per mutation; failed attempt ``k`` records a deterministic
-        logical backoff of ``backoff_base ** (k - 1)`` ticks (recorded,
-        never slept).  Exhaustion marks the mutation ``failed``.
+        ball re-solve after that radius, leaving the re-encode fallback,
+        which makes one attempt per mutation; a failed one marks the
+        mutation ``failed``.
     """
 
     def __init__(
@@ -84,39 +85,24 @@ class ChurnRunner:
         graph: LocalGraph,
         max_ball_radius: int = 8,
         max_solver_steps: int = 200_000,
-        escalate_budget: int = 3,
-        backoff_base: int = 2,
         tracer: Optional[Tracer] = None,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
-        if escalate_budget < 1:
-            raise ValueError("escalate_budget must be >= 1")
         self.schema = schema
         self.graph = graph
         self.max_ball_radius = max_ball_radius
         self.max_solver_steps = max_solver_steps
-        self.escalate_budget = escalate_budget
-        self.backoff_base = backoff_base
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.registry = registry if registry is not None else MetricsRegistry()
         self.applied = 0
         self._bootstrap()
 
-    def _encode(self) -> AdviceMap:
-        advice = dict(self.schema.encode(self.graph))
-        for v in self.graph.nodes():
-            advice.setdefault(v, "")
-        return advice
-
     def _bootstrap(self) -> None:
         """Initial encode + decode + verify; the serving state starts valid."""
         schema, graph = self.schema, self.graph
         with self.tracer.span("churn_bootstrap", schema=schema.name, n=graph.n):
-            self.advice: AdviceMap = self._encode()
-            validate_advice_map(graph, self.advice, complete=True)
-            result = schema.decode(graph, self.advice)
-            self.labeling: Dict[Node, Label] = dict(result.labeling)
-        if not schema.check_solution(graph, self.labeling):
+            (self.advice, self.labeling), ok = self._fresh_state()
+        if not ok:
             raise ChurnError(f"bootstrap decode of {schema.name} is invalid")
         self.problem: Optional[LCLProblem] = schema.repair_problem(graph)
 
@@ -140,28 +126,14 @@ class ChurnRunner:
         self.labeling.pop(mutation.node, None)
         return sorted(dropped, key=graph.id_of)
 
-    def _region_violations(
-        self, problem: LCLProblem, sites: Sequence[Node], radius: int
-    ) -> List[Node]:
-        """Violating/unlabeled nodes within ``radius + r`` of any site."""
-        graph = self.graph
-        compiled = graph.compiled
-        region = compiled.bfs_fill_many(
-            [compiled.index_of[s] for s in sites], radius + problem.radius
-        )
-        compiled.reset_scratch(region)
-        nodes = compiled.nodes
-        return violations(
-            problem,
-            graph,
-            self.labeling,
-            nodes=[nodes[i] for i in sorted(region, key=compiled.ids.__getitem__)],
-        )
-
     def _fresh_state(self) -> Tuple[Tuple[AdviceMap, Dict[Node, Label]], bool]:
-        """One re-encode attempt for :func:`escalate`: a full encode and
-        decode, and whether the decoded labeling verifies."""
-        advice = self._encode()
+        """A full encode, validate and decode, and whether the decoded
+        labeling verifies: the bootstrap, and the one re-encode attempt of
+        :func:`escalate`."""
+        advice = dict(self.schema.encode(self.graph))
+        for v in self.graph.nodes():
+            advice.setdefault(v, "")
+        validate_advice_map(self.graph, advice, complete=True)
         labeling = dict(self.schema.decode(self.graph, advice).labeling)
         return (advice, labeling), bool(
             self.schema.check_solution(self.graph, labeling)
@@ -201,7 +173,12 @@ class ChurnRunner:
                             key=graph.id_of,
                         )
                     else:
-                        bad = self._region_violations(problem, sites, problem.radius)
+                        bad = violations(
+                            problem,
+                            graph,
+                            self.labeling,
+                            nodes=repair_region(graph, sites, 2 * problem.radius),
+                        )
                     if bad:
                         self.labeling, residual, label_radius = resolve_balls(
                             graph,
@@ -241,8 +218,6 @@ class ChurnRunner:
                     registry.counter("reencode_fallbacks_total").inc()
                     state, ok = escalate(
                         self._fresh_state,
-                        budget=self.escalate_budget,
-                        backoff_base=self.backoff_base,
                         label="reencode",
                         actions=record.actions,
                         tracer=self.tracer,
@@ -263,8 +238,11 @@ class ChurnRunner:
                     # With no bad node nothing was relabelled, so the check
                     # would rerun the first one verbatim (same sites, radius
                     # and labeling).
-                    record.valid = not bad or not self._region_violations(
-                        problem, sites, max(label_radius, problem.radius)
+                    region = repair_region(
+                        graph, sites, max(label_radius, problem.radius) + problem.radius
+                    )
+                    record.valid = not bad or not violations(
+                        problem, graph, self.labeling, nodes=region
                     )
                 else:
                     record.valid = True

@@ -21,9 +21,9 @@ short drivers over the same stages:
    budget: a larger ball is a harder search.
 3. **Escalate** (:func:`escalate`) — only when every radius-bounded
    strategy is exhausted: a global re-solve (a fresh decode of the clean
-   advice, or a full re-encode under churn), retried within a budget with
-   deterministic logical backoff.  An exhausted budget is a clean
-   recorded failure, never a loop.
+   advice, or a full re-encode under churn), made once: every input it
+   reads is fixed, so a retry would repeat it.  A failed attempt is a
+   clean recorded failure, never a loop.
 
 Every stage appends its attempts to one :class:`RepairAction` list, and
 each runner counts the repair metrics from that finished list
@@ -40,6 +40,7 @@ only its residual bad list between radii, never the whole graph.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import (
     Callable,
     Dict,
@@ -58,9 +59,6 @@ from ..advice.schema import (
     DecodeResult,
     AdviceSchema,
     SchemaRun,
-    beta_of,
-    classify_schema_type,
-    total_bits,
     validate_advice_map,
 )
 from ..lcl.problem import Label, LCLProblem
@@ -206,47 +204,29 @@ def resolve_balls(
 def escalate(
     attempt: Callable[[], Tuple[T, bool]],
     *,
-    budget: int,
-    backoff_base: int,
     label: str,
     actions: List[RepairAction],
     tracer: Tracer = NULL_TRACER,
 ) -> Tuple[Optional[T], bool]:
-    """The global fallback: call ``attempt`` at most ``budget`` times.
+    """The global fallback: call ``attempt`` once.
 
     ``attempt()`` returns ``(result, valid)`` or raises
-    :class:`AdviceError`.  Each failed try ``k`` (raised, or invalid)
-    records a :data:`GLOBAL_RESOLVE` action with a deterministic logical
-    backoff of ``backoff_base ** (k - 1)`` ticks (recorded, never slept —
-    runs stay bit-reproducible); the first valid try records a successful
-    action whose detail is ``label``.  Returns ``(result, True)`` on
-    success, else ``(last returned result or None, False)``.
+    :class:`AdviceError`.  The call records one :data:`GLOBAL_RESOLVE`
+    action whose detail is ``label``, followed by the outcome when it
+    failed (raised, or decoded invalid).  There is no retry: an attempt is
+    a deterministic function of the graph and the advice or encoder, so a
+    second one would repeat the first.  Returns ``(result, valid)``, with
+    ``result`` ``None`` when the attempt raised.
     """
-    result: Optional[T] = None
-    for k in range(1, budget + 1):
-        backoff = backoff_base ** (k - 1)
-        try:
-            with tracer.span("repair", kind=GLOBAL_RESOLVE, attempt=k):
-                result, ok = attempt()
-        except AdviceError as exc:
-            outcome = f"raised {type(exc).__name__}"
-        else:
-            if ok:
-                actions.append(
-                    RepairAction(GLOBAL_RESOLVE, None, -1, success=True, detail=label)
-                )
-                return result, True
-            outcome = "decoded invalid"
-        actions.append(
-            RepairAction(
-                GLOBAL_RESOLVE,
-                None,
-                -1,
-                success=False,
-                detail=f"{label} attempt {k}/{budget} {outcome}; backoff {backoff}",
-            )
-        )
-    return result, False
+    try:
+        with tracer.span("repair", kind=GLOBAL_RESOLVE):
+            result, ok = attempt()
+    except AdviceError as exc:
+        result, ok, detail = None, False, f"{label} raised {type(exc).__name__}"
+    else:
+        detail = label if ok else f"{label} decoded invalid"
+    actions.append(RepairAction(GLOBAL_RESOLVE, None, -1, success=ok, detail=detail))
+    return result, ok
 
 
 def cold_verdict(
@@ -276,6 +256,13 @@ def cold_verdict(
 class RobustRunner:
     """Encode → inject → decode → verify → locally repair → report.
 
+    When every radius-bounded stage fails, the global fallback makes one
+    fresh decode of the clean advice.  If that fails too, the run is a
+    clean give-up: the report carries ``gave_up=True`` and summarizes as
+    ``"gave-up"``.  The run finishes through the schema's own tail
+    (:meth:`~repro.advice.schema.AdviceSchema._finish_run`), so it is
+    metered and reported like a plain :meth:`AdviceSchema.run`.
+
     Parameters
     ----------
     schema:
@@ -291,13 +278,6 @@ class RobustRunner:
         Backtracking budget per ball re-solve.  Exhausting it is a
         failed attempt, not an error, and stops the ball re-solve after
         that radius: the run moves on to the advice refetch.
-    escalate_budget / backoff_base:
-        The global fallback retries at most ``escalate_budget`` times; a
-        failed attempt ``k`` records a deterministic logical backoff of
-        ``backoff_base ** (k - 1)`` ticks (recorded, never slept — runs
-        stay bit-reproducible).  An exhausted budget is a clean give-up:
-        the report carries ``gave_up=True`` and summarizes as
-        ``"gave-up"`` instead of looping on an unhealable run.
     """
 
     def __init__(
@@ -308,23 +288,15 @@ class RobustRunner:
         refetch_radii: Sequence[int] = (2, 4, 8, 16, 32, 64),
         max_decode_attempts: int = 16,
         max_solver_steps: int = 200_000,
-        escalate_budget: int = 3,
-        backoff_base: int = 2,
         tracer: Optional[Tracer] = None,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
-        if escalate_budget < 1:
-            raise ValueError("escalate_budget must be >= 1")
-        if backoff_base < 1:
-            raise ValueError("backoff_base must be >= 1")
         self.schema = schema
         self.max_ball_radius = max_ball_radius
         self.patch_radii = tuple(patch_radii)
         self.refetch_radii = tuple(refetch_radii)
         self.max_decode_attempts = max_decode_attempts
         self.max_solver_steps = max_solver_steps
-        self.escalate_budget = escalate_budget
-        self.backoff_base = backoff_base
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.registry = registry if registry is not None else MetricsRegistry()
 
@@ -419,7 +391,7 @@ class RobustRunner:
                                     graph, clean, working, labeling, bad, report
                                 )
                             if not valid:
-                                labeling, valid = self._global_fallback(
+                                labeling, working, valid = self._global_fallback(
                                     graph, clean, report
                                 )
                 finally:
@@ -430,25 +402,20 @@ class RobustRunner:
                     registry.counter("repairs_global_total").inc()
                 report.final_valid = bool(valid) if check else True
 
-                run = SchemaRun(
-                    schema_name=schema.name,
-                    advice=working,
-                    result=DecodeResult(
-                        labeling=labeling,
-                        rounds=result.rounds,
-                        detail=dict(result.detail),
-                        stats=result.stats,
-                    ),
-                    schema_type=classify_schema_type(graph, working),
-                    beta=beta_of(graph, working),
-                    total_advice_bits=total_bits(graph, working),
-                    n=graph.n,
-                    max_degree=graph.max_degree,
-                    valid=valid,
-                    failures=failures,
-                    robustness=report,
+                def finish(run: SchemaRun) -> int:
+                    run.valid = valid
+                    run.failures = failures
+                    run.robustness = report
+                    return report.initial_violations
+
+                run = schema._finish_run(
+                    graph,
+                    working,
+                    replace(result, labeling=labeling, detail=dict(result.detail)),
+                    registry,
+                    tracer,
+                    finish,
                 )
-                run.telemetry = schema._build_telemetry(run, registry)
                 run.telemetry["robustness"] = {
                     "injected": report.injected_count,
                     "detected": report.detected,
@@ -656,9 +623,9 @@ class RobustRunner:
         graph: LocalGraph,
         clean: Mapping[Node, str],
         report: RobustnessReport,
-    ) -> Tuple[Dict[Node, Label], bool]:
-        """Fresh decode of the clean advice, bounded by the retry budget;
-        an exhausted budget gives up cleanly (``report.gave_up``)."""
+    ) -> Tuple[Dict[Node, Label], AdviceMap, bool]:
+        """One fresh decode of the clean advice, which the run then carries;
+        a failed attempt gives up cleanly (``report.gave_up``)."""
         report.escalated = True
         fresh = {v: clean.get(v, "") for v in graph.nodes()}
 
@@ -667,12 +634,7 @@ class RobustRunner:
             return labeling, self._valid(graph, labeling)
 
         labeling, valid = escalate(
-            attempt,
-            budget=self.escalate_budget,
-            backoff_base=self.backoff_base,
-            label="verify",
-            actions=report.actions,
-            tracer=self.tracer,
+            attempt, label="verify", actions=report.actions, tracer=self.tracer
         )
         report.gave_up = not valid
-        return labeling if labeling is not None else {}, valid
+        return labeling if labeling is not None else {}, fresh, valid

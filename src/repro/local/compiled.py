@@ -552,14 +552,30 @@ class InducedSubgraph:
         """Is every component's (strong) diameter ``<= bound``?
 
         An ``s``-node subgraph has no component of diameter above
-        ``s - 1``, so that case answers at once; otherwise one capped BFS
-        runs per member and the first one past ``bound`` decides.
+        ``s - 1``, so that case answers at once.  Otherwise one BFS per
+        component, capped past ``bound``, gives the eccentricity ``e`` of
+        its first member, and ``e <= diam <= 2e``: the component fails when
+        ``e > bound`` and passes when ``2e <= bound``.  Only in between
+        does one capped BFS run per member, the first one past ``bound``
+        deciding.
         """
         if len(self._members) - 1 <= bound:
             return True
         compiled, mask = self._compiled, self._mask
+        seen = bytearray(compiled.n)
         for i in self._members:
-            _, depth = compiled.bfs_masked(i, mask, bound + 1)
-            if depth[-1] > bound:
+            if seen[i]:
+                continue
+            order, depth = compiled.bfs_masked(i, mask, bound + 1)
+            ecc = depth[-1]
+            if ecc > bound:
                 return False
+            for j in order:
+                seen[j] = 1
+            if 2 * ecc <= bound:
+                continue
+            for j in order:
+                _, depth = compiled.bfs_masked(j, mask, bound + 1)
+                if depth[-1] > bound:
+                    return False
         return True

@@ -97,17 +97,18 @@ class TestNullTracerOverhead:
                 g, 2, _degree_algo, memoize=True, tracer=tracer
             )
 
-        def best_of(n, tracer):
-            best = float("inf")
-            for _ in range(n):
-                t0 = time.perf_counter()
-                run(tracer)
-                best = min(best, time.perf_counter() - t0)
-            return best
+        def timed(tracer):
+            t0 = time.perf_counter()
+            run(tracer)
+            return time.perf_counter() - t0
 
         run(None)  # warm caches before timing either variant
-        untraced = best_of(5, None)
-        noop = best_of(5, NULL_TRACER)
+        # Alternate the two variants sample by sample, so a slow stretch of
+        # the host lands on both mins instead of on one variant's loop.
+        untraced = noop = float("inf")
+        for _ in range(5):
+            untraced = min(untraced, timed(None))
+            noop = min(noop, timed(NULL_TRACER))
         # min-of-N on the same process keeps scheduler noise out; allow the
         # stated 10% bound plus a 2ms floor for very fast runs.
         assert noop <= untraced * 1.10 + 0.002, (

@@ -6,6 +6,7 @@ call must also leave the shared BFS scratch (``CompiledGraph._dist``) clean.
 """
 
 from collections import deque
+from unittest import mock
 
 import networkx as nx
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.graphs import path
 from repro.local import LocalGraph
+from repro.local.compiled import CompiledGraph
 
 
 def _ref_distances(raw, members, source, cutoff):
@@ -53,8 +55,8 @@ def _scratch_clean(graph):
 
 
 @st.composite
-def graph_and_subset(draw):
-    n = draw(st.integers(min_value=1, max_value=24))
+def graph_and_subset(draw, max_n=24):
+    n = draw(st.integers(min_value=1, max_value=max_n))
     p = draw(st.floats(min_value=0.0, max_value=0.35))
     seed = draw(st.integers(min_value=0, max_value=10**6))
     raw = nx.gnp_random_graph(n, p, seed=seed)
@@ -90,6 +92,45 @@ def test_induced_matches_reference(case, k):
             continue
         assert view.diameter_at_most(bound) == (diameter <= bound)
         assert _scratch_clean(graph)
+
+
+@settings(max_examples=80, deadline=None)
+@given(graph_and_subset(max_n=40), st.integers(min_value=0, max_value=8))
+def test_diameter_sweeps_each_component_once_when_its_eccentricity_decides(
+    case, drawn
+):
+    raw, graph, members = case
+    view = graph.induced(members)
+    diameter = _ref_diameter(raw, members)
+    for bound in {diameter - 1, diameter, drawn}:
+        if bound < 0:
+            continue
+        with mock.patch.object(
+            CompiledGraph,
+            "bfs_masked",
+            autospec=True,
+            side_effect=CompiledGraph.bfs_masked,
+        ) as spy:
+            assert view.diameter_at_most(bound) == (diameter <= bound)
+        assert _scratch_clean(graph)
+        if len(members) - 1 <= bound:
+            assert spy.call_count == 0
+            continue
+        # Components are swept in node order, each from its first member
+        # e, and the answer is known after that sweep unless
+        # bound / 2 < ecc(e) <= bound.
+        sweeps = 0
+        for comp in _ref_components(raw, graph.nodes(), members):
+            first = next(v for v in graph.nodes() if v in comp)
+            ecc = max(_ref_distances(raw, members, first, None).values())
+            sweeps += 1
+            if ecc > bound:
+                break
+            if 2 * ecc > bound:
+                sweeps = None
+                break
+        if sweeps is not None:
+            assert spy.call_count == sweeps
 
 
 def test_empty_subset():
