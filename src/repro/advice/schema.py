@@ -39,7 +39,8 @@ from ..obs.failure import (
     build_error_report,
     build_violation_reports,
 )
-from ..obs.metrics import MetricsRegistry
+from ..obs.metrics import DEFAULT_BUCKETS, histogram_of
+from ..obs.robustness import RobustnessReport
 from ..obs.trace import NULL_TRACER, Tracer
 from ..perf import SimStats
 
@@ -226,11 +227,14 @@ class DecodeResult:
 class SchemaRun:
     """Full encode→decode→verify record (what the benchmarks report).
 
-    ``telemetry`` is the per-run metrics snapshot (β, rounds, bits per
-    node, violations — see :mod:`repro.obs.metrics`) plus the engine's
-    :class:`~repro.perf.SimStats` counters and cache hit rate;
-    ``failures`` holds one :class:`~repro.obs.FailureReport` per violating
-    node when verification rejects the decoded labeling.
+    ``telemetry`` is built from this record alone when the run finishes:
+    the paper's observables (β, rounds, the per-node advice-length
+    histogram, ``violations_total``), the engine's
+    :class:`~repro.perf.SimStats` counters and cache hit rate, the
+    bits-on-wire accounting, and, on a robust run, the fault and repair
+    counts of its report (see ``docs/observability.md``).  ``failures``
+    holds one :class:`~repro.obs.FailureReport` per violating node (the
+    first few) when verification rejects the decoded labeling.
     """
 
     schema_name: str
@@ -242,6 +246,9 @@ class SchemaRun:
     n: int
     max_degree: int
     valid: Optional[bool] = None
+    #: nodes the verifier rejected (0 when unchecked or valid); on a robust
+    #: run, those of the first decoded labeling, before any repair.
+    violations: int = 0
     telemetry: Dict[str, object] = field(default_factory=dict)
     failures: List[FailureReport] = field(default_factory=list)
     #: bits-on-wire accounting of the decode under the ambient
@@ -252,7 +259,7 @@ class SchemaRun:
     bandwidth: Optional[BandwidthProfile] = None
     #: set by the robust runner (:mod:`repro.faults`): the
     #: :class:`repro.obs.robustness.RobustnessReport` of the run, if any.
-    robustness: Optional[object] = None
+    robustness: Optional[RobustnessReport] = None
 
     @property
     def bits_per_node(self) -> float:
@@ -407,19 +414,17 @@ class AdviceSchema(abc.ABC):
         graph: LocalGraph,
         check: bool = True,
         tracer: Optional[Tracer] = None,
-        registry: Optional[MetricsRegistry] = None,
     ) -> SchemaRun:
         """Encode, decode, and (optionally) verify on ``graph``.
 
         With a ``tracer``, the run emits the span tree
-        ``schema_run → encode / decode (→ gather/decide) / verify``; with
-        (or without) a ``registry``, ``SchemaRun.telemetry`` captures the
-        paper's observables for the run.  A decoder exception gains a
+        ``schema_run → encode / decode (→ gather/decide) / verify``; the
+        returned run's ``telemetry`` holds the paper's observables, built
+        from the finished run.  A decoder exception gains a
         ``failure_report`` attribute before propagating; an invalid
         labeling populates ``SchemaRun.failures``.
         """
         tracer = tracer if tracer is not None else NULL_TRACER
-        registry = registry if registry is not None else MetricsRegistry()
         previous = self._active_tracer
         self._active_tracer = tracer
         try:
@@ -440,7 +445,6 @@ class AdviceSchema(abc.ABC):
                             try:
                                 result = self.decode(graph, advice)
                             except AdviceError as exc:
-                                registry.counter("decode_errors_total").inc()
                                 exc.failure_report = build_error_report(
                                     self.name,
                                     graph,
@@ -454,14 +458,14 @@ class AdviceSchema(abc.ABC):
                         GLOBAL_KNOWLEDGE_RECORDER.owner = previous_owner
                     decode_span.set(rounds=result.rounds)
 
-                def verify(run: SchemaRun) -> int:
+                def verify(run: SchemaRun) -> None:
                     if not check:
-                        return 0
+                        return
                     with tracer.span("verify", schema=self.name) as verify_span:
                         run.valid = self.check_solution(graph, result.labeling)
-                        bad: List[Node] = []
                         if not run.valid:
                             bad = self.find_violations(graph, result.labeling)
+                            run.violations = len(bad)
                             run.failures = build_violation_reports(
                                 self.name,
                                 graph,
@@ -475,11 +479,8 @@ class AdviceSchema(abc.ABC):
                         verify_span.set(
                             valid=run.valid, violations=len(run.failures)
                         )
-                    return len(bad)
 
-                run = self._finish_run(
-                    graph, advice, result, registry, tracer, verify
-                )
+                run = self._finish_run(graph, advice, result, tracer, verify)
                 if tracer.enabled:
                     run_span.set(
                         valid=run.valid,
@@ -496,17 +497,16 @@ class AdviceSchema(abc.ABC):
         graph: LocalGraph,
         advice: AdviceMap,
         result: DecodeResult,
-        registry: MetricsRegistry,
         tracer: Tracer,
-        verify: Callable[[SchemaRun], int],
+        verify: Callable[[SchemaRun], None],
     ) -> SchemaRun:
         """The tail every run finishes through, plain or fault-injected.
 
         Builds the record of ``advice`` and the decode ``result`` it gave,
         meters it under the ambient policy (:meth:`_account_bandwidth`),
-        lets ``verify(run)`` fill in ``valid``, ``failures`` and any
-        robustness report, counts the violations it returns into
-        ``violations_total`` and snapshots the telemetry.
+        lets ``verify(run)`` fill in ``valid``, ``violations``,
+        ``failures`` and any robustness report, then builds the telemetry
+        from the finished record (:meth:`_build_telemetry`).
         """
         run = SchemaRun(
             schema_name=self.name,
@@ -518,17 +518,15 @@ class AdviceSchema(abc.ABC):
             n=graph.n,
             max_degree=graph.max_degree,
         )
-        run.bandwidth = self._account_bandwidth(graph, run, registry, tracer)
-        violations_total = registry.counter("violations_total")
-        violations_total.inc(verify(run))
-        run.telemetry = self._build_telemetry(run, registry)
+        run.bandwidth = self._account_bandwidth(graph, run, tracer)
+        verify(run)
+        run.telemetry = self._build_telemetry(run)
         return run
 
     def _account_bandwidth(
         self,
         graph: LocalGraph,
         run: SchemaRun,
-        registry: MetricsRegistry,
         tracer: Tracer,
     ) -> Optional[BandwidthProfile]:
         """Attach the run's bits-on-wire accounting under the ambient policy.
@@ -556,7 +554,6 @@ class AdviceSchema(abc.ABC):
                         graph, run.rounds, run.advice, policy
                     )
                 except BandwidthExceeded as exc:
-                    registry.counter("bandwidth_exceeded_total").inc()
                     exc.failure_report = build_bandwidth_report(
                         self.name,
                         graph,
@@ -572,25 +569,33 @@ class AdviceSchema(abc.ABC):
                 bw_span.set(bits_on_wire=profile.total_bits)
         return profile
 
-    def _build_telemetry(
-        self, run: SchemaRun, registry: MetricsRegistry
-    ) -> Dict[str, object]:
-        """The metrics snapshot plus the engine counters (Def. 3.2 footprint).
+    def _build_telemetry(self, run: SchemaRun) -> Dict[str, object]:
+        """The run's metrics (Def. 3.2 footprint), read off the record alone.
 
-        The engine counters come from ``run.result.stats`` alone (zeros
-        when the decoder ran no engine), so they are the same ints the
-        run's trace spans were stamped with.
+        The advice-length histogram is one bulk snapshot over
+        :data:`~repro.obs.metrics.DEFAULT_BUCKETS` (nodes absent from the
+        map carry no advice and count as 0); a robust run adds its
+        report's fault and repair counts
+        (:meth:`~repro.obs.robustness.RobustnessReport.metrics`).  The
+        engine counters come from ``run.result.stats`` alone (zeros when
+        the decoder ran no engine), so they are the same ints the run's
+        trace spans were stamped with.
         """
-        registry.gauge("beta").set(run.beta)
-        registry.gauge("rounds").set(run.rounds)
-        registry.gauge("advice_total_bits").set(run.total_advice_bits)
-        hist = registry.histogram("advice_bits_per_node")
-        for bits in run.advice.values():
-            hist.observe(len(bits))
-        for _ in range(run.n - len(run.advice)):
-            hist.observe(0)  # nodes absent from the map carry no advice
+        report = run.robustness
+        metrics: Dict[str, object] = {
+            "advice_bits_per_node": histogram_of(
+                map(len, run.advice.values()),
+                DEFAULT_BUCKETS,
+                run.n - len(run.advice),
+            ),
+            "beta": run.beta,
+            "rounds": run.rounds,
+            "violations_total": run.violations,
+        }
+        if report is not None:
+            metrics.update(report.metrics())
+        telemetry = dict(sorted(metrics.items()))
         stats = run.result.stats if run.result.stats is not None else SimStats()
-        telemetry: Dict[str, object] = registry.snapshot()
         telemetry.update(stats.as_dict())
         if run.bandwidth is not None:
             # Decoders without engine stats still get the schema-level
@@ -598,14 +603,19 @@ class AdviceSchema(abc.ABC):
             telemetry["bits_on_wire"] = run.bandwidth.total_bits
             telemetry["bandwidth"] = run.bandwidth.as_dict()
         telemetry.update(
-            beta=run.beta,
-            rounds=run.rounds,
             bits_per_node=run.bits_per_node,
             total_advice_bits=run.total_advice_bits,
             schema_type=run.schema_type,
             n=run.n,
             max_degree=run.max_degree,
         )
+        if report is not None:
+            telemetry["robustness"] = {
+                "injected": report.injected_count,
+                "detected": report.detected,
+                "locally_repaired": report.locally_repaired,
+                "escalated": report.escalated,
+            }
         return telemetry
 
     def check_solution(self, graph: LocalGraph, labeling: Mapping[Node, Label]) -> bool:

@@ -16,14 +16,10 @@ Typical usage::
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..obs.profile import WorkProfile
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..advice.schema import AdviceSchema, SchemaRun
 from ..local.graph import LocalGraph, Node
-from ..obs.metrics import MetricsRegistry
 from ..obs.trace import Tracer
 from ..schemas.decompression import (
     CompressedEdgeSet,
@@ -121,16 +117,15 @@ def solve_with_advice(
     graph: LocalGraph,
     check: bool = True,
     tracer: Optional[Tracer] = None,
-    registry: Optional[MetricsRegistry] = None,
     fault_plan: Optional[object] = None,
     **kwargs: object,
 ) -> SchemaRun:
     """Encode, decode, and verify a schema on ``graph`` in one call.
 
-    ``tracer`` and ``registry`` (see :mod:`repro.obs`) flow into
-    :meth:`AdviceSchema.run`; either way the returned run carries
-    ``telemetry`` with the engine counters and the paper's observables, so
-    callers no longer lose ``RunResult.stats`` at this boundary.
+    A ``tracer`` (see :mod:`repro.obs`) flows into :meth:`AdviceSchema.run`.
+    The returned run carries ``telemetry``, built from the run itself: the
+    engine counters and the paper's observables, so callers do not lose
+    ``RunResult.stats`` at this boundary.
 
     Each ``run_view_algorithm`` call the schema makes picks its gather from
     the graph size (``docs/performance.md``, "Which gather runs"); the
@@ -150,34 +145,9 @@ def solve_with_advice(
     if fault_plan is not None:
         from ..faults.runner import RobustRunner
 
-        runner = RobustRunner(schema, tracer=tracer, registry=registry)
+        runner = RobustRunner(schema, tracer=tracer)
         return runner.run(graph, plan=fault_plan, check=check)
-    return schema.run(graph, check=check, tracer=tracer, registry=registry)
-
-
-def solve_profiled(
-    schema: "str | AdviceSchema",
-    graph: LocalGraph,
-    check: bool = True,
-    clock: Optional[Callable[[], float]] = None,
-    **kwargs: object,
-) -> "Tuple[SchemaRun, WorkProfile]":
-    """Like :func:`solve_with_advice`, but also return a work profile.
-
-    A tracer with an in-memory ring is attached for the duration of the
-    run and its span tree is folded into a
-    :class:`repro.obs.profile.WorkProfile` — per-span self/cumulative wall
-    time and engine work counters, collapsed-stack export, critical path.
-    Pass ``clock=LogicalClock()`` (:mod:`repro.obs`) for deterministic,
-    machine-independent span timestamps (trace *work*, not seconds).
-    """
-    from ..obs.profile import WorkProfile
-    from ..obs.trace import RingSink
-
-    ring = RingSink(capacity=1 << 20)
-    tracer = Tracer(ring, clock=clock)
-    run = solve_with_advice(schema, graph, check=check, tracer=tracer, **kwargs)
-    return run, WorkProfile.from_records(ring.records)
+    return schema.run(graph, check=check, tracer=tracer)
 
 
 def make_service(

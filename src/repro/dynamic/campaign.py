@@ -25,7 +25,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..advice.schema import AdviceSchema
 from ..faults.runner import cold_verdict
 from ..local.graph import LocalGraph
-from ..obs.metrics import MetricsRegistry
 from ..obs.robustness import RESOLVED_REENCODE, CampaignResult, Record
 from .plan import ColoredChurnModel, generate_mutation_plan
 from .runner import ChurnRunner
@@ -100,7 +99,6 @@ def run_churn_campaign(
     n: int = 64,
     decode_every: int = 50,
     min_local_rate: float = 0.95,
-    registry: Optional[MetricsRegistry] = None,
     progress: Optional[Callable[[Dict[str, object]], None]] = None,
 ) -> CampaignResult:
     """Run a seeded churn campaign over the flagship instances.
@@ -135,7 +133,7 @@ def run_churn_campaign(
         # coloring tracks the *current* topology (the plan generator's
         # model already sits at the final state).
         _, _, replay = flagship_instance(name, n, seed)
-        runner = ChurnRunner(schema, graph, registry=registry)
+        runner = ChurnRunner(schema, graph)
         for step, mutation in enumerate(plan.mutations, start=1):
             replay.apply(mutation)
             _refresh_certificate(schema, replay)

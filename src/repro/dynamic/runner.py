@@ -19,10 +19,11 @@ the Section 6 ball/shift sense, and healed by the repair stages of
    :func:`~repro.faults.runner.escalate`; a failed re-encode is a clean
    recorded failure, never a loop.
 
-Every step emits :class:`~repro.obs.robustness.RepairAction` /
-:class:`~repro.obs.robustness.MutationRecord` records and the churn metrics
-(``mutations_*``, ``reencode_fallbacks_total``, and ``repairs_local_total``
-/ ``repair_radius`` counted from each finished record's actions).
+Every step is recorded in the mutation's
+:class:`~repro.obs.robustness.MutationRecord`: its
+:class:`~repro.obs.robustness.RepairAction` list, what resolved it and
+whether the result verified.  The records are the churn runtime's whole
+account; campaign summaries are counted from them.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from ..faults.runner import escalate, resolve_balls
 from ..lcl.problem import Label, LCLProblem
 from ..lcl.verify import violations
 from ..local.graph import LocalGraph, Node
-from ..obs.metrics import MetricsRegistry
 from ..obs.robustness import (
     ADVICE_PATCH,
     RESOLVED_FAILED,
@@ -49,7 +49,6 @@ from ..obs.robustness import (
     MutationRecord,
     RepairAction,
     local_repairs,
-    record_repairs,
 )
 from ..obs.trace import NULL_TRACER, Tracer
 from .plan import Mutation
@@ -86,14 +85,12 @@ class ChurnRunner:
         max_ball_radius: int = 8,
         max_solver_steps: int = 200_000,
         tracer: Optional[Tracer] = None,
-        registry: Optional[MetricsRegistry] = None,
     ) -> None:
         self.schema = schema
         self.graph = graph
         self.max_ball_radius = max_ball_radius
         self.max_solver_steps = max_solver_steps
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.registry = registry if registry is not None else MetricsRegistry()
         self.applied = 0
         self._bootstrap()
 
@@ -147,107 +144,100 @@ class ChurnRunner:
         default verifies only the affected region, which is the bounded
         amount of work the locality argument licenses.
         """
-        schema, graph, registry = self.schema, self.graph, self.registry
+        schema, graph = self.schema, self.graph
         record = MutationRecord(index=self.applied, mutation=mutation)
         self.applied += 1
-        kind_key = mutation.kind.replace("-", "_")
-        registry.counter("mutations_total").inc()
-        registry.counter(f"mutations_{kind_key}_total").inc()
-        try:
-            with self.tracer.span(
-                "churn_apply", schema=schema.name, kind=mutation.kind
-            ) as span:
-                old_problem = self.problem
-                sites = self._apply_topology(mutation)
-                self.problem = problem = schema.repair_problem(graph)
+        with self.tracer.span(
+            "churn_apply", schema=schema.name, kind=mutation.kind
+        ) as span:
+            old_problem = self.problem
+            sites = self._apply_topology(mutation)
+            self.problem = problem = schema.repair_problem(graph)
 
-                residual: List[Node] = []
-                label_radius = 0
-                if problem is not None:
-                    if old_problem is not None and repr(old_problem) != repr(problem):
-                        # A global parameter shifted (e.g. Delta dropped and the
-                        # palette shrank): region checks are no longer sound,
-                        # fall back to a whole-graph sweep.
-                        bad = sorted(
-                            violations(problem, graph, self.labeling, nodes=graph.nodes()),
-                            key=graph.id_of,
-                        )
-                    else:
-                        bad = violations(
-                            problem,
-                            graph,
-                            self.labeling,
-                            nodes=repair_region(graph, sites, 2 * problem.radius),
-                        )
-                    if bad:
-                        self.labeling, residual, label_radius = resolve_balls(
-                            graph,
-                            problem,
-                            self.labeling,
-                            bad,
-                            max_radius=self.max_ball_radius,
-                            max_steps=self.max_solver_steps,
-                            actions=record.actions,
-                            tracer=self.tracer,
-                        )
-                elif any(v not in self.labeling for v in sites):
-                    # No label-level repair possible; force escalation below.
-                    residual = [v for v in sites if v not in self.labeling]
-
-                if not residual:
-                    # Wide enough to cover the ball-re-solve interior: bad nodes
-                    # sit within 2*r of a site and repairs reach label_radius
-                    # further out.
-                    r0 = problem.radius if problem is not None else 1
-                    hook_radius = max(2 * r0, label_radius + 2 * r0)
-                    patched = schema.repair_advice(
-                        graph, self.advice, sites, hook_radius, self.labeling
+            residual: List[Node] = []
+            label_radius = 0
+            if problem is not None:
+                if old_problem is not None and repr(old_problem) != repr(problem):
+                    # A global parameter shifted (e.g. Delta dropped and the
+                    # palette shrank): region checks are no longer sound,
+                    # fall back to a whole-graph sweep.
+                    bad = sorted(
+                        violations(problem, graph, self.labeling, nodes=graph.nodes()),
+                        key=graph.id_of,
                     )
-                    if patched is not None:
-                        self.advice = patched
-                        seed_node = sites[0] if sites else None
-                        record.actions.append(
-                            RepairAction(
-                                ADVICE_PATCH, seed_node, hook_radius, True, detail="churn"
-                            )
-                        )
-                    for v in sites:
-                        self.advice.setdefault(v, "")
-
-                if residual:
-                    registry.counter("reencode_fallbacks_total").inc()
-                    state, ok = escalate(
-                        self._fresh_state,
-                        label="reencode",
+                else:
+                    bad = violations(
+                        problem,
+                        graph,
+                        self.labeling,
+                        nodes=repair_region(graph, sites, 2 * problem.radius),
+                    )
+                if bad:
+                    self.labeling, residual, label_radius = resolve_balls(
+                        graph,
+                        problem,
+                        self.labeling,
+                        bad,
+                        max_radius=self.max_ball_radius,
+                        max_steps=self.max_solver_steps,
                         actions=record.actions,
                         tracer=self.tracer,
                     )
-                    if ok:
-                        self.advice, self.labeling = state
-                    record.resolved_by = RESOLVED_REENCODE if ok else RESOLVED_FAILED
-                elif local_repairs(record.actions):
-                    record.resolved_by = RESOLVED_LOCAL
-                else:
-                    record.resolved_by = RESOLVED_NOOP
+            elif any(v not in self.labeling for v in sites):
+                # No label-level repair possible; force escalation below.
+                residual = [v for v in sites if v not in self.labeling]
 
-                if record.resolved_by == RESOLVED_FAILED:
-                    record.valid = False
-                elif full_check or record.resolved_by == RESOLVED_REENCODE:
-                    record.valid = bool(schema.check_solution(graph, self.labeling))
-                elif problem is not None:
-                    # With no bad node nothing was relabelled, so the check
-                    # would rerun the first one verbatim (same sites, radius
-                    # and labeling).
-                    region = repair_region(
-                        graph, sites, max(label_radius, problem.radius) + problem.radius
+            if not residual:
+                # Wide enough to cover the ball-re-solve interior: bad nodes
+                # sit within 2*r of a site and repairs reach label_radius
+                # further out.
+                r0 = problem.radius if problem is not None else 1
+                hook_radius = max(2 * r0, label_radius + 2 * r0)
+                patched = schema.repair_advice(
+                    graph, self.advice, sites, hook_radius, self.labeling
+                )
+                if patched is not None:
+                    self.advice = patched
+                    seed_node = sites[0] if sites else None
+                    record.actions.append(
+                        RepairAction(
+                            ADVICE_PATCH, seed_node, hook_radius, True, detail="churn"
+                        )
                     )
-                    record.valid = not bad or not violations(
-                        problem, graph, self.labeling, nodes=region
-                    )
-                else:
-                    record.valid = True
-                if self.tracer.enabled:
-                    span.set(resolved_by=record.resolved_by, valid=record.valid)
-        finally:
-            record_repairs(registry, record.actions)
+                for v in sites:
+                    self.advice.setdefault(v, "")
+
+            if residual:
+                state, ok = escalate(
+                    self._fresh_state,
+                    label="reencode",
+                    actions=record.actions,
+                    tracer=self.tracer,
+                )
+                if ok:
+                    self.advice, self.labeling = state
+                record.resolved_by = RESOLVED_REENCODE if ok else RESOLVED_FAILED
+            elif local_repairs(record.actions):
+                record.resolved_by = RESOLVED_LOCAL
+            else:
+                record.resolved_by = RESOLVED_NOOP
+
+            if record.resolved_by == RESOLVED_FAILED:
+                record.valid = False
+            elif full_check or record.resolved_by == RESOLVED_REENCODE:
+                record.valid = bool(schema.check_solution(graph, self.labeling))
+            elif problem is not None:
+                # With no bad node nothing was relabelled, so the check
+                # would rerun the first one verbatim (same sites, radius
+                # and labeling).
+                region = repair_region(
+                    graph, sites, max(label_radius, problem.radius) + problem.radius
+                )
+                record.valid = not bad or not violations(
+                    problem, graph, self.labeling, nodes=region
+                )
+            else:
+                record.valid = True
+            if self.tracer.enabled:
+                span.set(resolved_by=record.resolved_by, valid=record.valid)
         return record

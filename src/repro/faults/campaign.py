@@ -28,7 +28,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..advice.schema import AdviceSchema
 from ..local.graph import LocalGraph
-from ..obs.metrics import MetricsRegistry
 from ..obs.robustness import CampaignResult, Record
 from .inject import FaultInjector, _mix
 from .plan import FaultPlan
@@ -91,7 +90,6 @@ def run_campaign(
     n: int = 64,
     max_faults: int = 4,
     kinds: Sequence[str] = KINDS,
-    registry: Optional[MetricsRegistry] = None,
     progress: Optional[Callable[[Dict[str, object]], None]] = None,
 ) -> CampaignResult:
     """Run a seeded corruption campaign across the schema registry.
@@ -120,7 +118,7 @@ def run_campaign(
         graph, kwargs = api.default_instance(name, n, seed=seed)
         schema = api.make_schema(name, **kwargs)
         clean = schema.encode(graph)
-        runner = RobustRunner(schema, registry=registry)
+        runner = RobustRunner(schema)
         instances[name] = (graph, schema, clean, runner)
 
     records: List[Record] = []

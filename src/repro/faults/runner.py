@@ -25,10 +25,11 @@ short drivers over the same stages:
    reads is fixed, so a retry would repeat it.  A failed attempt is a
    clean recorded failure, never a loop.
 
-Every stage appends its attempts to one :class:`RepairAction` list, and
-each runner counts the repair metrics from that finished list
-(:func:`~repro.obs.robustness.record_repairs`).  :func:`cold_verdict` is
-the plain decode both campaigns judge advice by.
+Every stage appends its attempts to one :class:`RepairAction` list; the
+run's report (or the mutation's record) holds that list, and the repair
+metrics are derived from it
+(:meth:`~repro.obs.robustness.RobustnessReport.metrics`).
+:func:`cold_verdict` is the plain decode both campaigns judge advice by.
 
 Soundness of the ball re-solve: clusters are merged aggressively enough
 that each repair ball's annulus contains no *other* cluster's violations,
@@ -66,7 +67,6 @@ from ..lcl.solve import SearchBudgetExceeded, solve_exact
 from ..lcl.verify import violations
 from ..local.graph import LocalGraph, Node
 from ..obs.failure import build_error_report, build_violation_reports
-from ..obs.metrics import MetricsRegistry
 from ..obs.robustness import (
     ADVICE_PATCH,
     ADVICE_REFETCH,
@@ -74,7 +74,6 @@ from ..obs.robustness import (
     GLOBAL_RESOLVE,
     RepairAction,
     RobustnessReport,
-    record_repairs,
 )
 from ..obs.trace import NULL_TRACER, Tracer
 from .inject import FaultInjector
@@ -261,7 +260,9 @@ class RobustRunner:
     clean give-up: the report carries ``gave_up=True`` and summarizes as
     ``"gave-up"``.  The run finishes through the schema's own tail
     (:meth:`~repro.advice.schema.AdviceSchema._finish_run`), so it is
-    metered and reported like a plain :meth:`AdviceSchema.run`.
+    metered and reported like a plain :meth:`AdviceSchema.run`, and its
+    telemetry is built from that run and its report alone: a runner can be
+    reused, and each run reports only itself.
 
     Parameters
     ----------
@@ -289,7 +290,6 @@ class RobustRunner:
         max_decode_attempts: int = 16,
         max_solver_steps: int = 200_000,
         tracer: Optional[Tracer] = None,
-        registry: Optional[MetricsRegistry] = None,
     ) -> None:
         self.schema = schema
         self.max_ball_radius = max_ball_radius
@@ -298,7 +298,6 @@ class RobustRunner:
         self.max_decode_attempts = max_decode_attempts
         self.max_solver_steps = max_solver_steps
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.registry = registry if registry is not None else MetricsRegistry()
 
     # -- entry point ---------------------------------------------------------
 
@@ -316,7 +315,7 @@ class RobustRunner:
         many fault plans against it).
         """
         schema = self.schema
-        tracer, registry = self.tracer, self.registry
+        tracer = self.tracer
         report = RobustnessReport(
             schema_name=schema.name, seed=plan.seed if plan is not None else None
         )
@@ -336,92 +335,74 @@ class RobustRunner:
                     with tracer.span("inject", schema=schema.name):
                         injector = FaultInjector(plan)
                         working, injected = injector.corrupt_advice(graph, clean)
+                        report.advice_faulted = True
                         report.injected = [f.as_dict() for f in injected]
-                        registry.counter("faults_injected_total").inc(
-                            len(injected)
-                        )
                         if tracer.enabled:
                             for fault in injected:
                                 tracer.event("fault-injected", **fault.as_dict())
 
-                # Every repair stage appends to report.actions; the metrics are
-                # derived from that one list, also when a stage raises.
-                try:
-                    result, working = self._decode_with_healing(
-                        graph, clean, working, report
-                    )
-                    labeling: Dict[Node, Label] = dict(result.labeling)
-                    failures = []
-                    valid: Optional[bool] = None
-                    if check:
-                        problem = schema.repair_problem(graph)
-                        with tracer.span("verify", schema=schema.name):
-                            valid = self._valid(graph, labeling)
-                            bad = (
-                                []
-                                if valid
-                                else self._violations(graph, problem, labeling)
-                            )
-                        report.initial_violations = len(bad)
-                        if not valid:
-                            report.detected = True
-                            failures = build_violation_reports(
-                                schema.name,
+                result, working = self._decode_with_healing(
+                    graph, clean, working, report
+                )
+                labeling: Dict[Node, Label] = dict(result.labeling)
+                failures = []
+                valid: Optional[bool] = None
+                if check:
+                    problem = schema.repair_problem(graph)
+                    with tracer.span("verify", schema=schema.name):
+                        valid = self._valid(graph, labeling)
+                        bad = (
+                            []
+                            if valid
+                            else self._violations(graph, problem, labeling)
+                        )
+                    report.initial_violations = len(bad)
+                    if not valid:
+                        report.detected = True
+                        failures = build_violation_reports(
+                            schema.name,
+                            graph,
+                            working,
+                            labeling,
+                            bad,
+                            result.rounds,
+                            ring=tracer.ring(),
+                        )
+                        if problem is not None and bad:
+                            labeling, bad, _ = resolve_balls(
                                 graph,
-                                working,
+                                problem,
                                 labeling,
                                 bad,
-                                result.rounds,
-                                ring=tracer.ring(),
+                                max_radius=self.max_ball_radius,
+                                max_steps=self.max_solver_steps,
+                                actions=report.actions,
+                                tracer=tracer,
                             )
-                            if problem is not None and bad:
-                                labeling, bad, _ = resolve_balls(
-                                    graph,
-                                    problem,
-                                    labeling,
-                                    bad,
-                                    max_radius=self.max_ball_radius,
-                                    max_steps=self.max_solver_steps,
-                                    actions=report.actions,
-                                    tracer=tracer,
-                                )
-                                valid = self._valid(graph, labeling)
-                            if not valid:
-                                labeling, working, valid = self._refetch_and_redecode(
-                                    graph, clean, working, labeling, bad, report
-                                )
-                            if not valid:
-                                labeling, working, valid = self._global_fallback(
-                                    graph, clean, report
-                                )
-                finally:
-                    record_repairs(registry, report.actions)
-                if report.detected:
-                    registry.counter("faults_detected_total").inc()
-                if report.escalated:
-                    registry.counter("repairs_global_total").inc()
+                            valid = self._valid(graph, labeling)
+                        if not valid:
+                            labeling, working, valid = self._refetch_and_redecode(
+                                graph, clean, working, labeling, bad, report
+                            )
+                        if not valid:
+                            labeling, working, valid = self._global_fallback(
+                                graph, clean, report
+                            )
                 report.final_valid = bool(valid) if check else True
 
-                def finish(run: SchemaRun) -> int:
+                def finish(run: SchemaRun) -> None:
                     run.valid = valid
+                    run.violations = report.initial_violations
                     run.failures = failures
                     run.robustness = report
-                    return report.initial_violations
 
                 run = schema._finish_run(
                     graph,
                     working,
                     replace(result, labeling=labeling, detail=dict(result.detail)),
-                    registry,
                     tracer,
                     finish,
                 )
-                run.telemetry["robustness"] = {
-                    "injected": report.injected_count,
-                    "detected": report.detected,
-                    "locally_repaired": report.locally_repaired,
-                    "escalated": report.escalated,
-                }
                 if tracer.enabled:
                     span.set(
                         valid=run.valid,
@@ -464,7 +445,7 @@ class RobustRunner:
         report: RobustnessReport,
     ) -> Tuple[DecodeResult, AdviceMap]:
         """Decode, healing attributed errors with escalating advice repair."""
-        schema, tracer, registry = self.schema, self.tracer, self.registry
+        schema, tracer = self.schema, self.tracer
         strategies: Dict[Node, Iterator[Tuple[str, int]]] = {}
         advice_actions: List[RepairAction] = []
         globally_reset = False
@@ -482,7 +463,6 @@ class RobustRunner:
             except AdviceError as exc:
                 report.detected = True
                 report.decode_errors += 1
-                registry.counter("decode_errors_total").inc()
                 failure = build_error_report(
                     schema.name, graph, working, exc, ring=tracer.ring()
                 )

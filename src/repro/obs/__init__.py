@@ -7,9 +7,10 @@ modules, designed to stay out of the hot path until asked for:
 * :mod:`repro.obs.trace` — structured span/event traces of a run
   (``Tracer``, ``RingSink``, ``JsonlSink``; ``NULL_TRACER`` is the
   zero-cost default threaded through the engine and schemas).
-* :mod:`repro.obs.metrics` — a counter/gauge/histogram registry capturing
-  the paper's observables (β, T, bits per node, violations) into
-  ``SchemaRun.telemetry``.
+* :mod:`repro.obs.metrics` — metric primitives: the bulk histogram
+  snapshot (``histogram_of``) behind ``SchemaRun.telemetry``, which each
+  run builds from its own record, and the ``MetricsRegistry`` that only
+  live consumers (the serving path, the Prometheus export) count into.
 * :mod:`repro.obs.failure` — ``FailureReport`` attribution for invalid
   labelings and decoder errors.
 * :mod:`repro.obs.bandwidth` — bits-on-wire accounting: the

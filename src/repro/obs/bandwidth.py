@@ -40,7 +40,6 @@ advice bit-string verbatim, and its input through :func:`measure_bits`.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, fields, is_dataclass
@@ -56,7 +55,7 @@ from typing import (
     Tuple,
 )
 
-from .metrics import Histogram
+from .metrics import histogram_of, sorted_histogram
 
 __all__ = [
     "BandwidthExceeded",
@@ -353,75 +352,6 @@ def _geometric_buckets(peak: int) -> Tuple[float, ...]:
     return tuple(bounds)
 
 
-#: peak -> (bounds, "le_..." labels, numpy bounds) — label formatting and
-#: the searchsorted operand are pure functions of the peak bucket bound.
-_BUCKET_TABLES: Dict[int, Tuple[Tuple[float, ...], Tuple[str, ...], object]] = {}
-
-
-def _bucket_tables(peak: int):
-    entry = _BUCKET_TABLES.get(peak)
-    if entry is None:
-        if len(_BUCKET_TABLES) > 1024:  # unbounded peaks: drop, don't grow
-            _BUCKET_TABLES.clear()
-        import numpy as np
-
-        bounds = _geometric_buckets(peak)
-        labels = tuple(f"le_{b:g}" for b in bounds)
-        entry = (bounds, labels, np.asarray(bounds))
-        _BUCKET_TABLES[peak] = entry
-    return entry
-
-
-def _histogram_of(values: Sequence[int], zeros: int = 0) -> Dict[str, object]:
-    """Bulk-build the exact ``Histogram.snapshot_value()`` dict of ``values``
-    followed by ``zeros`` more zero values (see :func:`_sorted_histogram`)."""
-    ordered = sorted(values)
-    return _sorted_histogram(ordered, zeros, sum(ordered))
-
-
-def _sorted_histogram(ordered, zeros: int, total: int) -> Dict[str, object]:
-    """The snapshot of the ascending ``ordered`` values (a list, or a numpy
-    array) plus ``zeros`` zeros, given their ``total``.
-
-    ``Histogram.observe`` puts a value in the first bucket with
-    ``value <= bound``, so the cumulative count at a bound is the number
-    of values ``<= bound``: one ``bisect_right`` (or ``searchsorted``) per
-    bound.  The quantile scan over the cumulative counts mirrors
-    ``Histogram.quantile`` (bucket upper bound at rank ``ceil(q·count)``,
-    clamped to min/max).
-    """
-    count = len(ordered) + zeros
-    if not count:
-        return Histogram(buckets=_geometric_buckets(0)).snapshot_value()
-    mn = 0 if zeros or not len(ordered) else int(ordered[0])
-    mx = int(ordered[-1]) if len(ordered) else 0
-    bounds, labels, bounds_np = _bucket_tables(mx)
-    if isinstance(ordered, list):
-        cum = [bisect_right(ordered, b) + zeros for b in bounds]
-    else:
-        cum = ordered.searchsorted(bounds_np, side="right").tolist()
-        if zeros:
-            cum = [c + zeros for c in cum]
-    buckets = dict(zip(labels, cum))
-    buckets["le_inf"] = count
-    total, low, high = float(total), float(mn), float(mx)
-    quantiles = []
-    for q in (0.50, 0.95):
-        pos = bisect_left(cum, max(1, math.ceil(q * count)))
-        estimate = bounds[pos] if pos < len(bounds) else high
-        quantiles.append(min(max(estimate, low), high))
-    return {
-        "count": count,
-        "sum": round(total, 9),
-        "min": low,
-        "max": high,
-        "mean": round(total / count, 9),
-        "p50": quantiles[0],
-        "p95": quantiles[1],
-        "buckets": buckets,
-    }
-
-
 @dataclass
 class BandwidthProfile:
     """Aggregate bits-on-wire record of one run under one policy.
@@ -495,7 +425,10 @@ class BandwidthProfile:
         # histogram's input.
         order = (-edge_bits).argsort(kind="stable")
         ascending = edge_bits.take(order[::-1])
-        per_edge = _sorted_histogram(ascending, 0, total)
+        peak_edge = int(ascending[-1]) if len(ascending) else 0
+        per_edge = sorted_histogram(
+            ascending, _geometric_buckets(peak_edge), 0, total
+        )
         bits = id_bits(n)
         peak_round = (0, 0)
         if round_prefix:
@@ -511,7 +444,11 @@ class BandwidthProfile:
             rounds=len(round_prefix) + zero_rounds,
             edges_used=len(edge_keys) - per_edge["buckets"].get("le_0", 0),
             id_bits=bits,
-            per_round=_histogram_of(round_prefix, zero_rounds),
+            per_round=histogram_of(
+                round_prefix,
+                _geometric_buckets(max(round_prefix, default=0)),
+                zero_rounds,
+            ),
             per_edge=per_edge,
             peak_round=peak_round,
             peak_edge_round_bits=peak_edge_round_bits,

@@ -1,37 +1,29 @@
-"""A small pure-python metrics registry for the paper's observables.
+"""Metric primitives: counters, gauges, histograms, and a live registry.
 
 Definition 3.2 characterizes an advice schema by measurable quantities —
 ``beta`` (bits per node), ``T`` (decoder rounds), and the locality actually
-consumed.  This module gives them a uniform home: a
-:class:`MetricsRegistry` of counters, gauges, and histograms whose
-:meth:`~MetricsRegistry.snapshot` lands verbatim in ``SchemaRun.telemetry``
-and the benchmark JSON.  Engine work (views, BFS visits, decides, bits on
-wire) is not a registry metric: it is counted once, in
+consumed.  A finished run reports them in ``SchemaRun.telemetry``, which
+:meth:`~repro.advice.schema.AdviceSchema.run` builds from the run record
+itself (see ``docs/observability.md`` for the keys); per-node
+distributions there are bulk :func:`histogram_of` snapshots, equal to what
+a :class:`Histogram` fed the same values would report.  Engine work
+(views, BFS visits, decides, bits on wire) is counted once, in
 :class:`repro.perf.SimStats`, and telemetry reads it from there.
 
-Labels are frozen ``(key, value)`` tuples so a labeled metric family is an
-ordinary dict keyed on them; unlabeled per-run registries (what
-``AdviceSchema.run`` creates) snapshot to plain metric names.
-
-Standard names recorded on every schema run:
-
-================================  ==========  =================================
-name                              type        meaning (paper quantity)
-================================  ==========  =================================
-``beta``                          gauge       max advice length (Def. 3.2 β)
-``rounds``                        gauge       decoder LOCAL rounds (T)
-``advice_total_bits``             gauge       Σ_v |advice(v)|
-``advice_bits_per_node``          histogram   per-node advice lengths
-``violations_total``              counter     nodes failing the local check
-``decode_errors_total``           counter     typed decoder failures
-``bandwidth_exceeded_total``      counter     CONGEST budget overflows
-================================  ==========  =================================
+A :class:`MetricsRegistry` is for state read *while it changes*: the
+serving path (:class:`repro.serve.AdviceService`, the SLO monitor and the
+per-tenant shards of :mod:`repro.obs.live`) counts into one, and the
+Prometheus exporter renders it.  Labels are frozen ``(key, value)``
+tuples so a labeled metric family is an ordinary dict keyed on them;
+unlabeled metrics snapshot to plain names.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Tuple
+from bisect import bisect_left, bisect_right
+from functools import lru_cache
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 LabelSet = Tuple[Tuple[str, str], ...]
 
@@ -191,8 +183,71 @@ class Histogram:
         }
 
 
+@lru_cache(maxsize=1024)
+def _bucket_labels(bounds: Tuple[float, ...]) -> Tuple[str, ...]:
+    """The ``le_...`` labels of ``bounds`` (formatted once per bound set)."""
+    return tuple(f"le_{b:g}" for b in bounds)
+
+
+def histogram_of(
+    values: Iterable[float], bounds: Sequence[float], zeros: int = 0
+) -> Dict[str, object]:
+    """The ``Histogram(buckets=bounds).snapshot_value()`` of ``values``
+    followed by ``zeros`` more zero values, built in bulk (see
+    :func:`sorted_histogram`)."""
+    ordered = sorted(values)
+    return sorted_histogram(ordered, bounds, zeros, sum(ordered))
+
+
+def sorted_histogram(
+    ordered, bounds: Sequence[float], zeros: int, total: float
+) -> Dict[str, object]:
+    """The snapshot of the ascending ``ordered`` values (a list, or a numpy
+    array) plus ``zeros`` zeros, given their ``total``, over the ascending
+    bucket ``bounds``: exactly what a :class:`Histogram` that observed
+    them one by one would report.
+
+    :meth:`Histogram.observe` puts a value in the first bucket with
+    ``value <= bound``, so the cumulative count at a bound is the number
+    of values ``<= bound``: one ``bisect_right`` (or ``searchsorted``) per
+    bound.  The quantile scan over the cumulative counts mirrors
+    :meth:`Histogram.quantile` (bucket upper bound at rank
+    ``ceil(q·count)``, clamped to min/max).
+    """
+    bounds = tuple(bounds)
+    count = len(ordered) + zeros
+    if not count:
+        return Histogram(buckets=bounds).snapshot_value()
+    if isinstance(ordered, list):
+        cum = [bisect_right(ordered, b) + zeros for b in bounds]
+    else:
+        cum = ordered.searchsorted(bounds, side="right").tolist()
+        if zeros:
+            cum = [c + zeros for c in cum]
+    buckets = dict(zip(_bucket_labels(bounds), cum))
+    buckets["le_inf"] = count
+    low = 0.0 if zeros or not len(ordered) else float(ordered[0])
+    high = float(ordered[-1]) if len(ordered) else 0.0
+    total = float(total)
+    quantiles = []
+    for q in (0.50, 0.95):
+        pos = bisect_left(cum, max(1, math.ceil(q * count)))
+        estimate = bounds[pos] if pos < len(bounds) else high
+        quantiles.append(min(max(estimate, low), high))
+    return {
+        "count": count,
+        "sum": round(total, 9),
+        "min": low,
+        "max": high,
+        "mean": round(total / count, 9),
+        "p50": quantiles[0],
+        "p95": quantiles[1],
+        "buckets": buckets,
+    }
+
+
 class MetricsRegistry:
-    """Holds all metrics of one scope (typically: one schema run).
+    """Holds the live metrics of one scope (a service, an SLO monitor).
 
     ``counter``/``gauge``/``histogram`` get-or-create, so call sites never
     need to pre-register — the first touch defines the metric, subsequent

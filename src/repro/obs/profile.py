@@ -32,7 +32,7 @@ tracer was attached — the ``NULL_TRACER`` fast path is untouched.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..perf import WORK_COUNTERS
 from .trace import RingSink, Tracer, load_jsonl
@@ -373,19 +373,23 @@ def parse_collapsed(text: str) -> Dict[Tuple[str, ...], int]:
 def profile_run(
     schema: object,
     graph: object,
-    clock: Optional[object] = None,
-    capacity: int = 1 << 20,
-    **run_kwargs: object,
+    clock: Optional[Callable[[], float]] = None,
+    **kwargs: object,
 ) -> Tuple[object, "WorkProfile"]:
-    """Run ``schema`` on ``graph`` with an attached tracer; return (run, profile).
+    """Solve with an attached tracer; return ``(run, profile)``.
 
-    A convenience wrapper over ``AdviceSchema.run``: attaches a fresh
-    :class:`RingSink` tracer (optionally on a deterministic ``clock``),
-    runs, and folds the records into a profile.  Engine totals land in
-    both ``run.telemetry`` and ``profile.totals()``, equal by construction:
-    both read the run's :class:`repro.perf.SimStats`.
+    The run goes through :func:`repro.core.api.solve_with_advice`, so
+    ``schema`` may be a registered name (with its keyword arguments in
+    ``kwargs``) or an instance, and ``check`` / ``fault_plan`` pass
+    through.  A fresh :class:`RingSink` tracer (optionally on a
+    deterministic ``clock``, e.g. :class:`~repro.obs.trace.LogicalClock`)
+    records the run, and its span tree is folded into the profile.
+    Engine totals land in both ``run.telemetry`` and ``profile.totals()``,
+    equal by construction: both read the run's :class:`repro.perf.SimStats`.
     """
-    ring = RingSink(capacity=capacity)
+    from ..core.api import solve_with_advice  # core.api -> obs would cycle
+
+    ring = RingSink(capacity=1 << 20)
     tracer = Tracer(ring, clock=clock)
-    run = schema.run(graph, tracer=tracer, **run_kwargs)
+    run = solve_with_advice(schema, graph, tracer=tracer, **kwargs)
     return run, WorkProfile.from_records(ring.records)

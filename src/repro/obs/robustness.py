@@ -17,10 +17,10 @@ Both repair runtimes record their work as one list of
 
 :func:`local_repairs` is the one definition of repair work: successful
 actions of a :data:`LOCAL_KINDS` kind.  The repair-radius histograms and
-the ``repairs_local_total`` / ``repair_radius`` metrics
-(:func:`record_repairs`) all count exactly those actions.  Records are
-deterministic given the plan seed: two runs of the same plan emit
-byte-identical ``as_dict()`` payloads, which the chaos tests and the
+the ``repairs_local_total`` / ``repair_radius`` telemetry of a robust run
+(:meth:`RobustnessReport.metrics`) all count exactly those actions.
+Records are deterministic given the plan seed: two runs of the same plan
+emit byte-identical ``as_dict()`` payloads, which the chaos tests and the
 zero-tolerance baselines pin.
 
 The repair-locality doctrine (see ``docs/robustness.md``): an action counts
@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence
 
-from .metrics import MetricsRegistry
+from .metrics import DEFAULT_BUCKETS, histogram_of
 
 if TYPE_CHECKING:
     from ..dynamic.plan import Mutation
@@ -103,24 +103,14 @@ def _hist_json(actions: Iterable[RepairAction]) -> Dict[str, int]:
     return {str(r): c for r, c in repair_radius_hist(actions).items()}
 
 
-def record_repairs(registry: MetricsRegistry, actions: Iterable[RepairAction]) -> None:
-    """Count a finished action list into ``repairs_local_total`` and the
-    ``repair_radius`` histogram (metrics are created on first repair)."""
-    local = local_repairs(actions)
-    if not local:
-        return
-    registry.counter("repairs_local_total").inc(len(local))
-    hist = registry.histogram("repair_radius")
-    for action in local:
-        hist.observe(action.radius)
-
-
 @dataclass
 class RobustnessReport:
     """Outcome record of one fault-injected, self-healed schema run."""
 
     schema_name: str
     seed: Optional[int] = None
+    #: the plan asked for advice faults (even if none found a bit to hit).
+    advice_faulted: bool = False
     #: injected fault records (``InjectedFault.as_dict()`` payloads).
     injected: List[Dict[str, object]] = field(default_factory=list)
     #: did the runner notice anything wrong (decode error or violation)?
@@ -154,6 +144,31 @@ class RobustnessReport:
     def repair_radius_hist(self) -> Dict[int, int]:
         """radius -> number of successful local repairs at that radius."""
         return repair_radius_hist(self.actions)
+
+    def metrics(self) -> Dict[str, object]:
+        """The fault and repair keys of the run's telemetry.
+
+        A key is present only when its event happened: advice faults were
+        planned (``faults_injected_total`` counts those that landed), a
+        detection, decode errors, a global escalation, and successful
+        local repairs (their count and ``repair_radius`` histogram).
+        """
+        out: Dict[str, object] = {}
+        if self.advice_faulted:
+            out["faults_injected_total"] = len(self.injected)
+        if self.detected:
+            out["faults_detected_total"] = 1
+        if self.decode_errors:
+            out["decode_errors_total"] = self.decode_errors
+        if self.escalated:
+            out["repairs_global_total"] = 1
+        local = local_repairs(self.actions)
+        if local:
+            out["repairs_local_total"] = len(local)
+            out["repair_radius"] = histogram_of(
+                (a.radius for a in local), DEFAULT_BUCKETS
+            )
+        return out
 
     def as_dict(self) -> Dict[str, object]:
         return {

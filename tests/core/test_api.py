@@ -90,17 +90,6 @@ class TestTelemetry:
             )
             assert telemetry["violations_total"] == 0
 
-    def test_custom_registry_receives_metrics(self):
-        from repro import MetricsRegistry
-
-        registry = MetricsRegistry()
-        solve_with_advice(
-            "2-coloring", LocalGraph(cycle(36), seed=2), registry=registry
-        )
-        snap = registry.snapshot()
-        assert snap["beta"] == 1.0
-        assert snap["advice_bits_per_node"]["count"] == 36
-
 
 class TestCompressionFacade:
     def test_roundtrip(self):

@@ -5,8 +5,6 @@ import pytest
 from repro.dynamic import run_churn_campaign
 from repro.faults import run_campaign
 from repro.faults.campaign import HARMFUL, KINDS, _plan_for
-from repro.obs import MetricsRegistry
-from repro.obs.robustness import LOCAL_KINDS
 
 
 class TestCampaign:
@@ -72,34 +70,3 @@ class TestCampaign:
 def test_bad_campaign_sizes_are_rejected(campaign, kwargs):
     with pytest.raises(ValueError):
         campaign(**kwargs)
-
-
-@pytest.mark.parametrize(
-    "campaign",
-    [
-        lambda registry: run_campaign(
-            runs=10, seed=1, n=48, max_faults=3, registry=registry
-        ),
-        lambda registry: run_churn_campaign(
-            mutations=20, seed=0, n=64, registry=registry
-        ),
-    ],
-    ids=["chaos", "churn"],
-)
-def test_registry_repair_metrics_match_the_records(campaign):
-    # One definition of repair work: successful local actions, by radius.
-    registry = MetricsRegistry()
-    result = campaign(registry)
-    hist = result.totals["repair_radius_hist"]
-    local = sum(hist.values())
-    assert local > 0
-    for record in result.records:
-        if "actions" in record:  # churn records carry their action lists
-            actions = record["actions"]
-            assert sum(record["repair_radius_hist"].values()) == sum(
-                1 for a in actions if a["success"] and a["kind"] in LOCAL_KINDS
-            )
-    snap = registry.snapshot()
-    assert snap["repairs_local_total"] == local
-    assert snap["repair_radius"]["count"] == local
-    assert snap["repair_radius"]["sum"] == sum(int(r) * c for r, c in hist.items())

@@ -17,7 +17,6 @@ from repro.graphs import cycle
 from repro.lcl import vertex_coloring
 from repro.lcl.verify import violations
 from repro.local import LocalGraph
-from repro.obs import MetricsRegistry
 from repro.obs.bandwidth import CONGEST, BandwidthExceeded, use_bandwidth_policy
 from repro.obs.robustness import BALL_RESOLVE, GLOBAL_RESOLVE, LOCAL_KINDS
 
@@ -90,14 +89,44 @@ class TestRepair:
         assert a.as_dict() == b.as_dict()
 
     def test_metrics_registry_sees_the_repair(self):
+        # The run's telemetry is its metrics record, counted from its report.
         graph, schema = _setup()
-        registry = MetricsRegistry()
-        runner = RobustRunner(schema, registry=registry)
-        runner.run(graph, plan=FaultPlan(seed=0, advice_flips=2))
-        snap = registry.snapshot()
-        assert snap["faults_injected_total"] == 2
-        assert snap["faults_detected_total"] == 1
-        assert snap["repairs_local_total"] >= 1
+        run = RobustRunner(schema).run(graph, plan=FaultPlan(seed=0, advice_flips=2))
+        report, telemetry = run.robustness, run.telemetry
+        assert telemetry["faults_injected_total"] == len(report.injected) == 2
+        assert telemetry["faults_detected_total"] == 1
+        assert telemetry["violations_total"] == report.initial_violations
+        local = sum(report.repair_radius_hist.values())
+        assert telemetry["repairs_local_total"] == report.locally_repaired == local
+        radius = telemetry["repair_radius"]
+        assert radius["count"] == local
+        assert radius["sum"] == sum(r * c for r, c in report.repair_radius_hist.items())
+        assert "repairs_global_total" not in telemetry
+
+    def test_reused_runner_reports_each_run_alone(self):
+        # One runner, three plans: every run's telemetry is what a fresh
+        # runner reports for the same plan, with no count carried over.
+        graph, schema = _setup("2-coloring", n=200)
+        reused = RobustRunner(schema)
+        for seed in range(3):
+            plan = FaultPlan(seed=seed, advice_flips=2)
+            telemetry = reused.run(graph, plan=plan).telemetry
+            fresh = RobustRunner(schema).run(graph, plan=plan).telemetry
+            assert telemetry == fresh, seed
+            assert telemetry["advice_bits_per_node"]["count"] == graph.n
+            assert telemetry["faults_injected_total"] == 2
+
+    def test_planned_advice_faults_are_counted_even_when_none_land(self):
+        # Small balanced-orientation instances carry no advice bits at all,
+        # so a flip finds no target: the key is there and reads 0.  A plan
+        # without advice faults reports no such key.
+        graph, schema = _setup("balanced-orientation", n=8)
+        assert not any(schema.encode(graph).values())
+        run = RobustRunner(schema).run(graph, plan=FaultPlan(seed=0, advice_flips=2))
+        assert run.robustness.injected == []
+        assert run.telemetry["faults_injected_total"] == 0
+        clean = RobustRunner(schema).run(graph, plan=FaultPlan(seed=0))
+        assert "faults_injected_total" not in clean.telemetry
 
     def test_masked_faults_do_not_trip_detection(self):
         # Seed 2 flips bits whose damage the decoder masks entirely.

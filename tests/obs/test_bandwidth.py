@@ -26,7 +26,12 @@ from repro.obs.bandwidth import (
     parse_policy,
     use_bandwidth_policy,
 )
-from repro.obs.metrics import Histogram
+from repro.obs.metrics import (
+    DEFAULT_BUCKETS,
+    Histogram,
+    histogram_of,
+    sorted_histogram,
+)
 
 
 class TestMeasureBits:
@@ -297,13 +302,18 @@ class TestFloodingBandwidth:
 # ---------------------------------------------------------------------------
 
 
-def _reference_histogram(values):
+def _geometric_bounds(values):
     peak = int(max(values, default=0))
     bounds, bound = [0.0], 1
     while bound < max(1, peak):
         bounds.append(float(bound))
         bound *= 2
     bounds.append(float(bound))
+    return bounds
+
+
+def _reference_histogram(values, bounds=None):
+    bounds = _geometric_bounds(values) if bounds is None else bounds
     hist = Histogram(buckets=bounds)
     for value in values:
         hist.observe(value)
@@ -387,13 +397,27 @@ def _reference_flooding(graph, rounds, advice=None, policy=LOCAL):
 
 @pytest.mark.parametrize("size", [0, 1, 7, 32, 33, 60, 500])
 def test_histogram_snapshot_matches_histogram(size):
+    """The bulk snapshot equals one ``Histogram.observe`` per value, over
+    the bandwidth profile's geometric bounds and the default buckets, for
+    mixed values, all-equal values, and with trailing zeros."""
     import random
 
-    from repro.obs.bandwidth import _histogram_of
+    import numpy as np
 
     rng = random.Random(size)
-    values = [rng.choice((0, 1, 3, 64, 65, rng.randint(0, 5000))) for _ in range(size)]
-    assert _histogram_of(values) == _reference_histogram(values)
+    mixed = [rng.choice((0, 1, 3, 64, 65, rng.randint(0, 5000))) for _ in range(size)]
+    equal = [rng.randint(0, 200)] * size
+    for values in (mixed, equal):
+        for bounds in (_geometric_bounds(values), DEFAULT_BUCKETS):
+            expected = _reference_histogram(values, bounds)
+            assert histogram_of(values, bounds) == expected
+            ordered = sorted(values)
+            assert (
+                sorted_histogram(np.asarray(ordered), bounds, 0, sum(ordered))
+                == expected
+            )
+            padded = _reference_histogram(values + [0] * 3, bounds)
+            assert histogram_of(values, bounds, zeros=3) == padded
 
 
 _BITSTRINGS = st.text(alphabet="01", max_size=6)

@@ -11,12 +11,7 @@ Collapsed-stack output round-trips through :func:`parse_collapsed`, and a
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.api import (
-    available_schemas,
-    default_instance,
-    make_schema,
-    solve_profiled,
-)
+from repro.core.api import available_schemas, default_instance, make_schema
 from repro.local import LocalGraph, run_message_passing, run_view_algorithm
 from repro.local.model import MessagePassingAlgorithm
 from repro.obs import (
@@ -203,9 +198,9 @@ class TestStructure:
         totals, telemetry = _work(profile, run.telemetry)
         assert totals == telemetry
 
-    def test_solve_profiled_facade(self):
+    def test_profile_run_takes_a_schema_name(self):
         graph, kwargs = default_instance("2-coloring", 40, 0)
-        run, profile = solve_profiled("2-coloring", graph, **kwargs)
+        run, profile = profile_run("2-coloring", graph, **kwargs)
         assert run.valid
         totals, telemetry = _work(profile, run.telemetry)
         assert totals == telemetry
