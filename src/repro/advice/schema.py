@@ -609,13 +609,6 @@ class AdviceSchema(abc.ABC):
             n=run.n,
             max_degree=run.max_degree,
         )
-        if report is not None:
-            telemetry["robustness"] = {
-                "injected": report.injected_count,
-                "detected": report.detected,
-                "locally_repaired": report.locally_repaired,
-                "escalated": report.escalated,
-            }
         return telemetry
 
     def check_solution(self, graph: LocalGraph, labeling: Mapping[Node, Label]) -> bool:

@@ -121,9 +121,11 @@ class CompiledGraph:
         # Lazily built flooding ball-sweep cache owned by
         # repro.obs.bandwidth._flood_cache (structure-only, advice-free).
         self._np_flood = None
-        # Flat balls left by an all-roots vectorized gather
-        # (repro.local.vectorized.BallSweep), which the flooding meter
-        # folds instead of sweeping again; None until one runs.
+        # Layers the flooding meter folds instead of sweeping again: the
+        # flat balls of an all-roots vectorized gather
+        # (repro.local.vectorized.BallSweep), or the compact layers a cold
+        # meter call kept (repro.local.vectorized.FloodLayers); None until
+        # one runs.
         self._np_balls = None
 
     @classmethod

@@ -20,8 +20,10 @@ CSR arrays for *all* roots at once:
   ``block × n`` keys, as in the middle layers of a graph whose balls are
   the whole graph) is stepped bit-parallel instead, as direction-
   optimizing BFS does: one ``np.bitwise_or.reduceat`` of packed owner
-  bits over the CSR rows; both steps yield the same sorted keys, so the
-  consumers of the layers cannot tell them apart;
+  bits over the CSR rows, the frontier and the unvisited keys staying
+  packed through a run of dense layers; the gather reads a packed layer
+  as the same sorted keys, and the flooding meter (:func:`fold_layers`)
+  folds it as it is;
 * visited state is a single flat boolean mask indexed by
   ``owner * n + node`` — no per-root sets, no dicts; roots are processed
   in blocks sized so the mask stays cache-resident (see ``_MASK_BUDGET``),
@@ -114,142 +116,235 @@ def _dedupe_sorted(key):
     keep = _np.empty(key.size, dtype=bool)
     keep[0] = True
     _np.not_equal(key[1:], key[:-1], out=keep[1:])
-    return key[keep]
+    return key.compress(keep)
 
 
-def _sparse_step(indptr, indices, n, f_owner, f_node, degs, visited):
-    """The next layer's keys by expansion: every ``(owner, neighbor)`` of
-    the frontier (of degrees ``degs``) minus the visited ones, sorted,
-    deduplicated and marked visited."""
-    key = (f_owner * n).repeat(degs)
-    key += _expand(indptr, indices, f_node, degs)
-    key = key[~visited[key]]
+class _Sweep:
+    """The CSR arrays one sweep reads, shared by its root blocks.
+
+    ``adj`` is the adjacency padded to the maximum degree ``Δ``, stored
+    port-major (``adj[p, v]`` is port ``p`` of node ``v``) and filled past
+    each degree with the node itself, so one ``take`` expands a whole
+    frontier: a padding entry names a node of the current layer and is
+    dropped as visited.  Only the meter's sweep builds it (``padded``), and
+    only while padding at most doubles the table; otherwise ``adj`` is
+    ``None`` and frontiers expand over the CSR.  A gather, which keeps its
+    balls, does not: the table would add ``n·Δ`` int64 to its peak memory.
+    ``rows`` (the nodes of nonzero degree) and their ``starts`` in
+    ``indices`` are what the dense step reduces over.
+    """
+
+    __slots__ = ("indptr", "indices", "n", "degree", "max_degree", "adj", "_rows")
+
+    def __init__(self, compiled, padded: bool) -> None:
+        indptr, indices, _ids = compiled.np_csr()
+        n = compiled.n
+        self.indptr, self.indices, self.n = indptr, indices, n
+        self.degree = degree = _np.diff(indptr)
+        self.max_degree = width = compiled.max_degree
+        self.adj = None
+        if padded and n * width <= 2 * (indices.size + n):
+            adj = _np.arange(n, dtype=_np.int64).repeat(width).reshape(n, width)
+            adj[_np.arange(width) < degree[:, None]] = indices
+            self.adj = _np.ascontiguousarray(adj.T)
+        self._rows = None
+
+    def rows(self):
+        """``(rows, starts)``: the nodes of nonzero degree and their first
+        ports, built on the first dense step."""
+        if self._rows is None:
+            rows = _np.flatnonzero(self.degree)
+            self._rows = rows, self.indptr[rows]
+        return self._rows
+
+
+def _sparse_step(sweep, base, node, visited):
+    """The next layer's keys ``owner·n + node`` by expansion of the
+    frontier's (``base = owner·n``): every ``(owner, neighbor)`` minus the
+    visited ones, sorted, deduplicated and marked visited."""
+    if sweep.adj is not None:
+        key = sweep.adj.take(node, axis=1)
+        key += base
+        key = key.ravel()
+    else:
+        degs = sweep.degree.take(node)
+        key = base.repeat(degs)
+        key += _expand(sweep.indptr, sweep.indices, node, degs)
+    key = key.compress(~visited.take(key))
     if key.size:
         key = _dedupe_sorted(key)
         visited[key] = True
     return key
 
 
-def _dense_step(indptr, indices, rows, n, block, f_owner, f_node, visited):
-    """The next layer's keys by bit-parallel OR over the CSR rows.
+#: ``_BYTE_BITS[b]``: the eight bits of byte value ``b`` in ``packbits``
+#: order (most significant first), as float64 for the weighted fold.
+_BYTE_BITS = _np.unpackbits(
+    _np.arange(256, dtype=_np.uint8)[:, None], axis=1
+).astype(_np.float64)
+#: ``_BYTE_POP[b]``: the number of set bits of byte value ``b``.
+_BYTE_POP = _BYTE_BITS.sum(axis=1).astype(_np.uint8)
 
-    The frontier becomes a node-major bit matrix, one bit per owner
-    (``block`` bits per row, packed into bytes).  A node's row of
-    the next layer is the OR of its neighbors' rows — one
-    ``bitwise_or.reduceat`` over the CSR.  Unpacked to ``block`` bits (so
-    padding bits never become keys), read owner-major and stripped of the
-    visited keys, its set bits are the sorted keys :func:`_sparse_step`
-    returns, and are marked visited the same way.  ``rows`` are the nodes
-    of nonzero degree: ``reduceat`` returns the row itself for an empty
-    segment and rejects a start past the end, so empty rows are left out
-    and stay zero.
+
+def _pack_rows(rows, block):
+    """Pack the boolean ``(n, block)`` matrix ``rows`` into bit rows of
+    whole 64-bit words (zero padding), so dense steps OR them word-wise."""
+    packed = _np.packbits(rows, axis=1)
+    out = _np.zeros((rows.shape[0], -(-block // 64) * 8), dtype=_np.uint8)
+    out[:, : packed.shape[1]] = packed
+    return out
+
+
+def _bit_keys(bits, block):
+    """The set bits of packed rows as ``(owner, node)``, owner-sorted."""
+    n = bits.shape[0]
+    key = _np.flatnonzero(_np.unpackbits(bits, axis=1, count=block).view(bool).T)
+    owner = key // n
+    return owner, key - owner * n
+
+
+def _bit_entries(bits, block):
+    """The set bits of packed rows as ``(owner, node)``, node-sorted: no
+    transpose, for callers that do not need the owner order."""
+    key = _np.flatnonzero(_np.unpackbits(bits, axis=1, count=block).view(bool))
+    node = key // block
+    return key - node * block, node
+
+
+def _dense_step(sweep, bits, unseen):
+    """The next layer as packed bit rows, by bit-parallel OR over the CSR.
+
+    A node's row of the next layer is the OR of its neighbors' frontier
+    rows — one ``bitwise_or.reduceat`` over the CSR, word-wise — less the
+    bits still set in ``unseen``, which it then clears.  ``reduceat``
+    returns the row itself for an empty segment and rejects a start past
+    the end, so only the nodes of nonzero degree are reduced, and the
+    other rows stay zero.
     """
-    front = _np.zeros(n * block, dtype=bool)
-    front[f_node * block + f_owner] = True
-    packed = _np.packbits(front.reshape(n, block), axis=1)
-    if packed.shape[1] >= 8:
-        # Pad rows to whole 64-bit words (at most 7 bytes a row, so the
-        # matrix stays within a quarter of the mask) and OR word-wise:
-        # OR is bytewise, so any byte order reads the same.
-        words = _np.zeros((n, -(-packed.shape[1] // 8) * 8), dtype=_np.uint8)
-        words[:, : packed.shape[1]] = packed
-        packed = words.view(_np.uint64)
-    reach = _np.zeros_like(packed)
+    indptr, indices = sweep.indptr, sweep.indices
+    rows, starts = sweep.rows()
+    front = bits.view(_np.uint64)
+    reach = _np.zeros_like(front)
     # Chunk the gathered neighbor rows so they stay within the mask budget.
-    starts = indptr[rows]
-    chunk = max(1, _MASK_BUDGET // packed[0].nbytes)
+    chunk = max(1, _MASK_BUDGET // front[0].nbytes)
     lo = 0
     while lo < rows.size:
         hi = int(_np.searchsorted(starts, int(starts[lo]) + chunk, "right"))
         hi = max(lo + 1, hi)
         first, last = int(starts[lo]), int(indptr[rows[hi - 1] + 1])
         reach[rows[lo:hi]] = _np.bitwise_or.reduceat(
-            packed[indices[first:last]], starts[lo:hi] - first, axis=0
+            front[indices[first:last]], starts[lo:hi] - first, axis=0
         )
         lo = hi
-    reached = _np.unpackbits(reach.view(_np.uint8), axis=1, count=block)
-    fresh = _np.ascontiguousarray(reached.T).view(bool)
-    seen = visited[: block * n].reshape(block, n)
-    _np.greater(fresh, seen, out=fresh)
-    _np.logical_or(seen, fresh, out=seen)
-    return _np.flatnonzero(fresh).astype(indices.dtype)
+    free = unseen.view(_np.uint64)
+    reach &= free
+    free ^= reach
+    return reach.view(_np.uint8)
 
 
-#: a layer is expanded with :func:`_dense_step` when its frontier's
-#: expansion count ``Σ deg(frontier)`` exceeds this fraction of the
-#: block's ``block·n`` key space; below it, sorting the expansion is
-#: cheaper than the passes over the whole bit matrix.
+#: a frontier is expanded with :func:`_dense_step` when its expansion count
+#: ``Σ deg(frontier)`` exceeds this fraction of the block's ``block·n`` key
+#: space; below it, sorting the expansion is cheaper than the passes over
+#: the whole bit matrix.
 _DENSE_FRACTION = 1 / 8
 
 
-def _sweep_layers(indptr, indices, n, roots_block, radius, visited, degree):
+def _block_layers(sweep, roots_block, radius, visited):
     """Masked multi-source BFS for one block of roots, one layer at a time.
 
-    Yields layer ``d`` (``d = 0`` is the roots) as ``(owner, node)``:
-    the block slot of each entry's root and its dense node index, sorted
-    by owner, then node.  Each layer is expanded by :func:`_dense_step`
-    when its frontier is dense (see :data:`_DENSE_FRACTION`), else by
-    :func:`_sparse_step`; both give the same keys.
+    Yields layer ``d`` (``d = 0`` is the roots) as ``(owner, node, layer)``.
+    A sparse layer comes as keys: the block slot of each entry's root and
+    its dense node index, int64, sorted by owner, then node, and ``layer``
+    is their keys ``owner·n + node``.  A frontier whose expansion is dense
+    (see :data:`_DENSE_FRACTION`) is stepped by :func:`_dense_step`, and the
+    layers it yields come as ``(None, None, bits)``: packed node-major rows,
+    bit ``o`` of row ``v`` set when ``v`` is at distance ``d`` from root
+    ``o`` (:func:`_bit_keys` reads them as keys).  Through a run of dense
+    layers the frontier and the unvisited keys stay packed, and they go
+    back to keys once the frontier thins out again.
 
-    ``visited`` is a reusable flat boolean mask of at least
+    A step from layer ``d`` reaches only layers ``d - 1`` to ``d + 1``, so
+    each switch carries over just the last two layers: their keys are what
+    the packed rows first mark visited, and what the mask gains on the way
+    back.  ``visited`` is a reusable flat boolean mask of at least
     ``roots_block.size * n`` entries, indexed ``owner * n + node``, all
-    ``False`` on entry and restored to ``False`` when the iterator ends
-    or is closed: through the touched keys while they are few (rezeroing
-    the whole mask per block would cost more than a sparse sweep), by
-    one fill once they exceed 1/64 of it.  ``degree`` is
-    ``np.diff(indptr)``, computed once per sweep, not per block.
+    ``False`` on entry and restored to ``False`` when the iterator ends or
+    is closed: through the touched keys while they are few (rezeroing the
+    whole mask per block would cost more than a sparse sweep), by one fill
+    once they exceed 1/64 of it.
     """
+    n = sweep.n
     block = roots_block.size
-    dtype = indices.dtype
     span = block * n
-    rows = None
-    stride = _np.asarray(n, dtype=dtype)
-    owner = _np.arange(block, dtype=dtype)
-    node = roots_block
-    key = owner * stride + node
+    dense = _DENSE_FRACTION * span
+    owner = _np.arange(block, dtype=_np.int64)
+    node = roots_block.astype(_np.int64)
+    base = owner * n
+    key = base + node
     touched = [key]
-    size = key.size
     visited[key] = True
+    prev = bits = unseen = None
     try:
-        yield owner, node
+        yield owner, node, key
         for _depth in range(radius):
-            degs = degree[node]
-            if degs.sum(dtype=_np.int64) > _DENSE_FRACTION * span:
-                if rows is None:
-                    rows = _np.flatnonzero(degree)
-                key = _dense_step(
-                    indptr, indices, rows, n, block, owner, node, visited
-                )
-            else:
-                key = _sparse_step(
-                    indptr, indices, n, owner, node, degs, visited
-                )
-            if key.size == 0:
+            if bits is not None:
+                load = sweep.degree @ _BYTE_POP.take(bits).sum(axis=1, dtype=_np.int64)
+                if load <= dense:
+                    # Back to keys: mark the last two layers visited.
+                    p_owner, p_node = _bit_entries(prev, block)
+                    owner, node = _bit_entries(bits, block)
+                    base = owner * n
+                    touched += [p_owner * n + p_node, base + node]
+                    visited[touched[-2]] = True
+                    visited[touched[-1]] = True
+                    bits = unseen = None
+            if bits is None:
+                if (
+                    node.size * sweep.max_degree <= dense
+                    or sweep.degree.take(node).sum() <= dense
+                ):
+                    prev = owner, node
+                    key = _sparse_step(sweep, base, node, visited)
+                    if key.size == 0:
+                        return
+                    touched.append(key)
+                    owner = key // n
+                    base = owner * n
+                    node = key - base
+                    yield owner, node, key
+                    continue
+                seen = _np.zeros((n, block), dtype=bool)
+                seen[node, owner] = True
+                bits = _pack_rows(seen, block)
+                if prev is not None:
+                    seen[prev[1], prev[0]] = True
+                unseen = _pack_rows(seen, block)
+                _np.invert(unseen, out=unseen)
+                unseen &= _pack_rows(_np.ones((1, block), dtype=bool), block)
+            prev, bits = bits, _dense_step(sweep, bits, unseen)
+            if not bits.any():
                 return
-            touched.append(key)
-            size += key.size
-            owner = key // stride
-            node = key - owner * stride
-            yield owner, node
+            yield None, None, bits
     finally:
-        if size * 64 > span:
+        if sum(key.size for key in touched) * 64 > span:
             visited[:span] = False
         else:
             for key in touched:
                 visited[key] = False
 
 
-def _sweep_block(indptr, indices, n, roots_block, radius, visited, degree):
+def _sweep_block(sweep, roots_block, radius, visited):
     """The balls of one block of roots: its layers, grouped per owner.
 
     Returns ``(sizes, g_node, g_dist)``: per-owner ball sizes and the
     ball entries grouped per owner, distance-ordered within each owner.
     """
     block = roots_block.size
-    dtype = indices.dtype
-    layers = list(
-        _sweep_layers(indptr, indices, n, roots_block, radius, visited, degree)
-    )
+    dtype = sweep.indices.dtype
+    layers = [
+        (owner, node) if owner is not None else _bit_keys(layer, block)
+        for owner, node, layer in _block_layers(sweep, roots_block, radius, visited)
+    ]
 
     # Counting scatter: each layer is owner-sorted, so an entry's rank
     # within its (layer, owner) group is its position minus the group
@@ -380,16 +475,10 @@ def gather_ball_batch(
     dist_parts: List = []
     if root_arr.size:
         visited = _np.zeros(min(block, root_arr.size) * n, dtype=bool)
-        degree = _np.diff(indptr)
+        sweep = _Sweep(compiled, padded=False)
         for start in range(0, root_arr.size, block):
             sizes, g_node, g_dist = _sweep_block(
-                indptr,
-                indices,
-                n,
-                root_arr[start : start + block],
-                radius,
-                visited,
-                degree,
+                sweep, root_arr[start : start + block], radius, visited
             )
             size_parts.append(sizes)
             node_parts.append(g_node)
@@ -466,67 +555,126 @@ class BallSweep:
         ).reshape(n, self.depth)
 
 
-class LayerSweep(BallSweep):
-    """The BFS layers of every node, as :func:`sweep_layers` yielded them.
+class FloodLayers(BallSweep):
+    """The BFS layers of every node, kept as :func:`fold_layers` swept them.
 
-    The flooding meter needs per-distance sums, not per-root balls, so the
-    layers are kept in the order the sweep yields them, with each entry's
-    ``root·depth + dist`` cell computed from its owner as it comes out.
-    There are no per-root arrays (``indptr``, ``dists``): stored on the
-    snapshot like a :class:`BallSweep`, a ``LayerSweep`` is read by the
-    same rule and folded the same way.
+    Per root block, sparse layers stay as their int32 keys ``owner·n +
+    node`` and dense layers as packed bit rows: four bytes per sparse entry
+    and one bit per dense one.  A later meter call on the same snapshot
+    folds its weights over these layers instead of sweeping again: the
+    first such call flattens them into per-entry nodes and ``root·depth +
+    dist`` cells (and drops the compact form), so that call and every one
+    after it is one weighted ``bincount``, as for a :class:`BallSweep`.
     """
 
-    __slots__ = ()
+    __slots__ = ("_blocks",)
 
-    def __init__(self, radius: int, depth: int, nodes, cells) -> None:
+    def __init__(self, radius: int, depth: int, blocks) -> None:
         self.radius, self.depth = radius, depth
-        self.nodes, self._cells = nodes, cells
+        self.nodes = self._cells = None
+        self._blocks = blocks
+
+    def _flatten(self, n: int) -> None:
+        """Sparse layers give one cell per key.  A block's dense layers give
+        one cell per ``(node, root)`` pair of the block: its distance where
+        a dense layer holds it, else the spare cell ``n·depth`` past the
+        matrix, which :meth:`fold` drops."""
+        depth = self.depth
+        spare = n * depth
+        nodes, cells = [], []
+        for start, size, layers in self._blocks:
+            cell = None
+            for d, layer in enumerate(layers):
+                if layer.ndim == 1:
+                    key = layer.astype(_np.int64)
+                    owner = key // n
+                    nodes.append(key - owner * n)
+                    owner += start
+                    owner *= depth
+                    owner += d
+                    cells.append(owner)
+                    continue
+                if cell is None:
+                    cell = _np.full((n, size), spare, dtype=_np.int64)
+                reached = _np.unpackbits(layer, axis=1, count=size)
+                cell -= _np.multiply(reached, spare - d, dtype=_np.int64)
+            if cell is not None:
+                cell += _np.arange(start * depth, (start + size) * depth, depth)
+                _np.minimum(cell, spare, out=cell)
+                nodes.append(_np.arange(n, dtype=_np.int32).repeat(size))
+                cells.append(cell.ravel())
+        self.nodes = _concat(nodes, _np.int64)
+        self._cells = _concat(cells, _np.int64)
+        self._blocks = None
+
+    def fold(self, weights):
+        n, depth = weights.size, self.depth
+        if self._cells is None:
+            self._flatten(n)
+        sums = _np.bincount(
+            self._cells, weights=weights.take(self.nodes), minlength=n * depth + 1
+        )
+        return sums[: n * depth].reshape(n, depth)
 
 
-def sweep_layers(graph: LocalGraph, radius: int) -> LayerSweep:
-    """The radius-``radius`` BFS layers of every node, in one sweep.
+def _fold_bits(bits, spread, block):
+    """Per owner, the summed weights of the nodes whose packed row has the
+    owner's bit set: the fold of one dense layer.
 
-    The same masked multi-source sweep as :func:`gather_ball_batch`, over
-    the same root blocks, but the layers are kept as they are yielded:
-    no per-root grouping.
+    A byte histogram: byte ``b`` in column ``j`` of node ``v``'s row adds
+    ``v``'s weight to bin ``256·j + b`` (``spread`` is the weights repeated
+    once per column), one weighted ``bincount`` per layer; each column's
+    256 bins times the bits of their byte values give its eight owners'
+    sums.  The weights are integers whose sums stay below 2^53, so every
+    float64 sum is exact in any order.
     """
-    compiled = graph.compiled
-    n = compiled.n
-    indptr, indices, _ids = compiled.np_csr()
-    dtype = indices.dtype
-    roots = _np.arange(n, dtype=dtype)
+    width = bits.shape[1]
+    cell = _np.add(bits, _np.arange(0, 256 * width, 256), dtype=_np.intp)
+    hist = _np.bincount(cell.ravel(), weights=spread, minlength=256 * width)
+    return (hist.reshape(width, 256) @ _BYTE_BITS).ravel()[:block]
+
+
+def fold_layers(graph: LocalGraph, radius: int, weights):
+    """``(M, layers)``: ``M[i, d]`` sums ``weights`` (one integer-valued
+    float per node) over the nodes at distance exactly ``d <= radius`` from
+    node ``i``, and ``layers`` are the swept layers as :class:`FloodLayers`.
+
+    The masked multi-source sweep of :func:`gather_ball_batch`, over every
+    root in blocks of the mask budget, folds each layer into its column of
+    ``M`` as it comes out: a sparse layer by one ``bincount`` of its owners
+    weighted by its nodes' weights, a dense one by :func:`_fold_bits`.  No
+    per-entry array outlives its layer, and ``M`` is never wider than the
+    deepest layer.
+    """
+    n = graph.compiled.n
+    sweep = _Sweep(graph.compiled, padded=True)
     block = max(1, _MASK_BUDGET // max(n, 1))
-    layers: List[Tuple[int, int, object, object]] = []
-    if n:
-        visited = _np.zeros(min(block, n) * n, dtype=bool)
-        degree = _np.diff(indptr)
-        for start in range(0, n, block):
-            block_layers = _sweep_layers(
-                indptr,
-                indices,
-                n,
-                roots[start : start + block],
-                radius,
-                visited,
-                degree,
-            )
-            for d, (owner, node) in enumerate(block_layers):
-                layers.append((start, d, owner, node))
-    depth = 1 + max((d for _, d, _, _ in layers), default=-1)
-    cells = []
-    for start, d, owner, _node in layers:
-        cell = owner.astype(_np.int64)
-        cell += start
-        cell *= depth
-        cell += d
-        cells.append(cell)
-    return LayerSweep(
-        radius,
-        depth,
-        _concat([node for *_, node in layers], dtype),
-        _concat(cells, _np.int64),
-    )
+    visited = _np.zeros(min(block, n) * n, dtype=bool)
+    spread = {}
+    blocks, columns = [], []
+    for start in range(0, n, block):
+        roots = _np.arange(start, min(start + block, n))
+        layers, cols = [], []
+        for owner, node, layer in _block_layers(sweep, roots, radius, visited):
+            if owner is not None:
+                layers.append(layer.astype(_np.int32))
+                cols.append(
+                    _np.bincount(owner, weights=weights.take(node), minlength=roots.size)
+                )
+            else:
+                layers.append(layer)
+                width = layer.shape[1]
+                if width not in spread:
+                    spread[width] = weights.repeat(width)
+                cols.append(_fold_bits(layer, spread[width], roots.size))
+        blocks.append((start, roots.size, layers))
+        columns.append(cols)
+    depth = max(map(len, columns), default=0)
+    sums = _np.zeros((n, depth))
+    for (start, size, _), cols in zip(blocks, columns):
+        for d, col in enumerate(cols):
+            sums[start : start + size, d] = col
+    return sums, FloodLayers(radius, depth, blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,7 @@ from typing import (
     Tuple,
 )
 
-from .metrics import histogram_of, sorted_histogram
+from .metrics import sorted_histogram
 
 __all__ = [
     "BandwidthExceeded",
@@ -341,15 +341,15 @@ class BandwidthExceeded(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
+#: ``0`` and the powers of two a float can hold, the bounds of every
+#: geometric bucket set.
+_POWERS: Tuple[float, ...] = (0.0,) + tuple(2.0**k for k in range(1024))
+
+
 def _geometric_buckets(peak: int) -> Tuple[float, ...]:
-    """Power-of-two bucket bounds covering ``0..peak`` (bits span decades)."""
-    bounds: List[float] = [0.0]
-    bound = 1
-    while bound < max(1, peak):
-        bounds.append(float(bound))
-        bound *= 2
-    bounds.append(float(bound))
-    return tuple(bounds)
+    """Power-of-two bucket bounds covering ``0..peak`` (bits span decades):
+    ``0, 1, 2, 4, …`` up to the first power of two at or above ``peak``."""
+    return _POWERS[: (max(1, peak) - 1).bit_length() + 2]
 
 
 @dataclass
@@ -394,6 +394,7 @@ class BandwidthProfile:
         round_totals = list(round_totals)
         keys = sorted(edge_totals)
         edge_bits = np.fromiter(map(edge_totals.__getitem__, keys), np.int64, len(keys))
+        ends = np.asarray(keys, dtype=np.int64).reshape(len(keys), 2)
         total, edge_sum = sum(round_totals), int(edge_bits.sum())
         if total != edge_sum:  # pragma: no cover - construction invariant
             raise AssertionError(
@@ -401,7 +402,7 @@ class BandwidthProfile:
                 f"per-edge sum {edge_sum}"
             )
         return cls._fold(
-            policy, n, round_totals, 0, keys, edge_bits, peak_edge_round_bits
+            policy, n, round_totals, 0, ends, edge_bits, peak_edge_round_bits
         )
 
     @classmethod
@@ -411,13 +412,14 @@ class BandwidthProfile:
         n: int,
         round_prefix: List[int],
         zero_rounds: int,
-        edge_keys: Sequence[Tuple[int, int]],
+        edge_ends,
         edge_bits,
         peak_edge_round_bits: int,
     ) -> "BandwidthProfile":
         """The profile of ``round_prefix`` followed by ``zero_rounds``
-        silent rounds, and of the array ``edge_bits`` (run total of edge
-        ``edge_keys[e]``, keys ascending; the bits sum to the same total).
+        silent rounds, and of the array ``edge_bits`` (run total of the edge
+        whose identifier pair is row ``e`` of the ``(m, 2)`` array
+        ``edge_ends``, rows ascending; the bits sum to the same total).
         """
         total = sum(round_prefix)
         # Heaviest first, lowest edge on ties: a stable sort by descending
@@ -425,14 +427,15 @@ class BandwidthProfile:
         # histogram's input.
         order = (-edge_bits).argsort(kind="stable")
         ascending = edge_bits.take(order[::-1])
-        peak_edge = int(ascending[-1]) if len(ascending) else 0
+        peak_edge = int(ascending[-1]) if ascending.size else 0
         per_edge = sorted_histogram(
             ascending, _geometric_buckets(peak_edge), 0, total
         )
+        ordered = sorted(round_prefix)
+        peak = ordered[-1] if ordered else 0
         bits = id_bits(n)
         peak_round = (0, 0)
         if round_prefix:
-            peak = max(round_prefix)
             peak_round = (round_prefix.index(peak) + 1, peak)
         elif zero_rounds:
             peak_round = (1, 0)
@@ -442,12 +445,10 @@ class BandwidthProfile:
             capacity_bits=policy.capacity(n),
             total_bits=total,
             rounds=len(round_prefix) + zero_rounds,
-            edges_used=len(edge_keys) - per_edge["buckets"].get("le_0", 0),
+            edges_used=edge_bits.size - per_edge["buckets"].get("le_0", 0),
             id_bits=bits,
-            per_round=histogram_of(
-                round_prefix,
-                _geometric_buckets(max(round_prefix, default=0)),
-                zero_rounds,
+            per_round=sorted_histogram(
+                ordered, _geometric_buckets(peak), zero_rounds, total
             ),
             per_edge=per_edge,
             peak_round=peak_round,
@@ -456,8 +457,11 @@ class BandwidthProfile:
                 1, math.ceil(peak_edge_round_bits / bits)
             ) if peak_edge_round_bits else 1,
             hotspots=[
-                {"edge": list(edge_keys[e]), "bits": int(b)}
-                for e, b in zip(order[:5].tolist(), ascending[:-6:-1].tolist())
+                {"edge": ends, "bits": int(b)}
+                for ends, b in zip(
+                    edge_ends.take(order[:5], axis=0).tolist(),
+                    ascending[:-6:-1].tolist(),
+                )
             ],
         )
 
@@ -575,10 +579,11 @@ def _flood_cache(graph, compiled):
 
     Nothing here depends on advice or policy, so it is built once per
     compiled graph (the snapshot a mutation derives starts without it):
-    the edge tails, heads and identifier keys in key order, the degrees,
-    and the base record bits (``id_bits·(1 + deg)`` plus the input
-    payload).  The balls or layers are not kept here: :func:`_layer_bits`
-    reads them from the snapshot's ``_np_balls`` slot.
+    the edge tails, heads and identifier pairs (``ends``, one row per
+    edge) in key order, the degrees, and the base record bits
+    (``id_bits·(1 + deg)`` plus the input payload).  The balls or layers
+    are not kept here: :func:`_layer_bits` reads them from the snapshot's
+    ``_np_balls`` slot.
     """
     state = compiled._np_flood
     if state is None:
@@ -586,34 +591,30 @@ def _flood_cache(graph, compiled):
 
         n = compiled.n
         indptr, indices, ids = compiled.np_csr()
-        rows = np.repeat(np.arange(n), np.diff(indptr))
+        degree = np.diff(indptr)
+        rows = np.repeat(np.arange(n), degree)
         upper = rows < indices
         tails, heads = rows[upper], indices[upper]
-        lo = np.minimum(ids[tails], ids[heads])
-        hi = np.maximum(ids[tails], ids[heads])
+        ends = np.stack((ids[tails], ids[heads]), axis=1).astype(np.int64)
+        ends.sort(axis=1)
         # Edges in identifier-key order (the hotspot tie-break);
         # ``csr_index`` maps each back to its CSR ``i < j`` position (the
         # overflow tie-break).
-        by_key = np.lexsort((hi, lo))
-        bits = id_bits(n)
+        by_key = np.lexsort((ends[:, 1], ends[:, 0]))
+        base = degree + 1.0
+        base *= id_bits(n)
+        index_of = compiled.index_of
+        for node, payload in graph._inputs.items():
+            i = index_of.get(node)
+            if payload is not None and i is not None:
+                base[i] += measure_bits(payload)
         state = {
             "tails": tails[by_key],
             "heads": heads[by_key],
-            "edge_keys": list(zip(lo[by_key].tolist(), hi[by_key].tolist())),
+            "ends": ends[by_key],
             "csr_index": by_key,
-            "deg": np.diff(indptr).astype(np.float64),
-            "base": np.asarray(
-                [
-                    bits * (1 + compiled.degrees[i])
-                    + (
-                        0
-                        if (payload := graph.input_of(node)) is None
-                        else measure_bits(payload)
-                    )
-                    for i, node in enumerate(compiled.nodes)
-                ],
-                dtype=np.float64,
-            ),
+            "deg": degree.astype(np.float64),
+            "base": base,
         }
         compiled._np_flood = state
     return state
@@ -627,21 +628,20 @@ def _layer_bits(graph, radius: int, rec):
     are folded as they are: a
     :class:`~repro.local.vectorized.BallSweep` that an all-roots gather
     left there (usually the decode's own), or the
-    :class:`~repro.local.vectorized.LayerSweep` of an earlier meter call.
-    Otherwise this sweeps the BFS layers of every node
-    (:func:`~repro.local.vectorized.sweep_layers`), folds the layers
-    straight into ``M`` without grouping them into per-root balls, and
-    stores them in place of the balls.  Either fold is ``O(Σ|ball|)``.
-    ``M`` is never wider than the deepest layer.
+    :class:`~repro.local.vectorized.FloodLayers` of an earlier meter call.
+    Otherwise :func:`~repro.local.vectorized.fold_layers` sweeps the BFS
+    layers of every node and folds each into ``M`` as it is swept, and its
+    compact layers take the slot.  Either way the fold is ``O(Σ|ball|)``,
+    and ``M`` is never wider than the deepest layer.
     """
     compiled = graph.compiled
-    sweep = compiled._np_balls
-    if sweep is None or not sweep.covers(radius):
-        from ..local.vectorized import sweep_layers
+    held = compiled._np_balls
+    if held is not None and held.covers(radius):
+        return held.fold(rec)[:, : radius + 1]
+    from ..local.vectorized import fold_layers
 
-        sweep = sweep_layers(graph, radius)
-        compiled._np_balls = sweep
-    return sweep.fold(rec)[:, : radius + 1]
+    layers, compiled._np_balls = fold_layers(graph, radius, rec)
+    return layers
 
 
 def flooding_bandwidth(
@@ -660,9 +660,10 @@ def flooding_bandwidth(
     ``t-1`` from ``u``.  The resulting accounting is a pure function of
     ``(graph, rounds, advice)``, so every execution engine reports the
     same bits-on-wire for the same run.  It is computed from the layer
-    matrix ``M`` of :func:`_layer_bits`: round ``t`` carries
-    ``Σ_u deg(u)·M[u, t-1]``, and edge ``{u, v}`` carries
-    ``M[u, t-1] + M[v, t-1]`` in round ``t``.
+    matrix ``M`` of :func:`_layer_bits` (a cold call folds each layer into
+    ``M`` as it is swept, a warm one folds the layers the snapshot kept):
+    round ``t`` carries ``Σ_u deg(u)·M[u, t-1]``, and edge ``{u, v}``
+    carries ``M[u, t-1] + M[v, t-1]`` in round ``t``.
 
     Under a ``congest`` policy the per-``(edge, round)`` loads are
     checked against ``B·⌈log n⌉`` and the earliest overflow (lowest
@@ -707,7 +708,7 @@ def flooding_bandwidth(
         i, j = int(tails[e]), int(heads[e])
         raise BandwidthExceeded(
             node=compiled.nodes[i if layers[i, d] >= layers[j, d] else j],
-            edge=state["edge_keys"][e],
+            edge=tuple(state["ends"][e].tolist()),
             round_index=d + 1,
             bits=int(loads[e, d]),
             capacity=capacity,
@@ -721,7 +722,7 @@ def flooding_bandwidth(
         n,
         round_prefix,
         rounds - len(round_prefix),
-        state["edge_keys"],
+        state["ends"],
         loads.sum(axis=1),
         peak_edge_round,
     )

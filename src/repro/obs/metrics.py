@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
+from itertools import repeat
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 LabelSet = Tuple[Tuple[str, str], ...]
@@ -189,6 +190,15 @@ def _bucket_labels(bounds: Tuple[float, ...]) -> Tuple[str, ...]:
     return tuple(f"le_{b:g}" for b in bounds)
 
 
+@lru_cache(maxsize=1024)
+def _bucket_array(bounds: Tuple[float, ...]):
+    """``bounds`` as a numpy array (built once per bound set), so a numpy
+    ``searchsorted`` does not convert the tuple on every snapshot."""
+    import numpy as np
+
+    return np.asarray(bounds, dtype=np.float64)
+
+
 def histogram_of(
     values: Iterable[float], bounds: Sequence[float], zeros: int = 0
 ) -> Dict[str, object]:
@@ -219,11 +229,11 @@ def sorted_histogram(
     if not count:
         return Histogram(buckets=bounds).snapshot_value()
     if isinstance(ordered, list):
-        cum = [bisect_right(ordered, b) + zeros for b in bounds]
+        cum = list(map(bisect_right, repeat(ordered, len(bounds)), bounds))
     else:
-        cum = ordered.searchsorted(bounds, side="right").tolist()
-        if zeros:
-            cum = [c + zeros for c in cum]
+        cum = ordered.searchsorted(_bucket_array(bounds), side="right").tolist()
+    if zeros:
+        cum = [c + zeros for c in cum]
     buckets = dict(zip(_bucket_labels(bounds), cum))
     buckets["le_inf"] = count
     low = 0.0 if zeros or not len(ordered) else float(ordered[0])

@@ -73,14 +73,14 @@ def _oracle_balls(graph, radius, block):
 def _checked_sweeps(budget):
     """Sweep with a ``budget``-sized mask, and check after every block
     that the iterator left the visited mask all ``False``."""
-    real = V._sweep_layers
+    real = V._block_layers
 
-    def checked(indptr, indices, n, roots_block, radius, visited, degree):
-        yield from real(indptr, indices, n, roots_block, radius, visited, degree)
+    def checked(sweep, roots_block, radius, visited):
+        yield from real(sweep, roots_block, radius, visited)
         assert not visited.any()
 
     with mock.patch.object(V, "_MASK_BUDGET", budget), mock.patch.object(
-        V, "_sweep_layers", checked
+        V, "_block_layers", checked
     ):
         yield
 

@@ -513,6 +513,122 @@ class TestFloodingMatchesReference:
         assert peak < 32 * 2**20, f"peak traced memory {peak / 2**20:.1f} MB"
 
 
+@st.composite
+def _switching_cases(draw):
+    """A dense cluster with a path hanging off it (its roots' layers go
+    sparse, dense, sparse again), a dense gnp graph or a cycle, with
+    isolated nodes before and after it in CSR order, shuffled identifiers,
+    advice and inputs on some nodes, a round count from 1 to past the
+    diameter, and a root-block size (one block down to single roots)."""
+    family = draw(st.sampled_from(["lollipop", "gnp", "cycle"]))
+    if family == "lollipop":
+        size = draw(st.integers(3, 14))
+        base = nx.gnp_random_graph(
+            size, draw(st.floats(0.5, 1.0)), seed=draw(st.integers(0, 999))
+        )
+        tail = draw(st.integers(0, 16))
+        nx.add_path(base, [0] + list(range(size, size + tail)))
+    elif family == "gnp":
+        base = nx.gnp_random_graph(
+            draw(st.integers(1, 24)),
+            draw(st.floats(0.2, 1.0)),
+            seed=draw(st.integers(0, 999)),
+        )
+    else:
+        base = cycle(draw(st.integers(3, 30)))
+    lead, trail = draw(st.integers(0, 2)), draw(st.integers(0, 3))
+    raw = nx.Graph()
+    raw.add_nodes_from(range(lead))
+    raw.add_edges_from((lead + u, lead + v) for u, v in base.edges())
+    raw.add_nodes_from(range(lead, lead + base.number_of_nodes() + trail))
+    n = raw.number_of_nodes()
+    inputs = draw(st.dictionaries(st.sampled_from(range(n)), _PAYLOADS))
+    graph = LocalGraph(raw, inputs=inputs, seed=draw(st.integers(0, 99)))
+    advice = draw(st.dictionaries(st.sampled_from(range(n)), _BITSTRINGS))
+    rounds = draw(st.integers(1, n + 3))
+    block = draw(st.sampled_from([1, 2, 3, 7, 9, 64, n]))
+    return graph, rounds, advice, max(1, min(block, n))
+
+
+class TestStreamingFold:
+    """The streaming sweep-and-fold against per-root networkx layers.
+
+    Each root block's layers are folded as they are swept, sparse ones
+    by key and dense ones from packed bit rows, and the profile must not
+    tell: every field (``peak_round`` and hotspots included) and every
+    CONGEST overflow attribution equals the reference, cold and warm,
+    over any number of root blocks.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(_switching_cases())
+    def test_every_profile_matches_the_reference(self, case):
+        from unittest import mock
+
+        from repro.local import vectorized
+
+        graph, rounds, advice, block = case
+        expected, _ = _reference_flooding(graph, rounds, advice)
+        with mock.patch.object(vectorized, "_MASK_BUDGET", block * graph.n):
+            cold = flooding_bandwidth(graph, rounds, advice).as_dict()
+            assert cold == expected
+            assert flooding_bandwidth(graph, rounds, advice).as_dict() == expected
+            budget = expected["min_congest_budget"]
+            if budget > 1:
+                policy = CONGEST(budget - 1)
+                _, overflow = _reference_flooding(graph, rounds, advice, policy)
+                for metered in (graph, _fresh_copy(graph)):  # warm, then cold
+                    with pytest.raises(BandwidthExceeded) as info:
+                        flooding_bandwidth(metered, rounds, advice, policy=policy)
+                    exc = info.value
+                    assert (exc.node, exc.edge, exc.round_index, exc.bits) == overflow
+
+    @pytest.mark.parametrize("block", [3, 7, 14])
+    def test_a_lollipop_sweep_switches_both_ways(self, monkeypatch, block):
+        # The property above is only as strong as the switches it reaches:
+        # a block of clique roots starts dense and thins out down the path,
+        # and a block of path roots starts sparse and turns dense at the
+        # clique.  (With all 26 roots in one block every layer is dense.)
+        from repro.local import vectorized
+
+        raw = nx.complete_graph(12)
+        nx.add_path(raw, [0] + list(range(12, 26)))
+        graph = LocalGraph(raw, seed=2)
+        steps = []
+        for kind in ("dense", "sparse"):
+            real = getattr(vectorized, f"_{kind}_step")
+
+            def spy(*args, real=real, kind=kind):
+                steps.append(kind)
+                return real(*args)
+
+            monkeypatch.setattr(vectorized, f"_{kind}_step", spy)
+        monkeypatch.setattr(vectorized, "_MASK_BUDGET", block * graph.n)
+        expected, _ = _reference_flooding(graph, 30)
+        assert flooding_bandwidth(graph, 30).as_dict() == expected
+        switches = set(zip(steps, steps[1:]))
+        assert ("sparse", "dense") in switches and ("dense", "sparse") in switches
+
+    def test_cold_meter_memory_stays_below_the_layer_triples(self):
+        # A whole-graph instance: T = 40 is past the diameter of a random
+        # 3-regular graph on 2,000 nodes, so every ball is the whole graph
+        # and there are n^2 = 4M (root, node, distance) entries.  Held as
+        # flat arrays they take over 100 MB; the streaming fold keeps the
+        # layer matrix, the packed dense layers and the block scratch.
+        import tracemalloc
+
+        graph = LocalGraph(nx.random_regular_graph(3, 2000, seed=1), seed=0)
+        graph.compiled.np_csr()
+        tracemalloc.start()
+        try:
+            profile = flooding_bandwidth(graph, 40)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert profile.total_bits == 2000 * 2000 * 3 * id_bits(2000) * 4
+        assert peak < 64 * 2**20, f"peak traced memory {peak / 2**20:.1f} MB"
+
+
 class TestSweepReuse:
     """The meter folds the balls a vectorized decode left on the snapshot.
 
@@ -592,13 +708,13 @@ class TestLayerReuse:
             flooding_bandwidth(_fresh_copy(graph), t, a).as_dict() for t, a in cases
         ]
         sweeps = []
-        real = vectorized._sweep_layers
+        real = vectorized._block_layers
 
         def spy(*args):
-            sweeps.append(args[4])  # the radius
+            sweeps.append(args[2])  # the radius
             return real(*args)
 
-        monkeypatch.setattr(vectorized, "_sweep_layers", spy)
+        monkeypatch.setattr(vectorized, "_block_layers", spy)
         assert flooding_bandwidth(graph, 9, advice).as_dict() == expected[0]
         assert sweeps and set(sweeps) == {8}
         held = graph.compiled._np_balls
