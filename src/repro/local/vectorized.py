@@ -1,11 +1,9 @@
 """Vectorized batched radius-``T`` view gathering (numpy sweeps over CSR).
 
 The scalar engine (:func:`repro.local.views.gather_all_views`) runs one
-Python BFS per root and eagerly materializes a full :class:`View` — five
-dicts, two frozensets — for every node, even when the decoder only reads a
-couple of accessors.  In the LOCAL model that is pure overhead: the work
-the model charges for is ``O(sum_v |B(v, T)|)`` integer traversal, which
-is exactly what numpy can do in bulk.
+Python BFS per root.  In the LOCAL model the work charged for is
+``O(sum_v |B(v, T)|)`` integer traversal, which is exactly what numpy can
+do in bulk.
 
 This module replaces the per-root sweeps with **one masked multi-source
 BFS frontier sweep** over the :class:`~repro.local.compiled.CompiledGraph`
@@ -41,15 +39,16 @@ CSR arrays for *all* roots at once:
   edges exactly once.
 
 The result is a :class:`BallBatch`: per-root slices into flat node /
-distance / edge arrays.  :class:`View` materialization becomes **lazy** —
-:meth:`BallBatch.view` returns a :class:`BatchView`, a ``View`` subclass
-whose fields (``nodes``, ``edges``, ``ids``, ``inputs``, ``advice``,
-``distances``) are built on first access from batch-level columns that
-are themselves converted from numpy at most once per batch.  Center
-accessors (``advice_of(center)``, ``distance(center)``, ...) answer in
-O(1) from per-root columns without building any per-view dict, so a
-decoder that only reads its center pays nothing for materialization.  A
-fully materialized ``BatchView`` is value-equal to the scalar
+distance / edge arrays, and the backing of the one lazy view class,
+:class:`~repro.local.views.LazyView`, which the scalar gather returns
+too.  :meth:`BallBatch.view` returns a ``LazyView`` whose fields
+(``nodes``, ``edges``, ``ids``, ``inputs``, ``advice``, ``distances``)
+are built on first access from batch-level columns that are themselves
+converted from numpy at most once per batch.  Center accessors
+(``advice_of(center)``, ``distance(center)``, ...) answer in O(1) from
+per-root columns without building any per-view dict, so a decoder that
+only reads its center pays nothing for materialization.  A fully
+materialized batched view is value-equal to the scalar
 :func:`~repro.local.views.gather_view` result; the test suite pins this
 batch-equals-scalar property on random graphs and radii.
 
@@ -69,7 +68,7 @@ import numpy as _np
 from ..obs.trace import as_tracer
 from ..perf import SimStats
 from .graph import LocalGraph, Node
-from .views import LOCALITY_WITNESS_RECORDER, View
+from .views import Balls, LazyView, View
 
 #: soft budget for the visited mask: roots are processed in blocks of
 #: ``max(1, _MASK_BUDGET // n)`` so the mask stays ~4 MB of bools — small
@@ -500,6 +499,7 @@ def gather_ball_batch(
 
     return BallBatch(
         graph=graph,
+        compiled=compiled,
         radius=radius,
         advice=advice or {},
         roots=root_arr,
@@ -682,38 +682,48 @@ def fold_layers(graph: LocalGraph, radius: int, weights):
 # ---------------------------------------------------------------------------
 
 
-class BallBatch:
+def _read_now(mapping: Mapping[Node, object], nodes, ball) -> Dict[int, object]:
+    """Dense index -> value of every ball member ``mapping`` holds a value
+    (not ``None``) for, read now: the columns are built later, perhaps
+    after the map was edited.  A batch of a few balls of a large graph
+    reads its ball members only — an O(n) pass per batch is the very
+    scaling the serving path's per-query O(Δ^T) bound rules out."""
+    if not mapping:
+        return {}
+    get = mapping.get
+    members = range(len(nodes)) if ball.size >= len(nodes) else _np.unique(ball).tolist()
+    return {i: x for i in members if (x := get(nodes[i])) is not None}
+
+
+class BallBatch(Balls):
     """Flat-array radius-``T`` balls of many roots, with lazy columns.
 
-    The numpy arrays are the authoritative state; Python-object *columns*
-    (node objects, identifiers, advice strings, ...) are converted lazily,
-    once per batch, the first time any view touches the matching field —
-    so the conversion cost is amortized over every view in the batch and
-    skipped entirely for fields no decoder reads.  *Center columns* (one
-    entry per root, not per ball entry) serve the O(1) center fast paths
-    of :class:`BatchView`.  Edge arrays are extracted from the CSR on
-    first use (the sweep only records balls and distances).
+    The numpy arrays are the authoritative state; the Python-object
+    columns of :class:`~repro.local.views.Balls` (node objects,
+    identifiers, advice strings, ...) are converted lazily, once per
+    batch, the first time any view touches the matching field — so the
+    conversion cost is amortized over every view in the batch and skipped
+    entirely for fields no decoder reads.  Edge arrays are extracted from
+    the CSR on first use (the sweep only records balls and distances).
+    The batch holds the snapshot it swept and the advice and inputs as
+    they were at gather time.
     """
 
     __slots__ = (
-        "graph",
-        "radius",
         "advice",
+        "inputs",
         "roots",
         "ball_indptr",
         "ball_nodes",
         "ball_dists",
-        "ball_ptr",
-        "graph_n",
-        "graph_max_degree",
         "_block",
         "_edges",
-        "_cols",
     )
 
     def __init__(
         self,
         graph: LocalGraph,
+        compiled,
         radius: int,
         advice: Mapping[Node, str],
         roots,
@@ -722,14 +732,16 @@ class BallBatch:
         ball_dists,
         block: int,
     ) -> None:
-        self.graph = graph
+        self.compiled = compiled
         self.radius = radius
-        self.advice = advice
+        # Advice and inputs by dense index, as they are at gather time.
+        self.advice = _read_now(advice, compiled.nodes, ball_nodes)
+        self.inputs = _read_now(graph._inputs, compiled.nodes, ball_nodes)
         self.roots = roots
         self.ball_indptr = ball_indptr
         self.ball_nodes = ball_nodes
         self.ball_dists = ball_dists
-        # Plain-list pointer table: BatchView slices it on every field
+        # Plain-list pointer table: LazyView slices it on every field
         # materialization, and Python ints are cheaper than numpy scalars.
         self.ball_ptr = ball_indptr.tolist()
         self.graph_n = graph.n
@@ -747,7 +759,7 @@ class BallBatch:
         """``(edge_indptr, edge_lo, edge_hi)``, extracted on first use."""
         if self._edges is None:
             self._edges = _extract_edges(
-                self.graph.compiled,
+                self.compiled,
                 self.roots,
                 self.ball_indptr,
                 self.ball_nodes,
@@ -757,64 +769,36 @@ class BallBatch:
             )
         return self._edges
 
-    # -- lazy columns --------------------------------------------------------
-
-    def column(self, name: str):
-        """The batch-level column ``name``, built on first use.
-
-        Ball-entry columns (one entry per ball member): ``node``, ``dist``,
-        ``id``, ``advice``, ``input`` (``None`` when the graph has no
-        inputs).  Edge columns: ``edge_ptr``, ``edge_lo``, ``edge_hi``.
-        Center columns (one entry per root): ``center_advice``,
-        ``center_id``, ``center_input``.  ``holders`` is ``(ptr,
-        entries)``: the sorted ``(distance, id, node, bits)`` of root
-        ``slot``'s advice holders are ``entries[ptr[slot]:ptr[slot + 1]]``.
-        """
-        col = self._cols.get(name, _UNBUILT)
-        if col is _UNBUILT:
-            col = getattr(self, "_build_" + name)()
-            self._cols[name] = col
-        return col
+    # -- lazy columns (see Balls for the names) ------------------------------
 
     def _build_node(self) -> list:
-        nodes = self.graph.compiled.nodes
+        nodes = self.compiled.nodes
         return [nodes[i] for i in self.ball_nodes.tolist()]
 
     def _build_dist(self) -> list:
         return self.ball_dists.tolist()
 
     def _build_id(self) -> list:
-        ids = self.graph.compiled.ids
+        ids = self.compiled.ids
         return [ids[i] for i in self.ball_nodes.tolist()]
 
     def _build_advice(self) -> list:
         advice = self.advice
-        nodes = self.graph.compiled.nodes
-        idx = self.ball_nodes.tolist()
-        if len(idx) < len(nodes):
-            # Roots-subset batch (the serving path): touch only the ball
-            # entries.  Building the dense by-index table would cost O(n)
-            # per batch — the very scaling the per-query O(Δ^T) bound rules
-            # out.
-            return [advice.get(nodes[i], "") for i in idx]
-        by_idx = [advice.get(v, "") for v in nodes]
-        return [by_idx[i] for i in idx]
+        return [advice.get(i, "") for i in self.ball_nodes.tolist()]
+
+    def _build_input(self) -> Optional[list]:
+        inputs = self.inputs
+        if not inputs:
+            return None  # sentinel: every input is None, use dict.fromkeys
+        return [inputs.get(i) for i in self.ball_nodes.tolist()]
 
     def _build_holders(self) -> Tuple[list, list]:
-        compiled = self.graph.compiled
-        nodes, advice, ball = compiled.nodes, self.advice, self.ball_nodes
-        if ball.size < len(nodes):
-            # Roots-subset batch: read the advice of the ball members only,
-            # as _build_advice does.
-            bits = {
-                i: b for i in _np.unique(ball).tolist() if (b := advice.get(nodes[i], ""))
-            }
-            held = _np.isin(ball, _np.fromiter(bits, ball.dtype, len(bits)))
-        else:
-            bits = {i: b for i, v in enumerate(nodes) if (b := advice.get(v, ""))}
-            mask = _np.zeros(len(nodes), dtype=bool)
-            mask[_np.fromiter(bits, _np.intp, len(bits))] = True
-            held = mask[ball]
+        compiled = self.compiled
+        nodes, ball = compiled.nodes, self.ball_nodes
+        bits = {i: b for i, b in self.advice.items() if b}
+        mask = _np.zeros(len(nodes), dtype=bool)
+        mask[_np.fromiter(bits, _np.intp, len(bits))] = True
+        held = mask[ball]
         # Only holder entries leave numpy.  Each root's entries are
         # contiguous, so ordering by (root, distance, id) sorts every
         # root's holders in place and keeps the roots' ranges.
@@ -833,288 +817,39 @@ class BallBatch:
         ]
         return ptr, entries
 
-    def _build_input(self) -> Optional[list]:
-        inputs = self.graph._inputs
-        if not inputs:
-            return None  # sentinel: every input is None, use dict.fromkeys
-        nodes = self.graph.compiled.nodes
-        idx = self.ball_nodes.tolist()
-        if len(idx) < len(nodes):
-            return [inputs.get(nodes[i]) for i in idx]
-        by_idx = [inputs.get(v) for v in nodes]
-        return [by_idx[i] for i in idx]
-
     def _build_edge_ptr(self) -> list:
         return self.edge_arrays()[0].tolist()
 
-    def _build_edge_lo(self) -> list:
-        nodes = self.graph.compiled.nodes
-        return [nodes[i] for i in self.edge_arrays()[1].tolist()]
-
-    def _build_edge_hi(self) -> list:
-        nodes = self.graph.compiled.nodes
-        return [nodes[i] for i in self.edge_arrays()[2].tolist()]
+    def _build_edge(self) -> list:
+        nodes = self.compiled.nodes
+        _, lo, hi = self.edge_arrays()
+        return [(nodes[a], nodes[b]) for a, b in zip(lo.tolist(), hi.tolist())]
 
     def _build_center_advice(self) -> list:
         advice = self.advice
-        nodes = self.graph.compiled.nodes
-        return [advice.get(nodes[r], "") for r in self.roots.tolist()]
+        return [advice.get(r, "") for r in self.roots.tolist()]
 
     def _build_center_id(self) -> list:
-        ids = self.graph.compiled.ids
+        ids = self.compiled.ids
         return [ids[r] for r in self.roots.tolist()]
 
     def _build_center_input(self) -> list:
-        inputs = self.graph._inputs
-        nodes = self.graph.compiled.nodes
-        return [inputs.get(nodes[r]) for r in self.roots.tolist()]
+        inputs = self.inputs
+        return [inputs.get(r) for r in self.roots.tolist()]
 
     # -- view materialization ------------------------------------------------
 
-    def view(self, slot: int) -> "BatchView":
+    def view(self, slot: int) -> LazyView:
         """The lazy :class:`View` of the root in ``slot`` (0-based)."""
-        center = self.graph.compiled.nodes[int(self.roots[slot])]
-        return BatchView(self, slot, center)
+        return LazyView(self, slot, self.compiled.nodes[int(self.roots[slot])])
 
-    def views(self) -> Dict[Node, "BatchView"]:
+    def views(self) -> Dict[Node, LazyView]:
         """All views of the batch, keyed by root node (roots order)."""
-        nodes = self.graph.compiled.nodes
+        nodes = self.compiled.nodes
         return {
-            nodes[root]: BatchView(self, slot, nodes[root])
+            nodes[root]: LazyView(self, slot, nodes[root])
             for slot, root in enumerate(self.roots.tolist())
         }
-
-
-class _Unbuilt:
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<unbuilt>"
-
-
-_UNBUILT = _Unbuilt()
-
-
-class BatchView(View):
-    """A radius-``T`` :class:`View` served lazily from a :class:`BallBatch`.
-
-    Field semantics are identical to the eagerly gathered ``View`` — a
-    fully materialized ``BatchView`` is value-equal to the corresponding
-    :func:`~repro.local.views.gather_view` result — but each field is
-    built on first access by slicing the batch columns, and the center
-    accessors (``advice_of``, ``distance``, ``id_of``, ``input_of`` on
-    ``view.center``) answer in O(1) from per-root columns without
-    building any dict, and :meth:`View.holders` slices the batch's
-    ``holders`` column.  All ``View`` methods (``order_signature``,
-    ``canonical``, ``neighbors``, ...) work unchanged on top of the lazy
-    fields.
-    """
-
-    # NOTE: the frozen-dataclass machinery of View is bypassed on purpose:
-    # instances populate __dict__ directly (assignment still raises
-    # FrozenInstanceError, like View) and the field *properties* below
-    # shadow what would have been dataclass instance attributes.
-
-    def __init__(self, batch: BallBatch, slot: int, center: Node) -> None:
-        self.__dict__.update(_batch=batch, _slot=slot, center=center)
-
-    # -- identity fields served straight from the batch ----------------------
-
-    @property
-    def radius(self) -> int:
-        return self._batch.radius
-
-    @property
-    def _graph_n(self) -> int:
-        return self._batch.graph_n
-
-    @property
-    def _graph_max_degree(self) -> int:
-        return self._batch.graph_max_degree
-
-    # -- lazy View fields ----------------------------------------------------
-
-    def _node_slice(self) -> list:
-        sl = self.__dict__.get("_nodes_l")
-        if sl is None:
-            b = self._batch
-            slot = self._slot
-            sl = b.column("node")[b.ball_ptr[slot] : b.ball_ptr[slot + 1]]
-            self.__dict__["_nodes_l"] = sl
-        return sl
-
-    def _slice(self, name: str) -> list:
-        b = self._batch
-        slot = self._slot
-        return b.column(name)[b.ball_ptr[slot] : b.ball_ptr[slot + 1]]
-
-    @property
-    def nodes(self):
-        v = self.__dict__.get("_nodes_c")
-        if v is None:
-            v = frozenset(self._node_slice())
-            self.__dict__["_nodes_c"] = v
-        return v
-
-    @property
-    def edges(self):
-        v = self.__dict__.get("_edges_c")
-        if v is None:
-            b = self._batch
-            slot = self._slot
-            ptr = b.column("edge_ptr")
-            es, ee = ptr[slot], ptr[slot + 1]
-            v = frozenset(
-                zip(b.column("edge_lo")[es:ee], b.column("edge_hi")[es:ee])
-            )
-            self.__dict__["_edges_c"] = v
-        return v
-
-    @property
-    def ids(self):
-        v = self.__dict__.get("_ids_c")
-        if v is None:
-            v = dict(zip(self._node_slice(), self._slice("id")))
-            self.__dict__["_ids_c"] = v
-        return v
-
-    @property
-    def inputs(self):
-        v = self.__dict__.get("_inputs_c")
-        if v is None:
-            col = self._batch.column("input")
-            if col is None:
-                v = dict.fromkeys(self._node_slice())
-            else:
-                b = self._batch
-                slot = self._slot
-                v = dict(
-                    zip(
-                        self._node_slice(),
-                        col[b.ball_ptr[slot] : b.ball_ptr[slot + 1]],
-                    )
-                )
-            self.__dict__["_inputs_c"] = v
-        return v
-
-    @property
-    def advice(self):
-        v = self.__dict__.get("_advice_c")
-        if v is None:
-            v = dict(zip(self._node_slice(), self._slice("advice")))
-            self.__dict__["_advice_c"] = v
-        return v
-
-    @property
-    def distances(self):
-        v = self.__dict__.get("_distances_c")
-        if v is None:
-            v = dict(zip(self._node_slice(), self._slice("dist")))
-            self.__dict__["_distances_c"] = v
-        return v
-
-    # -- O(1) center fast paths ----------------------------------------------
-    #
-    # Decoders overwhelmingly query their own center; answering those from
-    # the per-root columns keeps a center-only decoder allocation-free.
-    # Each override defers to the materialized dict once it exists so the
-    # two code paths cannot diverge, and reports to the witness recorder
-    # what View's accessor reports.
-
-    def advice_of(self, v: Node) -> str:
-        cached = self.__dict__.get("_advice_c")
-        if cached is not None:
-            bits = cached.get(v, "")
-        elif v == self.center:
-            bits = self._batch.column("center_advice")[self._slot]
-        else:
-            bits = self.advice.get(v, "")
-        if LOCALITY_WITNESS_RECORDER._active:
-            LOCALITY_WITNESS_RECORDER.record_view(self, v)
-            LOCALITY_WITNESS_RECORDER.record_advice(bits)
-        return bits
-
-    def distance(self, v: Node) -> int:
-        if LOCALITY_WITNESS_RECORDER._active:
-            LOCALITY_WITNESS_RECORDER.record_view(self, v)
-        cached = self.__dict__.get("_distances_c")
-        if cached is not None:
-            return cached[v]
-        if v == self.center:
-            return 0
-        return self.distances[v]
-
-    def id_of(self, v: Node) -> int:
-        if LOCALITY_WITNESS_RECORDER._active:
-            LOCALITY_WITNESS_RECORDER.record_view(self, v)
-        cached = self.__dict__.get("_ids_c")
-        if cached is not None:
-            return cached[v]
-        if v == self.center:
-            return self._batch.column("center_id")[self._slot]
-        return self.ids[v]
-
-    def input_of(self, v: Node) -> object:
-        if LOCALITY_WITNESS_RECORDER._active:
-            LOCALITY_WITNESS_RECORDER.record_view(self, v)
-        cached = self.__dict__.get("_inputs_c")
-        if cached is not None:
-            return cached.get(v)
-        if v == self.center:
-            return self._batch.column("center_input")[self._slot]
-        return self.inputs.get(v)
-
-    def _holders(self) -> list:
-        ptr, entries = self._batch.column("holders")
-        return entries[ptr[self._slot] : ptr[self._slot + 1]]
-
-    # -- equality across engines --------------------------------------------
-
-    def _field_tuple(self):
-        return (
-            self.center,
-            self.radius,
-            self.nodes,
-            self.edges,
-            self.ids,
-            self.inputs,
-            self.advice,
-            self.distances,
-            self._graph_n,
-            self._graph_max_degree,
-        )
-
-    def __eq__(self, other: object):
-        if isinstance(other, View):
-            return self._field_tuple() == (
-                other.center,
-                other.radius,
-                other.nodes,
-                other.edges,
-                other.ids,
-                other.inputs,
-                other.advice,
-                other.distances,
-                other._graph_n,
-                other._graph_max_degree,
-            )
-        return NotImplemented
-
-    # Like View, BatchView is unhashable in practice (dict-valued fields).
-    __hash__ = None
-
-    def materialize(self) -> View:
-        """An eager plain :class:`View` with identical field values."""
-        return View(
-            center=self.center,
-            radius=self.radius,
-            nodes=self.nodes,
-            edges=self.edges,
-            ids=self.ids,
-            inputs=self.inputs,
-            advice=self.advice,
-            distances=self.distances,
-            _graph_n=self._graph_n,
-            _graph_max_degree=self._graph_max_degree,
-        )
 
 
 def gather_views_batched(
@@ -1128,7 +863,8 @@ def gather_views_batched(
     """Vectorized drop-in for :func:`repro.local.views.gather_all_views`.
 
     Same contract (and the same stamped ``gather`` span when a tracer is
-    attached); the returned views are lazy :class:`BatchView` objects.
+    attached); the returned views are :class:`~repro.local.views.LazyView`
+    objects backed by one :class:`BallBatch`.
     """
     if stats is None:
         stats = SimStats()

@@ -290,8 +290,8 @@ class View:
 
     Sparse-advice decoders read the few advice holders through
     :meth:`holders`, which returns them sorted by ``(distance, id)``; a
-    batch-gathered view answers it from one batch column, without
-    building a per-node dict.
+    gathered (:class:`LazyView`) view answers it from its gather-time
+    lists, without building a per-node dict.
     """
 
     center: Node
@@ -370,6 +370,12 @@ class View:
         if LOCALITY_WITNESS_RECORDER._active:
             LOCALITY_WITNESS_RECORDER.record_view(self, v)
         return self.distances[v]
+
+    @property
+    def ball_size(self) -> int:
+        """Number of nodes in the view (serving telemetry; not a decoder
+        read, so the witness recorder does not see it)."""
+        return len(self.nodes)
 
     def holders(self) -> List[Tuple[int, int, Node, str]]:
         """``(distance, id, node, bits)`` of every view node with non-empty
@@ -506,6 +512,338 @@ def _freeze(value: object) -> object:
     return value
 
 
+# ---------------------------------------------------------------------------
+# The one lazy view, and the gathered balls behind it
+# ---------------------------------------------------------------------------
+
+
+class _Unbuilt:
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return "<unbuilt>"
+
+
+_UNBUILT = _Unbuilt()
+
+
+class Balls:
+    """Gathered radius-``radius`` balls of one or more roots: what a
+    :class:`LazyView` reads its fields from.
+
+    Root ``slot``'s ball is entries ``ball_ptr[slot]:ball_ptr[slot + 1]``
+    of every ball-entry column.  A column is built by the subclass's
+    ``_build_<name>`` the first time a view asks for it, then kept, so a
+    field no decoder reads is never built.  Columns:
+
+    * ball entries: ``node``, ``dist``, ``id``, ``advice``, ``input``
+      (``None`` when the graph had no inputs);
+    * visible edges: ``edge_ptr`` and ``edge``, the ``(lo, hi)`` node
+      pairs with ``id(lo) < id(hi)``;
+    * one entry per root: ``center_advice``, ``center_id``,
+      ``center_input``;
+    * ``holders``: ``(ptr, entries)``, root ``slot``'s sorted ``(distance,
+      id, node, bits)`` being ``entries[ptr[slot]:ptr[slot + 1]]``.
+
+    Snapshot rule: ``compiled`` is the snapshot the gather swept, and the
+    advice and inputs are read at gather time, so a view materialized
+    after the graph or the advice map changed still shows what was
+    gathered.
+    """
+
+    __slots__ = ("compiled", "radius", "graph_n", "graph_max_degree", "ball_ptr", "_cols")
+
+    def column(self, name: str):
+        """The column ``name``, built on first use."""
+        col = self._cols.get(name, _UNBUILT)
+        if col is _UNBUILT:
+            col = getattr(self, "_build_" + name)()
+            self._cols[name] = col
+        return col
+
+
+class _SweptBall(Balls):
+    """The ball of one root from one scalar BFS (slot 0): the visit order,
+    and the ``dist``, ``advice`` and ``input`` columns read at gather time
+    as plain lists."""
+
+    __slots__ = ("order",)
+
+    def __init__(
+        self, compiled, radius, graph_n, graph_max_degree, order, dists, bits, inputs
+    ) -> None:
+        self.compiled = compiled
+        self.radius = radius
+        self.graph_n = graph_n
+        self.graph_max_degree = graph_max_degree
+        self.ball_ptr = (0, len(order))
+        self.order = order
+        self._cols = {"dist": dists, "advice": bits, "input": inputs}
+
+    def _build_node(self) -> list:
+        nodes = self.compiled.nodes
+        return [nodes[i] for i in self.order]
+
+    def _build_id(self) -> list:
+        ids = self.compiled.ids
+        return [ids[i] for i in self.order]
+
+    def _build_holders(self) -> Tuple[Tuple[int, int], list]:
+        nodes, ids = self.compiled.nodes, self.compiled.ids
+        cols = self._cols
+        entries = sorted(
+            (d, ids[i], nodes[i], bits)
+            for i, d, bits in zip(self.order, cols["dist"], cols["advice"])
+            if bits
+        )
+        return (0, len(entries)), entries
+
+    def _build_edge(self) -> list:
+        # Every neighbour of an interior node (distance < radius) is in the
+        # ball; an edge between two interior nodes is kept once, from the
+        # endpoint with the smaller index.
+        compiled, radius = self.compiled, self.radius
+        nodes, ids = compiled.nodes, compiled.ids
+        indptr, indices = compiled.indptr, compiled.indices
+        interior = [i for i, d in zip(self.order, self._cols["dist"]) if d < radius]
+        inside = set(interior)
+        pairs = []
+        for i in interior:
+            v, vi = nodes[i], ids[i]
+            for j in indices[indptr[i] : indptr[i + 1]]:
+                if j not in inside or i < j:
+                    u = nodes[j]
+                    pairs.append((v, u) if vi < ids[j] else (u, v))
+        return pairs
+
+    def _build_edge_ptr(self) -> Tuple[int, int]:
+        return 0, len(self.column("edge"))
+
+    def _build_center_advice(self) -> list:
+        return self._cols["advice"][:1]
+
+    def _build_center_id(self) -> list:
+        return [self.compiled.ids[self.order[0]]]
+
+    def _build_center_input(self) -> list:
+        inputs = self._cols["input"]
+        return [None] if inputs is None else inputs[:1]
+
+
+class LazyView(View):
+    """A radius-``T`` :class:`View` whose fields are built on first access.
+
+    Both gathers return these: the scalar one backs each view with one
+    BFS (:class:`_SweptBall`), the vectorized one with a slot of a
+    :class:`~repro.local.vectorized.BallBatch`.  Field semantics are those
+    of ``View`` — a fully materialized ``LazyView`` is value-equal to the
+    eager ``View`` of the same ball — but each field is built by slicing
+    the backing's columns, and the center accessors (``advice_of``,
+    ``distance``, ``id_of``, ``input_of`` on ``view.center``) answer in
+    O(1) from per-root columns without building any dict, and
+    :meth:`View.holders` slices the ``holders`` column.  All ``View``
+    methods (``order_signature``, ``canonical``, ``neighbors``, ...) work
+    unchanged on top of the lazy fields.
+    """
+
+    # NOTE: the frozen-dataclass machinery of View is bypassed on purpose:
+    # instances populate __dict__ directly (assignment still raises
+    # FrozenInstanceError, like View) and the field *properties* below
+    # shadow what would have been dataclass instance attributes.
+
+    def __init__(self, balls: Balls, slot: int, center: Node) -> None:
+        self.__dict__.update(_balls=balls, _slot=slot, center=center)
+
+    # -- identity fields served straight from the backing --------------------
+
+    @property
+    def radius(self) -> int:
+        return self._balls.radius
+
+    @property
+    def _graph_n(self) -> int:
+        return self._balls.graph_n
+
+    @property
+    def _graph_max_degree(self) -> int:
+        return self._balls.graph_max_degree
+
+    @property
+    def ball_size(self) -> int:
+        ptr = self._balls.ball_ptr
+        return ptr[self._slot + 1] - ptr[self._slot]
+
+    # -- lazy View fields ----------------------------------------------------
+
+    def _node_slice(self) -> list:
+        sl = self.__dict__.get("_nodes_l")
+        if sl is None:
+            sl = self._slice("node")
+            self.__dict__["_nodes_l"] = sl
+        return sl
+
+    def _slice(self, name: str) -> list:
+        b = self._balls
+        slot = self._slot
+        return b.column(name)[b.ball_ptr[slot] : b.ball_ptr[slot + 1]]
+
+    @property
+    def nodes(self):
+        v = self.__dict__.get("_nodes_c")
+        if v is None:
+            v = frozenset(self._node_slice())
+            self.__dict__["_nodes_c"] = v
+        return v
+
+    @property
+    def edges(self):
+        v = self.__dict__.get("_edges_c")
+        if v is None:
+            b = self._balls
+            ptr = b.column("edge_ptr")
+            v = frozenset(b.column("edge")[ptr[self._slot] : ptr[self._slot + 1]])
+            self.__dict__["_edges_c"] = v
+        return v
+
+    @property
+    def ids(self):
+        v = self.__dict__.get("_ids_c")
+        if v is None:
+            v = dict(zip(self._node_slice(), self._slice("id")))
+            self.__dict__["_ids_c"] = v
+        return v
+
+    @property
+    def inputs(self):
+        v = self.__dict__.get("_inputs_c")
+        if v is None:
+            if self._balls.column("input") is None:
+                v = dict.fromkeys(self._node_slice())
+            else:
+                v = dict(zip(self._node_slice(), self._slice("input")))
+            self.__dict__["_inputs_c"] = v
+        return v
+
+    @property
+    def advice(self):
+        v = self.__dict__.get("_advice_c")
+        if v is None:
+            v = dict(zip(self._node_slice(), self._slice("advice")))
+            self.__dict__["_advice_c"] = v
+        return v
+
+    @property
+    def distances(self):
+        v = self.__dict__.get("_distances_c")
+        if v is None:
+            v = dict(zip(self._node_slice(), self._slice("dist")))
+            self.__dict__["_distances_c"] = v
+        return v
+
+    # -- O(1) center fast paths ----------------------------------------------
+    #
+    # Decoders overwhelmingly query their own center; answering those from
+    # the per-root columns keeps a center-only decoder allocation-free.
+    # Each override defers to the materialized dict once it exists so the
+    # two code paths cannot diverge, and reports to the witness recorder
+    # what View's accessor reports.
+
+    def advice_of(self, v: Node) -> str:
+        cached = self.__dict__.get("_advice_c")
+        if cached is not None:
+            bits = cached.get(v, "")
+        elif v == self.center:
+            bits = self._balls.column("center_advice")[self._slot]
+        else:
+            bits = self.advice.get(v, "")
+        if LOCALITY_WITNESS_RECORDER._active:
+            LOCALITY_WITNESS_RECORDER.record_view(self, v)
+            LOCALITY_WITNESS_RECORDER.record_advice(bits)
+        return bits
+
+    def distance(self, v: Node) -> int:
+        if LOCALITY_WITNESS_RECORDER._active:
+            LOCALITY_WITNESS_RECORDER.record_view(self, v)
+        cached = self.__dict__.get("_distances_c")
+        if cached is not None:
+            return cached[v]
+        if v == self.center:
+            return 0
+        return self.distances[v]
+
+    def id_of(self, v: Node) -> int:
+        if LOCALITY_WITNESS_RECORDER._active:
+            LOCALITY_WITNESS_RECORDER.record_view(self, v)
+        cached = self.__dict__.get("_ids_c")
+        if cached is not None:
+            return cached[v]
+        if v == self.center:
+            return self._balls.column("center_id")[self._slot]
+        return self.ids[v]
+
+    def input_of(self, v: Node) -> object:
+        if LOCALITY_WITNESS_RECORDER._active:
+            LOCALITY_WITNESS_RECORDER.record_view(self, v)
+        cached = self.__dict__.get("_inputs_c")
+        if cached is not None:
+            return cached.get(v)
+        if v == self.center:
+            return self._balls.column("center_input")[self._slot]
+        return self.inputs.get(v)
+
+    def _holders(self) -> list:
+        ptr, entries = self._balls.column("holders")
+        return entries[ptr[self._slot] : ptr[self._slot + 1]]
+
+    # -- equality across engines --------------------------------------------
+
+    def _field_tuple(self):
+        return (
+            self.center,
+            self.radius,
+            self.nodes,
+            self.edges,
+            self.ids,
+            self.inputs,
+            self.advice,
+            self.distances,
+            self._graph_n,
+            self._graph_max_degree,
+        )
+
+    def __eq__(self, other: object):
+        if isinstance(other, View):
+            return self._field_tuple() == (
+                other.center,
+                other.radius,
+                other.nodes,
+                other.edges,
+                other.ids,
+                other.inputs,
+                other.advice,
+                other.distances,
+                other._graph_n,
+                other._graph_max_degree,
+            )
+        return NotImplemented
+
+    # Like View, LazyView is unhashable in practice (dict-valued fields).
+    __hash__ = None
+
+    def materialize(self) -> View:
+        """An eager plain :class:`View` with identical field values."""
+        return View(
+            center=self.center,
+            radius=self.radius,
+            nodes=self.nodes,
+            edges=self.edges,
+            ids=self.ids,
+            inputs=self.inputs,
+            advice=self.advice,
+            distances=self.distances,
+            _graph_n=self._graph_n,
+            _graph_max_degree=self._graph_max_degree,
+        )
+
+
 def gather_view(
     graph: LocalGraph,
     center: Node,
@@ -533,53 +871,36 @@ def _view_from_compiled(
     radius: int,
     advice: Mapping[Node, str],
     stats,
-) -> View:
-    """One integer-frontier sweep producing the :class:`View` of a node.
+) -> "LazyView":
+    """One integer-frontier sweep, kept as the lazy :class:`View` of a node.
 
-    Works entirely on CSR indices and the reusable distance scratch; the
-    only per-node allocations are the output dicts of the view itself.
+    The visit order, the distances, the advice bits and the inputs (when
+    the graph has any) are read into lists now and the distance scratch
+    is reset; the per-node dicts and the edge set are built from those
+    lists and the swept snapshot only when something first reads them.
     """
-    nodes_arr = compiled.nodes
-    ids_arr = compiled.ids
-    indptr, indices = compiled.indptr, compiled.indices
+    nodes = compiled.nodes
     order = compiled.bfs_fill(center_idx, radius)
     dist = compiled._dist
-
-    distances: Dict[Node, int] = {}
-    ids: Dict[Node, int] = {}
-    for i in order:
-        v = nodes_arr[i]
-        distances[v] = dist[i]
-        ids[v] = ids_arr[i]
-    edges = set()
-    for i in order:
-        if dist[i] >= radius:
-            continue
-        vi = ids_arr[i]
-        v = nodes_arr[i]
-        for k in range(indptr[i], indptr[i + 1]):
-            j = indices[k]
-            if dist[j] >= 0:
-                u = nodes_arr[j]
-                edges.add((v, u) if vi < ids_arr[j] else (u, v))
+    dists = [dist[i] for i in order]
     compiled.reset_scratch(order)
+    get = advice.get
+    bits = [get(nodes[i], "") for i in order]
+    inputs = graph._inputs
     if stats is not None:
         stats.views_gathered += 1
         stats.bfs_node_visits += len(order)
-
-    inputs = graph._inputs
-    return View(
-        center=nodes_arr[center_idx],
-        radius=radius,
-        nodes=frozenset(distances),
-        edges=frozenset(edges),
-        ids=ids,
-        inputs={v: inputs.get(v) for v in distances},
-        advice={v: advice.get(v, "") for v in distances},
-        distances=distances,
-        _graph_n=graph.n,
-        _graph_max_degree=graph.max_degree,
+    ball = _SweptBall(
+        compiled,
+        radius,
+        graph.n,
+        graph.max_degree,
+        order,
+        dists,
+        bits,
+        [inputs.get(nodes[i]) for i in order] if inputs else None,
     )
+    return LazyView(ball, 0, nodes[center_idx])
 
 
 def gather_all_views(

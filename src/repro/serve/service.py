@@ -283,7 +283,7 @@ class AdviceService:
                     with self.stats.span(tracer, "decode", node=v):
                         label = self._decide(view)
                         self.stats.decide_calls += 1
-                    answered.append((v, label, len(view.nodes)))
+                    answered.append((v, label, view.ball_size))
             except AdviceError:
                 self._account(tenant, sampled, [], len(nodes))
                 raise

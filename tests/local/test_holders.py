@@ -2,8 +2,9 @@
 
 A sparse-advice decoder reads the few advice holders of its view through
 ``holders()`` instead of calling ``advice_of``/``distance``/``id_of`` on
-every view node.  On every engine (scalar ``View``, full and roots-subset
-``BatchView``) and through a :class:`RecordingAdviceMap`, the list must
+every view node.  On every engine (the scalar gather's and the full and
+roots-subset batched gather's ``LazyView``) and through a
+:class:`RecordingAdviceMap`, the list must
 equal a reference scan over ``view.nodes``, and with the witness recorder
 armed it must record what that scan records.  The 2-coloring decoder
 built on it must answer exactly as the old full-view scan did: same
@@ -137,9 +138,9 @@ class TestHoldersWitness:
             with record_locality_witness() as rec:
                 view.holders()
                 via_holders = rec.witness()
-            # The scan runs on a plain View: BatchView's own accessors do
-            # not report to the recorder.
-            plain = view.materialize() if batched else view
+            # The scan runs on a plain View, the reference the lazy
+            # view's recording must match.
+            plain = view.materialize()
             with record_locality_witness() as rec:
                 for u in plain.nodes:
                     plain.advice_of(u)

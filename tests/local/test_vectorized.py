@@ -1,8 +1,9 @@
 """The vectorized engine must agree exactly with per-node BFS gathering.
 
-The batch sweep (:mod:`repro.local.vectorized`) returns lazy
-:class:`BatchView` objects; every field, accessor, and derived signature
-must match the scalar :func:`gather_view` result — on fixed families, on
+The batch sweep (:mod:`repro.local.vectorized`) returns
+:class:`~repro.local.views.LazyView` objects backed by one ``BallBatch``;
+every field, accessor, and derived signature must match the scalar
+:func:`gather_view` result — on fixed families, on
 random graphs/radii via hypothesis, through chunked ``roots=`` subsets,
 and under artificially small block budgets that force the multi-block
 mask path.  Work counters must match the scalar engine exactly (the

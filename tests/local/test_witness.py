@@ -109,9 +109,9 @@ class TestWitnessSemantics:
 
 
 class TestBatchViewShadowing:
-    """A :class:`BatchView` (the gather on >= 64 roots) reports what the
-    equal plain :class:`View` reports, through its center fast paths, its
-    lazily built dicts and its materialized ones alike."""
+    """A batched :class:`LazyView` (the gather on >= 64 roots) reports what
+    the equal plain :class:`View` reports, through its center fast paths,
+    its lazily built dicts and its materialized ones alike."""
 
     @staticmethod
     def _reads(view, center, far, outside):
@@ -146,11 +146,11 @@ class TestBatchViewShadowing:
         batch = gather_ball_batch(graph, 3, advice=advice)
         for slot in (0, 41):
             center = graph.compiled.nodes[slot]
-            plain = gather_view(graph, center, 3, advice)
+            plain = gather_view(graph, center, 3, advice).materialize()
             far = max(plain.nodes, key=plain.distances.__getitem__)
             outside = next(v for v in graph.nodes() if v not in plain.nodes)
             for order in (range(12), range(11, -1, -1), [4, 0, 5, 1, 2, 6, 3, 7]):
-                # A fresh BatchView each time: its dicts start unbuilt.
+                # A fresh lazy view each time: its dicts start unbuilt.
                 got = self._witness(
                     self._reads(batch.view(slot), center, far, outside), order
                 )
